@@ -150,16 +150,12 @@ class FiniteCategory:
             a = mor[m]
             if a.dom != x or a.cod != x:
                 bad.append(Violation("identity-boundary", f"id of {x} is {m}: {a.dom}->{a.cod}"))
-        composable = set()
         for g in mor.values():
             for f in mor.values():
-                if f.cod == g.dom:
-                    composable.add((g.id, f.id))
-        for pair in composable:
-            if pair not in comp:
-                bad.append(Violation("compose-missing", f"({pair[0]}, {pair[1]})"))
+                if f.cod == g.dom and (g.id, f.id) not in comp:
+                    bad.append(Violation("compose-missing", f"({g.id}, {f.id})"))
         for (g, f), h in comp.items():
-            if (g, f) not in composable:
+            if mor[f].cod != mor[g].dom:
                 bad.append(Violation("compose-extra", f"({g}, {f})"))
                 continue
             if mor[h].dom != mor[f].dom or mor[h].cod != mor[g].cod:
@@ -372,31 +368,27 @@ class Finite2Category:
         if bad:
             return bad
 
-        vcomposable = set()
+        vcomposable = []
         for b in twos.values():
             for a in twos.values():
                 if a.tgt == b.src:
-                    vcomposable.add((b.id, a.id))
+                    vcomposable.append((b.id, a.id))
         for pair in vcomposable:
             if pair not in vtab:
                 bad.append(Violation("vcomp-missing", f"({pair[0]}, {pair[1]})"))
         for (b, a), r in vtab.items():
-            if (b, a) not in vcomposable:
+            if twos[a].tgt != twos[b].src:
                 bad.append(Violation("vcomp-extra", f"({b}, {a})"))
             elif twos[r].src != twos[a].src or twos[r].tgt != twos[b].tgt:
                 bad.append(Violation("vcomp-boundary", f"({b}, {a}) -> {r}"))
 
-        wl_domain = set()
         for a in twos.values():
             acod = ones[a.src].cod
             for k in ones.values():
-                if k.dom == acod:
-                    wl_domain.add((k.id, a.id))
-        for pair in wl_domain:
-            if pair not in self.wl_table:
-                bad.append(Violation("whisker-left-missing", f"({pair[0]}, {pair[1]})"))
+                if k.dom == acod and (k.id, a.id) not in self.wl_table:
+                    bad.append(Violation("whisker-left-missing", f"({k.id}, {a.id})"))
         for (k, a), r in self.wl_table.items():
-            if (k, a) not in wl_domain:
+            if ones[k].dom != ones[twos[a].src].cod:
                 bad.append(Violation("whisker-left-extra", f"({k}, {a})"))
                 continue
             want_src = comp[(k, twos[a].src)]
@@ -404,17 +396,13 @@ class Finite2Category:
             if twos[r].src != want_src or twos[r].tgt != want_tgt:
                 bad.append(Violation("whisker-left-boundary", f"({k}, {a}) -> {r}"))
 
-        wr_domain = set()
         for a in twos.values():
             adom = ones[a.src].dom
             for k in ones.values():
-                if k.cod == adom:
-                    wr_domain.add((a.id, k.id))
-        for pair in wr_domain:
-            if pair not in self.wr_table:
-                bad.append(Violation("whisker-right-missing", f"({pair[0]}, {pair[1]})"))
+                if k.cod == adom and (a.id, k.id) not in self.wr_table:
+                    bad.append(Violation("whisker-right-missing", f"({a.id}, {k.id})"))
         for (a, k), r in self.wr_table.items():
-            if (a, k) not in wr_domain:
+            if ones[k].cod != ones[twos[a].src].dom:
                 bad.append(Violation("whisker-right-extra", f"({a}, {k})"))
                 continue
             want_src = comp[(twos[a].src, k)]

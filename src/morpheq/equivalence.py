@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catkernel import FiniteCategory, Finite2Category, FunctorData, MorphismFunction
-from .errors import InvalidInstance, InvalidPremise, NotComposable, UnknownId
+from .errors import InvalidInstance, InvalidPremise, NotComposable
 from .catkernel import Violation
 
 
@@ -59,18 +59,28 @@ class EquivData:
         self.tau1 = tau1
         self.tau2 = tau2
         if validate:
-            bad = []
-            for part, name in ((sigma, "sigma"), (tau1, "tau1"), (tau2, "tau2")):
-                if part.source is not c or part.target is not d:
-                    bad.append(Violation("wrong-ends", name))
-            if not bad:
-                if tau1.object_map != sigma.object_map or tau2.object_map != sigma.object_map:
-                    bad.append(Violation("object-map-disagree", "sigma/tau1/tau2"))
-                bad.extend(Violation("sigma:" + v.code, v.detail) for v in sigma.validate())
-                bad.extend(Violation("tau1:" + v.code, v.detail) for v in tau1.validate())
-                bad.extend(Violation("tau2:" + v.code, v.detail) for v in tau2.validate())
+            bad = self.violations()
             if bad:
                 raise InvalidInstance(bad)
+
+    def violations(self):
+        """Every violated parameter condition (empty iff lawful).
+
+        c and d are checked by their own validators, not here.
+        """
+        bad = []
+        parts = (("sigma", self.sigma), ("tau1", self.tau1), ("tau2", self.tau2))
+        for name, part in parts:
+            if part.source is not self.c or part.target is not self.d:
+                bad.append(Violation("wrong-ends", name))
+        if bad:
+            return bad
+        omap = self.sigma.object_map
+        if self.tau1.object_map != omap or self.tau2.object_map != omap:
+            bad.append(Violation("object-map-disagree", "sigma/tau1/tau2"))
+        for name, part in parts:
+            bad.extend(Violation(f"{name}:{v.code}", v.detail) for v in part.validate())
+        return bad
 
     def composite(self, u1, m, u2):
         """The 1-cell tau1(u1) . sigma(m) . tau2(u2) of d.
@@ -280,16 +290,3 @@ def equivalence_classes(e: EquivData):
                 uf.union(m, mt)
     return _blocks(uf, items)
 
-
-def equivalence_classes_all_pairs(e: EquivData):
-    """Oracle variant: run the search on every ordered pair, then partition."""
-    items = sorted(e.c.morphisms)
-    rel = {}
-    for m in items:
-        for mt in items:
-            rel[(m, mt)] = are_equivalent(e, m, mt)[0]
-    uf = _UnionFind(items)
-    for (m, mt), ok in rel.items():
-        if ok:
-            uf.union(m, mt)
-    return _blocks(uf, items)

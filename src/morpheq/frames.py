@@ -168,27 +168,26 @@ def asymp_compare(a: RhoForm, b: RhoForm, *, tol_rank=TOL_RANK) -> CompareVerdic
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"forms have dims {a.dim} and {b.dim}")
-    ra, rb = (
-        int(np.sum(a.eigenvalues > a.lam_max * tol_rank)),
-        int(np.sum(b.eigenvalues > b.lam_max * tol_rank)),
-    )
+    thr_a, thr_b = a.lam_max * tol_rank, b.lam_max * tol_rank
+    keep_a, keep_b = a.eigenvalues > thr_a, b.eigenvalues > thr_b
+    ra, rb = int(np.sum(keep_a)), int(np.sum(keep_b))
     if ra == 0 and rb == 0:
         return CompareVerdict(True, 1.0, 1.0)
     if ra != rb:
         return CompareVerdict(False, reason="kernel mismatch: ranks differ")
-    ker_a = a.eigenvectors[:, a.eigenvalues <= a.lam_max * tol_rank]
-    ker_b = b.eigenvectors[:, b.eigenvalues <= b.lam_max * tol_rank]
+    # not ~keep: a NaN eigenvalue (eigh returns one for a NaN input) is in neither
+    ker_a = a.eigenvectors[:, a.eigenvalues <= thr_a]
+    ker_b = b.eigenvectors[:, b.eigenvalues <= thr_b]
     if ker_a.shape[1]:
         spill = float(np.linalg.norm(ker_a.conj().T @ b.matrix @ ker_a, 2))
-        if spill > b.lam_max * tol_rank:
+        if spill > thr_b:
             return CompareVerdict(False, reason="kernel mismatch: ker(a) not in ker(b)")
         spill = float(np.linalg.norm(ker_b.conj().T @ a.matrix @ ker_b, 2))
-        if spill > a.lam_max * tol_rank:
+        if spill > thr_a:
             return CompareVerdict(False, reason="kernel mismatch: ker(b) not in ker(a)")
     # project onto the common range and whiten by a's positive square root
-    keep = a.eigenvalues > a.lam_max * tol_rank
-    q = a.eigenvectors[:, keep]
-    inv_sqrt = 1.0 / np.sqrt(a.eigenvalues[keep])
+    q = a.eigenvectors[:, keep_a]
+    inv_sqrt = 1.0 / np.sqrt(a.eigenvalues[keep_a])
     m = (inv_sqrt[:, None] * (q.conj().T @ b.matrix @ q)) * inv_sqrt[None, :]
     m = (m + m.conj().T) / 2.0
     w, y = np.linalg.eigh(m)
@@ -236,6 +235,10 @@ class OperatorMatrix:
         return self.matrix.shape
 
 
+def _as_operator(m) -> OperatorMatrix:
+    return m if isinstance(m, OperatorMatrix) else OperatorMatrix(m)
+
+
 def transport_form(u, p: RhoForm) -> RhoForm:
     """The form of the transported family: u P u*."""
     m = u.matrix if isinstance(u, OperatorMatrix) else _as_matrix(u)
@@ -263,8 +266,7 @@ def def_equivalent_with_witness(
     way; the verdict asks that the transported form of f be comparable
     to the form of f_tilde and symmetrically.
     """
-    u = u if isinstance(u, OperatorMatrix) else OperatorMatrix(u)
-    u_tilde = u_tilde if isinstance(u_tilde, OperatorMatrix) else OperatorMatrix(u_tilde)
+    u, u_tilde = _as_operator(u), _as_operator(u_tilde)
     if u.shape != (f_tilde.dim, f.dim):
         raise DimensionMismatch(f"u must be {f_tilde.dim} x {f.dim}, got {u.shape}")
     if u_tilde.shape != (f.dim, f_tilde.dim):
@@ -304,6 +306,18 @@ def onb_witness(f: BesselFamily):
     return OperatorMatrix(inv_root, "inj"), OperatorMatrix(root, "inj")
 
 
+def probe_vectors(dim, count, *, seed=0, field="complex"):
+    """Deterministic probe set: the standard basis, then seeded gaussians."""
+    rng = np.random.default_rng(seed)
+    pts = [np.eye(dim)[:, j] for j in range(dim)]
+    for _ in range(count):
+        z = rng.standard_normal(dim)
+        if field == "complex":
+            z = z + 1j * rng.standard_normal(dim)
+        pts.append(z)
+    return pts
+
+
 def adjoint_identity_check(f: BesselFamily, alpha, *, probes=32, seed=0) -> float:
     """Max relative deviation of analysis-after-alpha vs adjoint-pulled family.
 
@@ -316,15 +330,8 @@ def adjoint_identity_check(f: BesselFamily, alpha, *, probes=32, seed=0) -> floa
         raise DimensionMismatch(f"alpha must have {f.dim} rows, got {alpha.shape}")
     n_t = alpha.shape[1]
     pulled = BesselFamily(f.field, n_t, f.weights, alpha.conj().T @ f.vectors)
-    rng = np.random.default_rng(seed)
-    pts = [np.eye(n_t)[:, j] for j in range(n_t)]
-    for _ in range(probes):
-        z = rng.standard_normal(n_t)
-        if f.field == "complex":
-            z = z + 1j * rng.standard_normal(n_t)
-        pts.append(z)
     worst = 0.0
-    for z in pts:
+    for z in probe_vectors(n_t, probes, seed=seed, field=f.field):
         one = f.analysis(alpha @ z)
         two = pulled.analysis(z)
         denom = max(f.l2mu_norm(one), f.l2mu_norm(two))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .catkernel import Cell, Finite2Category, FiniteCategory, FunctorData, MorphismFunction, Violation
+from .catkernel import Cell, Finite2Category, FunctorData, MorphismFunction, Violation
 from .equivalence import EquivData, are_equivalent
 from .errors import InvalidInstance, UnknownElement
 
@@ -229,7 +229,6 @@ class DeloopedSlice:
         for _ in range(bound):
             frontier = [w + (x,) for w in frontier for x in action.carrier]
             words.extend(frontier)
-        self.words = words
         wid = {w: _word_id(w) for w in words}
         one_cells = [(wid[w], obj, obj) for w in words] + [(OVERFLOW, obj, obj)]
 
@@ -265,7 +264,6 @@ class DeloopedSlice:
         over_id2 = _cell_id(OVERFLOW, OVERFLOW, ())
         cells.append(Cell(over_id2, OVERFLOW, OVERFLOW))
         id2[OVERFLOW] = over_id2
-        self._cell_ids = cell_ids
 
         cells_from = {}
         for (src, tgt, labels), cid in cell_ids.items():
@@ -300,7 +298,7 @@ class DeloopedSlice:
             [obj], one_cells, {obj: wid[()]}, compose,
             cells, id2, vcomp, wl, wr, validate=False,
         )
-        self.category = FiniteCategory([obj], one_cells, {obj: wid[()]}, compose, validate=False)
+        self.category = self.two_category.skeleton
         omap = {obj: obj}
         mmap = {m: m for m in ids}
         self.equiv = EquivData(

@@ -19,7 +19,7 @@ weighted family f is the matrix diag(sqrt(mu)) V* and its pullback norm
 is exactly the family's quadratic seminorm.  ``bridge_equivalent``
 decides two-sided comparability of two families through transport
 operators and returns the four scalar cells certifying it; its verdict
-coincides with the direct spectral test in ``frames``.
+is the direct spectral test in ``frames``.
 """
 
 from __future__ import annotations
@@ -33,19 +33,12 @@ from .frames import (
     TOL_PSD,
     TOL_RANK,
     BesselFamily,
-    CompareVerdict,
-    OperatorMatrix,
-    RhoForm,
-    asymp_compare,
-    frame_operator,
-    transport_form,
+    DefEquivVerdict,
+    _as_operator,
+    def_equivalent_with_witness,
 )
 
 _DOM_SLACK = 1e-9
-
-
-def _as_operator(m) -> OperatorMatrix:
-    return m if isinstance(m, OperatorMatrix) else OperatorMatrix(m)
 
 
 class SeminormRep:
@@ -148,18 +141,6 @@ def apply_param(which, m, s: SeminormRep) -> SeminormRep:
     return SeminormRep(s.sup_unit_sphere(), np.eye(cols))
 
 
-def probe_vectors(dim, count, *, seed=0, field="complex"):
-    """Deterministic probe set: the standard basis, then seeded gaussians."""
-    rng = np.random.default_rng(seed)
-    pts = [np.eye(dim)[:, j] for j in range(dim)]
-    for _ in range(count):
-        z = rng.standard_normal(dim)
-        if field == "complex":
-            z = z + 1j * rng.standard_normal(dim)
-        pts.append(z)
-    return pts
-
-
 def non_functoriality_gap(m, m_bar, s: SeminormRep, probes) -> float:
     """Max pointwise gap between staged and composed sigma along m then m_bar.
 
@@ -212,17 +193,13 @@ def bridge_composite_staged(f: BesselFamily, u1, u2, s: SeminormRep) -> Seminorm
 
 
 @dataclass(frozen=True)
-class BridgeVerdict:
+class BridgeVerdict(DefEquivVerdict):
     """Two-sided transport comparison of a pair of families.
 
     ``cells`` holds the four scalars (c, c_tilde, d, d_tilde) =
     (K1, 1/K2, L1, 1/L2) built from the forward and backward optimal
     constants; they exist exactly when ``equivalent``.
     """
-
-    equivalent: bool
-    forward: CompareVerdict
-    backward: CompareVerdict
 
     @property
     def cells(self):
@@ -247,9 +224,8 @@ def bridge_equivalent(
 
     u1 carries f_tilde's space into f's and v1 the reverse; u2/v2 move
     coefficient spaces and only their shapes matter, since the middle
-    stage keeps nothing but a sup.  The verdict and constants agree
-    exactly with the direct witnessed comparison of the two quadratic
-    forms under u1*, v1*.
+    stage keeps nothing but a sup.  The verdict and constants are the
+    direct witnessed comparison of the two quadratic forms under u1*, v1*.
     """
     u1o, v1o = _as_operator(u1), _as_operator(v1)
     u2o, v2o = _as_operator(u2), _as_operator(v2)
@@ -269,11 +245,7 @@ def bridge_equivalent(
         raise DimensionMismatch(
             f"v2 must be {f.count} x {f_tilde.count}, got {v2o.matrix.shape}"
         )
-    pf, pt = frame_operator(f), frame_operator(f_tilde)
-    fwd = asymp_compare(
-        transport_form(u1o.matrix.conj().T, pf), pt, tol_rank=tol_rank
+    direct = def_equivalent_with_witness(
+        f, f_tilde, u1o.matrix.conj().T, v1o.matrix.conj().T, tol_rank=tol_rank
     )
-    bwd = asymp_compare(
-        transport_form(v1o.matrix.conj().T, pt), pf, tol_rank=tol_rank
-    )
-    return BridgeVerdict(fwd.equivalent and bwd.equivalent, fwd, bwd)
+    return BridgeVerdict(direct.equivalent, direct.forward, direct.backward)

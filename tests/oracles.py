@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from morpheq import are_equivalent
+
 
 def direct_weighted_norm(weights, vectors, x):
     """sqrt(sum_i mu_i |<x, f_i>|^2) summed term by term, no operators."""
@@ -47,3 +49,32 @@ def mc_compare(a_matrix, b_matrix, samples=1000, seed=0):
     if not ratios:
         return True, 1.0, 1.0
     return True, min(ratios), max(ratios)
+
+
+def equivalence_classes_all_pairs(e):
+    """Run the search on every ordered pair, then partition.
+
+    The classes are the connected components of the union of all related
+    pairs, listed by least member.
+    """
+    items = sorted(e.c.morphisms)
+    linked = {m: set() for m in items}
+    for m in items:
+        for mt in items:
+            if are_equivalent(e, m, mt)[0]:
+                linked[m].add(mt)
+                linked[mt].add(m)
+    blocks = []
+    seen = set()
+    for m in items:
+        if m in seen:
+            continue
+        block, todo = set(), [m]
+        while todo:
+            x = todo.pop()
+            if x not in block:
+                block.add(x)
+                todo.extend(linked[x])
+        seen |= block
+        blocks.append(sorted(block))
+    return blocks

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,10 @@ import pytest
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "morpheq.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
 
 
@@ -108,6 +109,21 @@ def test_reports_are_byte_stable():
         assert runs[0].returncode == runs[1].returncode == 0
 
 
+def test_validate_report_does_not_depend_on_hash_seed(tmp_path):
+    doc = json.loads((INSTANCES / "arrow_equiv.json").read_text())
+    doc["c"]["compose"] = doc["c"]["compose"][3:]
+    p = tmp_path / "gaps.json"
+    p.write_text(json.dumps(doc))
+    runs = [
+        run_cli("--input", str(p), "--verb", "validate",
+                env={**os.environ, "PYTHONHASHSEED": seed})
+        for seed in ("0", "2")
+    ]
+    assert runs[0].returncode == runs[1].returncode == 1
+    assert "compose-missing" in runs[0].stdout
+    assert runs[0].stdout == runs[1].stdout
+
+
 def test_out_file_matches_stdout(tmp_path):
     target = tmp_path / "report.json"
     direct = run_cli("--input", str(INSTANCES / "mercedes.json"),
@@ -169,6 +185,17 @@ def test_validate_broken_category_exits_one(tmp_path):
     assert code == 1
     assert out["valid"] is False
     assert any(v["code"] == "compose-missing" for v in out["violations"])
+
+
+def test_validate_reports_parameter_violations(tmp_path):
+    doc = json.loads((INSTANCES / "arrow_equiv.json").read_text())
+    doc["tau1"]["objects"] = {"A": "B", "B": "A"}
+    p = tmp_path / "disagree.json"
+    p.write_text(json.dumps(doc))
+    code, out = run_json("--input", str(p), "--verb", "validate")
+    assert code == 1
+    assert out["valid"] is False
+    assert "object-map-disagree" in [v["code"] for v in out["violations"]]
 
 
 # ----------------------------------------------------------- input errors

@@ -12,12 +12,12 @@ from morpheq import (
     derive_transitivity,
     derive_witness,
     equivalence_classes,
-    equivalence_classes_all_pairs,
     verify_witness,
 )
 from morpheq.errors import InvalidInstance, InvalidPremise
 
 from instance_gen import random_equiv_instance
+from oracles import equivalence_classes_all_pairs
 
 
 def walking_pair():
@@ -287,3 +287,21 @@ def test_parameters_must_target_the_given_pair():
     with pytest.raises(InvalidInstance) as exc:
         EquivData(e.c, e.d, other.sigma, e.tau1, e.tau2)
     assert any(v.code == "wrong-ends" for v in exc.value.violations)
+
+
+def test_violations_match_what_the_constructor_raises():
+    e = walking_pair()
+    c, d = e.c, e.d
+    ident = {m: m for m in c.morphisms}
+    omap = {"A": "A", "B": "B"}
+    flip = FunctorData(c, d, {"A": "B", "B": "A"},
+                       {"idA": "idB", "idB": "idA", "m": "m", "mt": "mt"}, validate=False)
+    broken = [
+        (MorphismFunction(c, d, omap, ident), flip, FunctorData(c, d, omap, ident)),
+        (walking_pair().sigma, e.tau1, e.tau2),
+    ]
+    for parts in broken:
+        with pytest.raises(InvalidInstance) as exc:
+            EquivData(c, d, *parts)
+        assert EquivData(c, d, *parts, validate=False).violations() == exc.value.violations
+    assert EquivData(c, d, e.sigma, e.tau1, e.tau2, validate=False).violations() == []
