@@ -223,12 +223,8 @@ class Finite2Category:
         self.wr_table = dict(whisker_right)
         self._check_refs()
         self._by_boundary = {}
-        self._cell_srcs = set()
-        self._cell_tgts = set()
         for c in cells:
             self._by_boundary.setdefault((c.src, c.tgt), []).append(c.id)
-            self._cell_srcs.add(c.src)
-            self._cell_tgts.add(c.tgt)
         for key in self._by_boundary:
             self._by_boundary[key].sort()
         if validate:

@@ -98,10 +98,14 @@ class RunConfig:
 # ---------------------------------------------------------------- loading
 
 
+def _reject_constant(name):
+    raise ParseError(f"non-finite number {name} is not allowed")
+
+
 def _load(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

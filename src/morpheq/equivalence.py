@@ -136,8 +136,6 @@ def _side_search(e: EquivData, m_from, m_to):
     c, d = e.c, e.d
     a_from, a_to = c.arrow(m_from), c.arrow(m_to)
     target = e.sigma(m_to)
-    if target not in d._cell_tgts or target not in d._cell_srcs:
-        return None
     sig = e.sigma(m_from)
     tau1, tau2 = e.tau1.morphism_map, e.tau2.morphism_map
     comp = d.skeleton.compose_table
@@ -241,52 +239,22 @@ def derive_witness(e: EquivData, mode: str, *args) -> Witness:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-        self.size = {x: 1 for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
-def _blocks(uf, items):
-    groups = {}
-    for m in items:
-        groups.setdefault(uf.find(m), []).append(m)
-    blocks = [sorted(g) for g in groups.values()]
-    blocks.sort(key=lambda b: b[0])
-    return blocks
-
-
 def equivalence_classes(e: EquivData):
-    """Partition of all morphisms of c, exploiting symmetry and transitivity.
+    """Partition of all morphisms of c: sorted blocks, listed by least member.
 
-    Pairs already joined through earlier unions are skipped; the result
-    is observationally identical to the all-pairs search.
+    Each morphism, in sorted order, is searched only against the first
+    member of each class so far; it joins the first class that answers
+    yes, else starts a new one.  This is exact on a lawful bundle, where
+    the relation is reflexive, symmetric and transitive (the derive_*
+    witnesses), and are_equivalent(e, m, mt) runs the same two side
+    searches as are_equivalent(e, mt, m).
     """
-    items = sorted(e.c.morphisms)
-    uf = _UnionFind(items)
-    for i, m in enumerate(items):
-        for mt in items[i + 1:]:
-            if uf.find(m) == uf.find(mt):
-                continue
-            ok, _ = are_equivalent(e, m, mt)
-            if ok:
-                uf.union(m, mt)
-    return _blocks(uf, items)
-
+    classes = []
+    for m in sorted(e.c.morphisms):
+        for block in classes:
+            if are_equivalent(e, block[0], m)[0]:
+                block.append(m)
+                break
+        else:
+            classes.append([m])
+    return classes

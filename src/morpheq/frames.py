@@ -72,9 +72,8 @@ class BesselFamily:
         return len(self.weights)
 
     def analysis(self, x):
-        """Coefficients <x, f_i> = f_i* x (unweighted)."""
-        x = np.asarray(x, dtype=complex if self.field == "complex" else float)
-        return self.vectors.conj().T @ x
+        """Coefficients <x, f_i> = f_i* x (unweighted); complex x is allowed."""
+        return self.vectors.conj().T @ np.asarray(x)
 
     def l2mu_norm(self, coeffs):
         """Weighted coefficient norm sqrt(sum_i mu_i |c_i|^2)."""
@@ -99,8 +98,10 @@ def frame_operator(f: BesselFamily) -> "RhoForm":
 class RhoForm:
     """The seminorm x -> sqrt(x* P x) of a positive-semidefinite matrix P."""
 
-    def __init__(self, matrix, *, tol_rank=TOL_RANK):
+    def __init__(self, matrix):
         p = _as_matrix(matrix)
+        if not np.all(np.isfinite(p.view(float))):
+            raise ValueError("matrix must be finite")
         scale = float(np.max(np.abs(p))) if p.size else 0.0
         if scale and float(np.max(np.abs(p - p.conj().T))) > _HERM_TOL * scale:
             raise ValueError("matrix is not hermitian")
@@ -113,20 +114,16 @@ class RhoForm:
         self.eigenvalues = np.clip(w, 0.0, None)
         self.eigenvectors = u
         self.lam_max = max(lam_max, 0.0)
-        self.tol_rank = tol_rank
 
     @property
     def dim(self):
         return self.matrix.shape[0]
 
     def kernel_threshold(self):
-        return self.lam_max * self.tol_rank
+        return self.lam_max * TOL_RANK
 
     def rank(self):
         return int(np.sum(self.eigenvalues > self.kernel_threshold()))
-
-    def range_basis(self):
-        return self.eigenvectors[:, self.eigenvalues > self.kernel_threshold()]
 
     def kernel_basis(self):
         return self.eigenvectors[:, self.eigenvalues <= self.kernel_threshold()]
@@ -138,8 +135,8 @@ class RhoForm:
 
 
 def rho_eval(f: BesselFamily, x) -> float:
-    """The weighted analysis norm of x, via the frame operator."""
-    return frame_operator(f)(x)
+    """The weighted analysis norm of x."""
+    return f.l2mu_norm(f.analysis(x))
 
 
 @dataclass(frozen=True)

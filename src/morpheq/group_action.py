@@ -158,10 +158,9 @@ def orbit_equivalent(a: GroupAction, x, y):
         if z not in a.carrier:
             raise UnknownElement(f"{z!r} not in carrier")
     ts = a.transporters(x, y)
-    order = {g: i for i, g in enumerate(a.group.elements)}
     if not ts:
         return False, None
-    return True, min(ts, key=order.__getitem__)
+    return True, ts[0]
 
 
 def orbit_partition(a: GroupAction):

@@ -9,6 +9,9 @@ eagerly, so a failing law in the consumer is always the consumer's bug.
 
 Size budget: at most 3 objects and 8 morphisms downstairs, 12 one-cells
 and 24 two-cells upstairs.
+
+Also two small group actions whose delooped slices serve as larger
+equivalence instances.
 """
 
 import random
@@ -17,7 +20,9 @@ from morpheq import (
     EquivData,
     Finite2Category,
     FiniteCategory,
+    FiniteGroup,
     FunctorData,
+    GroupAction,
     MorphismFunction,
 )
 
@@ -228,3 +233,18 @@ def random_equiv_instance(seed):
     elif family == "cyc" and rng.random() < 0.5:
         tau2 = _power_functor(cat, d, rng.randint(0, 3), extra, "g")
     return EquivData(cat, d, sigma, tau1, tau2)
+
+
+def swap_action():
+    """Z/2 swapping a and b, fixing c."""
+    g = FiniteGroup.cyclic(2)
+    act = {("g0", x): x for x in "abc"}
+    act.update({("g1", "a"): "b", ("g1", "b"): "a", ("g1", "c"): "c"})
+    return GroupAction(g, ["a", "b", "c"], act)
+
+
+def regular_z3():
+    g = FiniteGroup.cyclic(3)
+    carrier = ["x0", "x1", "x2"]
+    act = {(f"g{i}", f"x{j}"): f"x{(i + j) % 3}" for i in range(3) for j in range(3)}
+    return GroupAction(g, carrier, act)

@@ -6,10 +6,15 @@ from pathlib import Path
 
 import pytest
 
-INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+ROOT = Path(__file__).resolve().parent.parent
+INSTANCES = ROOT / "instances"
+SRC = str(ROOT / "src")
 
 
 def run_cli(*args, env=None):
+    """Run the CLI in a child process that imports morpheq from ``src``."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "morpheq.cli", *args],
         capture_output=True, text=True, env=env,
@@ -211,6 +216,33 @@ def test_malformed_json_exits_two(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
     code, out = run_json("--input", str(p), "--verb", "frame")
+    assert code == 2
+    assert out["error"]["type"] == "ParseError"
+
+
+def _set_u1_entry(doc):
+    doc["u1"][0][0] = float("nan")
+
+
+def _set_vector_entry(doc):
+    doc["vectors"][0][0] = float("nan")
+
+
+def _set_seminorm_scale(doc):
+    doc["seminorm"]["scale"] = float("inf")
+
+
+@pytest.mark.parametrize("name, verb, tamper", [
+    ("bridge_demo.json", "bridge", _set_u1_entry),
+    ("mercedes.json", "frame", _set_vector_entry),
+    ("bridge_demo.json", "bridge", _set_seminorm_scale),
+])
+def test_non_finite_constant_exits_two(tmp_path, name, verb, tamper):
+    doc = json.loads((INSTANCES / name).read_text())
+    tamper(doc)
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))  # writes NaN / Infinity, which strict JSON lacks
+    code, out = run_json("--input", str(p), "--verb", verb)
     assert code == 2
     assert out["error"]["type"] == "ParseError"
 

@@ -7,6 +7,7 @@ from morpheq import (
     MorphismFunction,
     Witness,
     are_equivalent,
+    deloop_slice,
     derive_reflexivity,
     derive_symmetry,
     derive_transitivity,
@@ -14,9 +15,10 @@ from morpheq import (
     equivalence_classes,
     verify_witness,
 )
+from morpheq import equivalence
 from morpheq.errors import InvalidInstance, InvalidPremise
 
-from instance_gen import random_equiv_instance
+from instance_gen import random_equiv_instance, regular_z3, swap_action
 from oracles import equivalence_classes_all_pairs
 
 
@@ -237,9 +239,25 @@ def test_relation_laws_spot_check():
 
 
 def test_classes_match_all_pairs_oracle():
-    for seed in range(30):
-        e = random_equiv_instance(seed)
+    bundles = [random_equiv_instance(seed) for seed in range(30)]
+    swap = swap_action()
+    bundles += [deloop_slice(swap, 1).equiv, deloop_slice(swap, 2).equiv,
+                deloop_slice(regular_z3(), 2).equiv]
+    for e in bundles:
         assert equivalence_classes(e) == equivalence_classes_all_pairs(e)
+
+
+def test_classes_search_each_morphism_against_one_member_per_class(monkeypatch):
+    e = deloop_slice(regular_z3(), 2).equiv
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return are_equivalent(*args)
+
+    monkeypatch.setattr(equivalence, "are_equivalent", counted)
+    blocks = equivalence_classes(e)
+    assert len(calls) <= len(e.c.morphisms) * len(blocks)  # 41 * 5
 
 
 def test_classes_are_a_partition():

@@ -94,6 +94,7 @@ def test_frame_operator_golden_values():
 
 def test_rho_eval_golden_values():
     assert rho_eval(standard_basis(2), [3.0, 4.0]) == pytest.approx(5.0)
+    assert rho_eval(standard_basis(2), [3j, 4.0]) == pytest.approx(5.0)  # C^2 point, R^2 family
     f = BesselFamily("real", 2, [1.0] * 3, np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
     assert rho_eval(f, [1.0, 0.0]) == pytest.approx(np.sqrt(2.0))
     assert rho_eval(f, [0.0, 0.0]) == 0.0
@@ -117,6 +118,13 @@ def test_rho_form_kernel_bookkeeping():
     assert p.kernel_basis().shape == (2, 1)
     assert abs(p.kernel_basis()[1, 0]) == pytest.approx(1.0)
     assert p(np.array([0.0, 5.0])) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_rho_form_rejects_non_finite_matrices(bad):
+    # eigh gives a NaN eigenvalue that no PSD, range or kernel test catches
+    with pytest.raises(ValueError):
+        RhoForm([[bad, 0.0], [0.0, 1.0]])
 
 
 # -------------------------------------------------------------- comparison

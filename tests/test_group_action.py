@@ -11,20 +11,7 @@ from morpheq import (
 )
 from morpheq.errors import InvalidInstance, UnknownElement
 
-
-def swap_action():
-    """Z/2 swapping a and b, fixing c."""
-    g = FiniteGroup.cyclic(2)
-    act = {("g0", x): x for x in "abc"}
-    act.update({("g1", "a"): "b", ("g1", "b"): "a", ("g1", "c"): "c"})
-    return GroupAction(g, ["a", "b", "c"], act)
-
-
-def regular_z3():
-    g = FiniteGroup.cyclic(3)
-    carrier = ["x0", "x1", "x2"]
-    act = {(f"g{i}", f"x{j}"): f"x{(i + j) % 3}" for i in range(3) for j in range(3)}
-    return GroupAction(g, carrier, act)
+from instance_gen import regular_z3, swap_action
 
 
 def trivial_action(n_group, carrier):
