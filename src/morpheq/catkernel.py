@@ -14,6 +14,7 @@ violated axiom instances as data for reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     InterchangeViolation,
@@ -190,12 +191,28 @@ class FiniteCategory:
         )
 
 
+def _built_on_read(name):
+    """A table attribute that the builder fills, with its two siblings, on first read."""
+
+    def build(self):
+        self._fill_tables(*self._tables())
+        return self.__dict__[name]
+
+    return cached_property(build)
+
+
 class Finite2Category:
     """A finite strict 2-category over explicit whiskering and vcomp tables.
 
     Horizontal composition of 2-cells is derived from the two whiskering
     orders, which must agree (interchange); the instance is rejected at
     validation time otherwise.
+
+    The vcomp and whiskering tables are given either as three mappings or,
+    through ``tables``, as one zero-argument callable returning the three;
+    the callable runs the first time one of them is read (``validate()``,
+    ``vcomp``, ``whisker_*``, ``hcomp`` or the table attributes).  The
+    cells, the skeleton and the boundary index are always built eagerly.
     """
 
     def __init__(
@@ -206,10 +223,11 @@ class Finite2Category:
         compose,
         two_cells,
         identity2,
-        vcomp,
-        whisker_left,
-        whisker_right,
+        vcomp=None,
+        whisker_left=None,
+        whisker_right=None,
         *,
+        tables=None,
         validate=True,
     ):
         self.skeleton = FiniteCategory(objects, one_cells, identity, compose, validate=False)
@@ -218,15 +236,21 @@ class Finite2Category:
         if len(self.two_cells) != len(cells):
             raise InvalidInstance([Violation("duplicate-id", "repeated 2-cell id")])
         self.identity2 = dict(identity2)
-        self.vcomp_table = dict(vcomp)
-        self.wl_table = dict(whisker_left)
-        self.wr_table = dict(whisker_right)
         self._check_refs()
+        if tables is None:
+            self._fill_tables(vcomp, whisker_left, whisker_right)
+        else:
+            self._tables = tables
         self._by_boundary = {}
         for c in cells:
             self._by_boundary.setdefault((c.src, c.tgt), []).append(c.id)
         for key in self._by_boundary:
             self._by_boundary[key].sort()
+        # 1-cell -> the 1-cells with a 2-cell to it and a 2-cell from it
+        self._linked = {}
+        for f, g in self._by_boundary:
+            if (g, f) in self._by_boundary:
+                self._linked.setdefault(g, set()).add(f)
         if validate:
             report = self.validate()
             if report:
@@ -241,6 +265,16 @@ class Finite2Category:
         for f, a in self.identity2.items():
             if f not in ones or a not in twos:
                 raise UnknownId(f"identity2 entry ({f!r}, {a!r}) has unknown id")
+
+    def _fill_tables(self, vcomp, whisker_left, whisker_right):
+        # plain instance attributes: once set, the cached properties are
+        # never consulted again, so a read costs an attribute lookup
+        self.vcomp_table = dict(vcomp)
+        self.wl_table = dict(whisker_left)
+        self.wr_table = dict(whisker_right)
+        self._tables = None  # frees the builder and what it holds
+        ones = self.skeleton.morphisms
+        twos = self.two_cells
         for (b, a), r in self.vcomp_table.items():
             for cid in (b, a, r):
                 if cid not in twos:
@@ -255,6 +289,10 @@ class Finite2Category:
                 raise UnknownId(f"whisker-right mentions unknown 1-cell {k!r}")
             if a not in twos or r not in twos:
                 raise UnknownId("whisker-right mentions unknown 2-cell")
+
+    vcomp_table = _built_on_read("vcomp_table")
+    wl_table = _built_on_read("wl_table")
+    wr_table = _built_on_read("wr_table")
 
     # -- accessors ----------------------------------------------------
 
@@ -349,7 +387,7 @@ class Finite2Category:
         ones = self.skeleton.morphisms
         comp = self.skeleton.compose_table
         twos = self.two_cells
-        vtab = self.vcomp_table
+        vtab, wl, wr = self.vcomp_table, self.wl_table, self.wr_table
 
         for c in twos.values():
             fa, ga = ones[c.src], ones[c.tgt]
@@ -381,9 +419,9 @@ class Finite2Category:
         for a in twos.values():
             acod = ones[a.src].cod
             for k in ones.values():
-                if k.dom == acod and (k.id, a.id) not in self.wl_table:
+                if k.dom == acod and (k.id, a.id) not in wl:
                     bad.append(Violation("whisker-left-missing", f"({k.id}, {a.id})"))
-        for (k, a), r in self.wl_table.items():
+        for (k, a), r in wl.items():
             if ones[k].dom != ones[twos[a].src].cod:
                 bad.append(Violation("whisker-left-extra", f"({k}, {a})"))
                 continue
@@ -395,9 +433,9 @@ class Finite2Category:
         for a in twos.values():
             adom = ones[a.src].dom
             for k in ones.values():
-                if k.cod == adom and (a.id, k.id) not in self.wr_table:
+                if k.cod == adom and (a.id, k.id) not in wr:
                     bad.append(Violation("whisker-right-missing", f"({a.id}, {k.id})"))
-        for (a, k), r in self.wr_table.items():
+        for (a, k), r in wr.items():
             if ones[k].cod != ones[twos[a].src].dom:
                 bad.append(Violation("whisker-right-extra", f"({a}, {k})"))
                 continue
@@ -423,38 +461,38 @@ class Finite2Category:
 
         for a in twos.values():
             idc = self.skeleton.identity[ones[a.src].cod]
-            if self.wl_table[(idc, a.id)] != a.id:
+            if wl[(idc, a.id)] != a.id:
                 bad.append(Violation("whisker-left-unit", a.id))
             idd = self.skeleton.identity[ones[a.src].dom]
-            if self.wr_table[(a.id, idd)] != a.id:
+            if wr[(a.id, idd)] != a.id:
                 bad.append(Violation("whisker-right-unit", a.id))
         for f, a in self.identity2.items():
             fa = ones[f]
             for k in ones.values():
-                if k.dom == fa.cod and self.wl_table[(k.id, a)] != self.identity2[comp[(k.id, f)]]:
+                if k.dom == fa.cod and wl[(k.id, a)] != self.identity2[comp[(k.id, f)]]:
                     bad.append(Violation("whisker-left-id2", f"({k.id}, {f})"))
-                if k.cod == fa.dom and self.wr_table[(a, k.id)] != self.identity2[comp[(f, k.id)]]:
+                if k.cod == fa.dom and wr[(a, k.id)] != self.identity2[comp[(f, k.id)]]:
                     bad.append(Violation("whisker-right-id2", f"({f}, {k.id})"))
         for a in twos.values():
             acod = ones[a.src].cod
             for k2 in ones.values():
                 if k2.dom != acod:
                     continue
-                inner = self.wl_table[(k2.id, a.id)]
+                inner = wl[(k2.id, a.id)]
                 for k1 in ones.values():
                     if k1.dom != k2.cod:
                         continue
-                    if self.wl_table[(comp[(k1.id, k2.id)], a.id)] != self.wl_table[(k1.id, inner)]:
+                    if wl[(comp[(k1.id, k2.id)], a.id)] != wl[(k1.id, inner)]:
                         bad.append(Violation("whisker-left-functorial", f"({k1.id}, {k2.id}, {a.id})"))
             adom = ones[a.src].dom
             for k2 in ones.values():
                 if k2.cod != adom:
                     continue
-                inner = self.wr_table[(a.id, k2.id)]
+                inner = wr[(a.id, k2.id)]
                 for k1 in ones.values():
                     if k1.cod != k2.dom:
                         continue
-                    if self.wr_table[(a.id, comp[(k2.id, k1.id)])] != self.wr_table[(inner, k1.id)]:
+                    if wr[(a.id, comp[(k2.id, k1.id)])] != wr[(inner, k1.id)]:
                         bad.append(Violation("whisker-right-functorial", f"({a.id}, {k2.id}, {k1.id})"))
         if bad:
             return bad
@@ -463,8 +501,8 @@ class Finite2Category:
         # agree, and the middle-four exchange holds.
         def hboth(b, a):
             ca, cb = twos[a], twos[b]
-            one = vtab[(self.wl_table[(cb.tgt, a)], self.wr_table[(b, ca.src)])]
-            two = vtab[(self.wr_table[(b, ca.tgt)], self.wl_table[(cb.src, a)])]
+            one = vtab[(wl[(cb.tgt, a)], wr[(b, ca.src)])]
+            two = vtab[(wr[(b, ca.tgt)], wl[(cb.src, a)])]
             return one, two
 
         hpairs = []

@@ -3,7 +3,8 @@
 Every invocation reads one JSON instance file, dispatches on a verb, and
 emits a deterministic report (text or JSON).  Exit codes: 0 when the
 verdict is true/valid, 1 when it is false, 2 on input errors (unparsable
-files, schema violations, or instances that fail their preconditions).
+files, schema violations, or instances that fail their preconditions),
+3 when the run stopped on an unexpected exception (an internal error).
 
 Instance files carry a ``kind`` field matched against a shipped JSON
 schema; run ``morpheq --help`` for the verb list and see the schemas
@@ -486,6 +487,9 @@ def main(argv=None) -> int:
         _emit(_render({**base, "error": {"type": type(exc).__name__, "message": str(exc)}},
                       cfg.format), cfg)
         return 2
+    except Exception as exc:  # a crash must not read as the answer "no"
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
     _emit(_render({**base, **body}, cfg.format), cfg)
     return code
 

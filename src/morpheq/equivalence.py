@@ -58,6 +58,7 @@ class EquivData:
         self.sigma = sigma
         self.tau1 = tau1
         self.tau2 = tau2
+        self._rows = {}  # the witness search's cache, see _side_search
         if validate:
             bad = self.violations()
             if bad:
@@ -131,7 +132,11 @@ def _side_search(e: EquivData, m_from, m_to):
     """First (u1, u2, fwd, bwd) with cells both ways, in lexicographic order.
 
     Looks for u1: cod(m_from) -> cod(m_to), u2: dom(m_to) -> dom(m_from)
-    and 2-cells  tau1(u1).sigma(m_from).tau2(u2) <=> sigma(m_to).
+    and 2-cells  tau1(u1).sigma(m_from).tau2(u2) <=> sigma(m_to).  For each
+    u1 in order, the least u2 is read off the row of left =
+    tau1(u1).sigma(m_from): each composite left.tau2(u2) mapped to the
+    least u2 giving it, cached on e because every target reads the same
+    rows.
     """
     c, d = e.c, e.d
     a_from, a_to = c.arrow(m_from), c.arrow(m_to)
@@ -140,17 +145,21 @@ def _side_search(e: EquivData, m_from, m_to):
     tau1, tau2 = e.tau1.morphism_map, e.tau2.morphism_map
     comp = d.skeleton.compose_table
     cells = d._by_boundary
+    linked = d._linked.get(target, ())
+    u2s = c.hom(a_to.dom, a_from.dom)
     for u1 in c.hom(a_from.cod, a_to.cod):
         left = comp[(tau1[u1], sig)]
-        for u2 in c.hom(a_to.dom, a_from.dom):
-            x = comp[(left, tau2[u2])]
-            fwd = cells.get((x, target))
-            if not fwd:
-                continue
-            bwd = cells.get((target, x))
-            if not bwd:
-                continue
-            return u1, u2, fwd[0], bwd[0]
+        key = (left, a_to.dom, a_from.dom)  # one row per left and u2 hom-set
+        row = e._rows.get(key)
+        if row is None:
+            row = e._rows[key] = {}
+            for u2 in u2s:
+                row.setdefault(comp[(left, tau2[u2])], u2)
+        small, big = (linked, row) if len(linked) < len(row) else (row, linked)
+        hits = [x for x in small if x in big]
+        if hits:
+            x = min(hits, key=row.__getitem__)
+            return u1, row[x], cells[(x, target)][0], cells[(target, x)][0]
     return None
 
 

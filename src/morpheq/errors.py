@@ -27,6 +27,10 @@ class InvalidInstance(MorpheqError):
         super().__init__(f"{len(self.violations)} violation(s): {lines}{more}")
 
 
+class InvalidParameter(MorpheqError):
+    """A construction parameter is out of range or uses a reserved name."""
+
+
 class InvalidPremise(MorpheqError):
     """A witness passed to a derivation does not verify."""
 

@@ -9,8 +9,12 @@ iff they lie in the same orbit.  Chains of different lengths never bound
 a 2-cell, which is what forces the comparison chains in any witness to
 be empty.
 
-The delooping itself is infinite; :func:`deloop_slice` materializes the
-finite sub-2-category of chains of length <= max_chain_length + 1.  To
+The delooping itself is infinite; :func:`deloop_slice` builds the finite
+sub-2-category of chains of length <= max_chain_length + 1.  Its 1-cells,
+2-cells and composition table are built with the slice; the vertical
+composition and whiskering tables, which the witness search never reads,
+are built the first time something reads them (``validate()``,
+``vcomp``, ``whisker_*``, ``hcomp``, the transitivity witnesses).  To
 keep every table total on boundary-compatible pairs, concatenations that
 would exceed the length bound are collapsed onto a single absorbing
 1-cell (id ``!overflow``) whose only 2-cell is its identity.  The
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 from .catkernel import Cell, Finite2Category, FunctorData, MorphismFunction, Violation
 from .equivalence import EquivData, are_equivalent
-from .errors import InvalidInstance, UnknownElement
+from .errors import InvalidInstance, InvalidParameter, UnknownElement
 
 OVERFLOW = "!overflow"
 _RESERVED = set("[],>#!")
@@ -210,14 +214,17 @@ def _cell_id(src_id, tgt_id, labels):
 
 
 class DeloopedSlice:
-    """The materialized bounded delooping plus its identity parameter bundle."""
+    """The bounded delooping plus its identity parameter bundle.
+
+    The vcomp and whiskering tables are built on first read.
+    """
 
     def __init__(self, action: GroupAction, max_chain_length: int):
         if max_chain_length < 0:
-            raise ValueError("max_chain_length must be >= 0")
+            raise InvalidParameter("max_chain_length must be >= 0")
         for name in itertools.chain(action.carrier, action.group.elements):
             if _RESERVED & set(name):
-                raise ValueError(f"name {name!r} uses a reserved character")
+                raise InvalidParameter(f"name {name!r} uses a reserved character")
         self.action = action
         self.max_chain_length = max_chain_length
         bound = max_chain_length + 1
@@ -264,38 +271,40 @@ class DeloopedSlice:
         cells.append(Cell(over_id2, OVERFLOW, OVERFLOW))
         id2[OVERFLOW] = over_id2
 
-        cells_from = {}
-        for (src, tgt, labels), cid in cell_ids.items():
-            cells_from.setdefault(src, []).append((tgt, labels, cid))
-        vcomp = {}
-        for (src, mid, l1), aid in cell_ids.items():
-            for tgt, l2, bid in cells_from[mid]:
-                labels = tuple(mul[(b, a)] for b, a in zip(l2, l1))
-                vcomp[(bid, aid)] = cell_ids[(src, tgt, labels)]
-        vcomp[(over_id2, over_id2)] = over_id2
+        def tables():
+            cells_from = {}
+            for (src, tgt, labels), cid in cell_ids.items():
+                cells_from.setdefault(src, []).append((tgt, labels, cid))
+            vcomp = {}
+            for (src, mid, l1), aid in cell_ids.items():
+                for tgt, l2, bid in cells_from[mid]:
+                    labels = tuple(mul[(b, a)] for b, a in zip(l2, l1))
+                    vcomp[(bid, aid)] = cell_ids[(src, tgt, labels)]
+            vcomp[(over_id2, over_id2)] = over_id2
 
-        wl = {}
-        wr = {}
-        unit_labels = {n: (unit,) * n for n in range(bound + 1)}
-        for (src, tgt, labels), cid in cell_ids.items():
-            n = len(src)
-            for k in words:
-                if len(k) + n <= bound:
-                    ks, kt = k + src, k + tgt
-                    wl[(wid[k], cid)] = cell_ids[(ks, kt, unit_labels[len(k)] + labels)]
-                    wr[(cid, wid[k])] = cell_ids[(src + k, tgt + k, labels + unit_labels[len(k)])]
-                else:
-                    wl[(wid[k], cid)] = over_id2
-                    wr[(cid, wid[k])] = over_id2
-            wl[(OVERFLOW, cid)] = over_id2
-            wr[(cid, OVERFLOW)] = over_id2
-        for m in ids:
-            wl[(m, over_id2)] = over_id2
-            wr[(over_id2, m)] = over_id2
+            wl = {}
+            wr = {}
+            unit_labels = {n: (unit,) * n for n in range(bound + 1)}
+            for (src, tgt, labels), cid in cell_ids.items():
+                n = len(src)
+                for k in words:
+                    if len(k) + n <= bound:
+                        ks, kt = k + src, k + tgt
+                        wl[(wid[k], cid)] = cell_ids[(ks, kt, unit_labels[len(k)] + labels)]
+                        wr[(cid, wid[k])] = cell_ids[(src + k, tgt + k, labels + unit_labels[len(k)])]
+                    else:
+                        wl[(wid[k], cid)] = over_id2
+                        wr[(cid, wid[k])] = over_id2
+                wl[(OVERFLOW, cid)] = over_id2
+                wr[(cid, OVERFLOW)] = over_id2
+            for m in ids:
+                wl[(m, over_id2)] = over_id2
+                wr[(over_id2, m)] = over_id2
+            return vcomp, wl, wr
 
         self.two_category = Finite2Category(
-            [obj], one_cells, {obj: wid[()]}, compose,
-            cells, id2, vcomp, wl, wr, validate=False,
+            [obj], one_cells, {obj: wid[()]}, compose, cells, id2,
+            tables=tables, validate=False,
         )
         self.category = self.two_category.skeleton
         omap = {obj: obj}

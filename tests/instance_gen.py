@@ -10,7 +10,7 @@ eagerly, so a failing law in the consumer is always the consumer's bug.
 Size budget: at most 3 objects and 8 morphisms downstairs, 12 one-cells
 and 24 two-cells upstairs.
 
-Also two small group actions whose delooped slices serve as larger
+Also three small group actions whose delooped slices serve as larger
 equivalence instances.
 """
 
@@ -248,3 +248,12 @@ def regular_z3():
     carrier = ["x0", "x1", "x2"]
     act = {(f"g{i}", f"x{j}"): f"x{(i + j) % 3}" for i in range(3) for j in range(3)}
     return GroupAction(g, carrier, act)
+
+
+def parity_swap_c6():
+    """Z/6 on two points: even elements fix them, odd ones swap them."""
+    g = FiniteGroup.cyclic(6)
+    act = {}
+    for i, e in enumerate(g.elements):
+        act[(e, "p")], act[(e, "q")] = ("p", "q") if i % 2 == 0 else ("q", "p")
+    return GroupAction(g, ["p", "q"], act)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from morpheq import are_equivalent
+from morpheq import Witness, are_equivalent
 
 
 def direct_weighted_norm(weights, vectors, x):
@@ -78,3 +78,44 @@ def equivalence_classes_all_pairs(e):
         seen |= block
         blocks.append(sorted(block))
     return blocks
+
+
+def side_search_scan(e, m_from, m_to):
+    """First (u1, u2, fwd, bwd) by scanning every (u1, u2) pair in order.
+
+    u1 runs over hom(cod(m_from), cod(m_to)) and, for each, u2 over
+    hom(dom(m_to), dom(m_from)); the first composite
+    tau1(u1).sigma(m_from).tau2(u2) with 2-cells both ways to
+    sigma(m_to) wins, with the least cell each way.
+    """
+    c, d = e.c, e.d
+    a_from, a_to = c.arrow(m_from), c.arrow(m_to)
+    target = e.sigma(m_to)
+    sig = e.sigma(m_from)
+    tau1, tau2 = e.tau1.morphism_map, e.tau2.morphism_map
+    comp = d.skeleton.compose_table
+    for u1 in c.hom(a_from.cod, a_to.cod):
+        left = comp[(tau1[u1], sig)]
+        for u2 in c.hom(a_to.dom, a_from.dom):
+            x = comp[(left, tau2[u2])]
+            fwd = d.cells_between(x, target)
+            if not fwd:
+                continue
+            bwd = d.cells_between(target, x)
+            if not bwd:
+                continue
+            return u1, u2, fwd[0], bwd[0]
+    return None
+
+
+def are_equivalent_scan(sides, m, mt):
+    """The verdict and witness for (m, mt) from side_search_scan results.
+
+    ``sides`` maps each ordered pair (m_from, m_to) to its scan result.
+    """
+    u_side, v_side = sides[(m, mt)], sides[(mt, m)]
+    if u_side is None or v_side is None:
+        return False, None
+    u1, u2, phi, phi_t = u_side
+    v1, v2, psi, psi_t = v_side
+    return True, Witness(u1, u2, v1, v2, phi, phi_t, psi, psi_t)

@@ -196,6 +196,33 @@ def test_tampered_vcomp_rejected():
         )
 
 
+def test_tables_from_a_builder_are_checked_when_first_read():
+    d = walking_pair_two_cat()
+    vcomp = dict(d.vcomp_table)
+    vcomp[("ab", "ba")] = "nope"
+    parts = (
+        list(d.objects),
+        [(a.id, a.dom, a.cod) for a in d.skeleton.morphisms.values()],
+        dict(d.skeleton.identity),
+        dict(d.skeleton.compose_table),
+        [(c.id, c.src, c.tgt) for c in d.two_cells.values()],
+        dict(d.identity2),
+    )
+    built = []
+
+    def tables():
+        built.append(True)
+        return vcomp, dict(d.wl_table), dict(d.wr_table)
+
+    lazy = Finite2Category(*parts, tables=tables, validate=False)
+    assert built == []
+    with pytest.raises(UnknownId):
+        lazy.whisker_left("idB", "ab")
+    assert built == [True]
+    with pytest.raises(UnknownId):
+        Finite2Category(*parts, vcomp, dict(d.wl_table), dict(d.wr_table), validate=False)
+
+
 def test_middle_four_violation_detected():
     # the delooped slice of the trivial Z/3 action on one point has parallel
     # 2-cells with commutative labels, so rerouting a single whisker entry

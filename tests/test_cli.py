@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from morpheq import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
 SRC = str(ROOT / "src")
@@ -274,6 +276,30 @@ def test_broken_carrier_is_an_input_error_for_equiv(tmp_path):
     code, out = run_json("--input", str(p), "--verb", "equiv")
     assert code == 2
     assert out["error"]["type"] == "InvalidInstance"
+
+
+def test_reserved_carrier_name_is_an_input_error_for_orbit_check(tmp_path):
+    doc = json.loads((INSTANCES / "z2_orbit.json").read_text())
+    rename = {"a": "a,x"}
+    doc["carrier"] = [rename.get(x, x) for x in doc["carrier"]]
+    doc["act"] = [[g, rename.get(x, x), rename.get(y, y)] for g, x, y in doc["act"]]
+    p = tmp_path / "comma_orbit.json"
+    p.write_text(json.dumps(doc))
+    code, out = run_json("--input", str(p), "--verb", "orbit-check")
+    assert code == 2
+    assert out["error"]["type"] == "InvalidParameter"
+
+
+def test_unexpected_exception_exits_three(monkeypatch, capsys):
+    def crash(doc, cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_run_equiv", crash)
+    code = cli.main(["--input", str(INSTANCES / "arrow_equiv.json"), "--verb", "equiv"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom\n"
 
 
 def test_nonpositive_tolerance_rejected():

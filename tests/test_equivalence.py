@@ -19,7 +19,7 @@ from morpheq import equivalence
 from morpheq.errors import InvalidInstance, InvalidPremise
 
 from instance_gen import random_equiv_instance, regular_z3, swap_action
-from oracles import equivalence_classes_all_pairs
+from oracles import are_equivalent_scan, equivalence_classes_all_pairs, side_search_scan
 
 
 def walking_pair():
@@ -245,6 +245,24 @@ def test_classes_match_all_pairs_oracle():
                 deloop_slice(regular_z3(), 2).equiv]
     for e in bundles:
         assert equivalence_classes(e) == equivalence_classes_all_pairs(e)
+
+
+def test_indexed_search_matches_the_scan_on_every_ordered_pair():
+    bundles = [random_equiv_instance(seed) for seed in range(100)]
+    for action in (swap_action(), regular_z3()):
+        bundles += [deloop_slice(action, bound).equiv for bound in (0, 1, 2)]
+    cross_boundary_hits = 0
+    for e in bundles:
+        items = sorted(e.c.morphisms)
+        sides = {(m, mt): side_search_scan(e, m, mt) for m in items for mt in items}
+        for (m, mt), want in sides.items():
+            assert equivalence._side_search(e, m, mt) == want, (m, mt)
+            assert are_equivalent(e, m, mt) == are_equivalent_scan(sides, m, mt), (m, mt)
+            a, b = e.c.arrow(m), e.c.arrow(mt)
+            if want is not None and (a.dom, a.cod) != (b.dom, b.cod):
+                cross_boundary_hits += 1
+    # the two sides of such a pair read rows over different hom-sets
+    assert cross_boundary_hits > 0
 
 
 def test_classes_search_each_morphism_against_one_member_per_class(monkeypatch):

@@ -9,9 +9,9 @@ from morpheq import (
     orbit_equivalent,
     orbit_partition,
 )
-from morpheq.errors import InvalidInstance, UnknownElement
+from morpheq.errors import InvalidInstance, InvalidParameter, UnknownElement
 
-from instance_gen import regular_z3, swap_action
+from instance_gen import parity_swap_c6, regular_z3, swap_action
 
 
 def trivial_action(n_group, carrier):
@@ -150,17 +150,20 @@ def test_reserved_characters_rejected():
     g = FiniteGroup.cyclic(2)
     act = {("g0", "x[0"): "x[0", ("g1", "x[0"): "x[0"}
     bad = GroupAction(g, ["x[0"], act)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter):
         deloop_slice(bad, 0)
+    with pytest.raises(InvalidParameter):
+        deloop_slice(swap_action(), -1)
 
 
 def test_delooped_matches_orbits_everywhere():
-    for a in (swap_action(), regular_z3(), trivial_action(2, ["p", "q", "r"])):
+    actions = (swap_action(), regular_z3(), trivial_action(2, ["p", "q", "r"]), parity_swap_c6())
+    for a in actions:
         want = {
             (x, y): orbit_equivalent(a, x, y)[0]
             for x in a.carrier for y in a.carrier
         }
-        for bound in (0, 1, 2):
+        for bound in (0, 1, 2, 3):  # 3 is the schema's largest chain bound
             for (x, y), expect in want.items():
                 ok, w = delooped_equivalent(a, x, y, bound)
                 assert ok is expect, (x, y, bound)
@@ -192,6 +195,18 @@ def test_delooped_verdicts_are_bound_independent_and_deterministic():
     again = regular_z3()
     for (x, y), got in first.items():
         assert delooped_equivalent(again, x, y, 0) == got
+
+
+def test_search_leaves_the_two_cell_tables_unbuilt():
+    a = swap_action()
+    d = deloop_slice(a, 1).two_category
+    for x in a.carrier:
+        for y in a.carrier:
+            delooped_equivalent(a, x, y, 1)
+    lazy = {"vcomp_table", "wl_table", "wr_table"}
+    assert not lazy & set(vars(d))
+    assert d.validate() == []
+    assert lazy <= set(vars(d))  # built once, then plain attributes
 
 
 def test_slice_is_cached_per_action():
