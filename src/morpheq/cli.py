@@ -136,6 +136,8 @@ def _entry(v):
 
 
 def _matrix(rows, field="complex"):
+    if len({len(row) for row in rows}) > 1:
+        raise ParseError("matrix rows differ in length")
     a = np.array([[_entry(v) for v in row] for row in rows], dtype=complex)
     if field == "real":
         if np.any(a.imag != 0):

@@ -31,6 +31,10 @@ class InvalidParameter(MorpheqError):
     """A construction parameter is out of range or uses a reserved name."""
 
 
+class InvalidValue(MorpheqError, ValueError):
+    """An input value is out of range, unparsable or not finite."""
+
+
 class InvalidPremise(MorpheqError):
     """A witness passed to a derivation does not verify."""
 

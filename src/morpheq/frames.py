@@ -25,6 +25,7 @@ from .errors import (
     BadPhase,
     ClassViolation,
     DimensionMismatch,
+    InvalidValue,
     NotAFrame,
     NotUnitary,
 )
@@ -46,14 +47,14 @@ class BesselFamily:
 
     def __init__(self, field, dim, weights, vectors):
         if field not in ("real", "complex"):
-            raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
+            raise InvalidValue(f"field must be 'real' or 'complex', got {field!r}")
         self.field = field
         self.dim = int(dim)
         self.weights = np.asarray(weights, dtype=float)
         raw = np.asarray(vectors)
         if field == "real" and np.iscomplexobj(raw):
             if np.any(np.imag(raw) != 0):
-                raise ValueError("real family with non-real vectors")
+                raise InvalidValue("real family with non-real vectors")
             raw = raw.real
         self.vectors = _as_matrix(raw, field)
         if self.weights.ndim != 1:
@@ -63,9 +64,9 @@ class BesselFamily:
                 f"vectors must be {self.dim} x {len(self.weights)}, got {self.vectors.shape}"
             )
         if not np.all(np.isfinite(self.weights)) or np.any(self.weights <= 0):
-            raise ValueError("weights must be finite and strictly positive")
+            raise InvalidValue("weights must be finite and strictly positive")
         if not np.all(np.isfinite(self.vectors.view(float))):
-            raise ValueError("vectors must be finite")
+            raise InvalidValue("vectors must be finite")
 
     @property
     def count(self):
@@ -101,16 +102,16 @@ class RhoForm:
     def __init__(self, matrix):
         p = _as_matrix(matrix)
         if not np.all(np.isfinite(p.view(float))):
-            raise ValueError("matrix must be finite")
+            raise InvalidValue("matrix must be finite")
         scale = float(np.max(np.abs(p))) if p.size else 0.0
         if scale and float(np.max(np.abs(p - p.conj().T))) > _HERM_TOL * scale:
-            raise ValueError("matrix is not hermitian")
+            raise InvalidValue("matrix is not hermitian")
         p = (p + p.conj().T) / 2.0
         self.matrix = p
         w, u = np.linalg.eigh(p)
         lam_max = float(w[-1]) if len(w) else 0.0
         if len(w) and float(w[0]) < -TOL_PSD * max(lam_max, 0.0):
-            raise ValueError(f"matrix is not positive semidefinite (min eig {w[0]:g})")
+            raise InvalidValue(f"matrix is not positive semidefinite (min eig {w[0]:g})")
         self.eigenvalues = np.clip(w, 0.0, None)
         self.eigenvectors = u
         self.lam_max = max(lam_max, 0.0)
@@ -239,7 +240,8 @@ def _as_operator(m) -> OperatorMatrix:
 def transport_form(u, p: RhoForm) -> RhoForm:
     """The form of the transported family: u P u*."""
     m = u.matrix if isinstance(u, OperatorMatrix) else _as_matrix(u)
-    return RhoForm(m @ p.matrix @ m.conj().T)
+    t = m @ p.matrix @ m.conj().T
+    return RhoForm((t + t.conj().T) / 2.0)  # hermitian up to rounding
 
 
 @dataclass(frozen=True)

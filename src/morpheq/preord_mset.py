@@ -29,6 +29,7 @@ from .catkernel import Violation
 from .errors import (
     InvalidCell,
     InvalidInstance,
+    InvalidValue,
     NotComposable,
     NotParallel,
     UnknownElement,
@@ -37,9 +38,12 @@ from .errors import (
 
 def as_fraction(v) -> Fraction:
     """Parse ints, Fractions and "p/q" strings; reject non-positive values."""
-    q = Fraction(v)
+    try:
+        q = Fraction(v)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidValue(f"{v!r} is not a rational number") from None
     if q <= 0:
-        raise ValueError(f"scalar {v!r} is not positive")
+        raise InvalidValue(f"scalar {v!r} is not positive")
     return q
 
 
@@ -55,7 +59,7 @@ class PreordObject:
             self.carrier = tuple(carrier)
         if leq is None:
             if not self.numeric:
-                raise ValueError("opaque carriers need an explicit order")
+                raise InvalidValue("opaque carriers need an explicit order")
             leq = [(x, y) for x in self.carrier for y in self.carrier if x <= y]
         self.leq = frozenset((self._elem(a), self._elem(b)) for a, b in leq)
         self.generators = tuple(as_fraction(g) for g in generators)

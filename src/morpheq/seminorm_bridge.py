@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidValue
 from .frames import (
     TOL_PSD,
     TOL_RANK,
@@ -47,7 +47,7 @@ class SeminormRep:
     def __init__(self, scale, op):
         self.scale = float(scale)
         if not np.isfinite(self.scale) or self.scale < 0:
-            raise ValueError(f"scale must be finite and nonnegative, got {scale!r}")
+            raise InvalidValue(f"scale must be finite and nonnegative, got {scale!r}")
         self.op = _as_operator(op)
 
     @property

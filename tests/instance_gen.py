@@ -243,10 +243,18 @@ def swap_action():
     return GroupAction(g, ["a", "b", "c"], act)
 
 
-def regular_z3():
-    g = FiniteGroup.cyclic(3)
-    carrier = ["x0", "x1", "x2"]
-    act = {(f"g{i}", f"x{j}"): f"x{(i + j) % 3}" for i in range(3) for j in range(3)}
+def regular_action(n):
+    """Z/n acting on n points by rotation."""
+    g = FiniteGroup.cyclic(n)
+    carrier = [f"x{j}" for j in range(n)]
+    act = {(f"g{i}", f"x{j}"): f"x{(i + j) % n}" for i in range(n) for j in range(n)}
+    return GroupAction(g, carrier, act)
+
+
+def trivial_action(n_group, carrier):
+    """Z/n fixing every point of ``carrier``."""
+    g = FiniteGroup.cyclic(n_group)
+    act = {(e, x): x for e in g.elements for x in carrier}
     return GroupAction(g, carrier, act)
 
 

@@ -119,3 +119,39 @@ def are_equivalent_scan(sides, m, mt):
     u1, u2, phi, phi_t = u_side
     v1, v2, psi, psi_t = v_side
     return True, Witness(u1, u2, v1, v2, phi, phi_t, psi, psi_t)
+
+
+def middle_four_violations(d):
+    """Every failure of the middle-four exchange, checked over all quadruples.
+
+    For every pair of vertically composable pairs (beta, alpha) and
+    (delta, gamma) whose 1-cells compose horizontally, compares
+    (delta . gamma) * (beta . alpha) with (delta * beta) . (gamma * alpha),
+    where b * a is read from the first whiskering order,
+    (tgt(b) |> a) . (b <| src(a)).  Quartic in 2-cells.  Assumes the
+    vcomp and whiskering tables are total and boundary-correct, so run it
+    only on tables that get past validate()'s whiskering checks.
+    """
+    ones, twos = d.one_cells, d.two_cells
+    vtab, wl, wr = d.vcomp_table, d.wl_table, d.wr_table
+    hval = {}
+    for b in twos.values():
+        for a in twos.values():
+            if ones[a.src].cod == ones[b.src].dom:
+                hval[(b.id, a.id)] = vtab[(wl[(b.tgt, a.id)], wr[(b.id, a.src)])]
+    by_hom = {}
+    for (b, a) in vtab:
+        key = (ones[twos[a].src].dom, ones[twos[a].src].cod)
+        by_hom.setdefault(key, []).append((b, a))
+    bad = []
+    for (x, y), left_pairs in by_hom.items():
+        for (y2, z), right_pairs in by_hom.items():
+            if y2 != y:
+                continue
+            for (beta, alpha) in left_pairs:
+                for (delta, gamma) in right_pairs:
+                    lhs = hval[(vtab[(delta, gamma)], vtab[(beta, alpha)])]
+                    rhs = vtab[(hval[(delta, beta)], hval[(gamma, alpha)])]
+                    if lhs != rhs:
+                        bad.append(f"({delta}, {gamma}; {beta}, {alpha})")
+    return bad

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from morpheq import (
@@ -15,7 +18,8 @@ from morpheq.errors import (
     UnknownId,
 )
 
-from instance_gen import random_equiv_instance
+from instance_gen import random_equiv_instance, trivial_action
+from oracles import middle_four_violations
 
 
 def chain3():
@@ -71,6 +75,18 @@ def walking_pair_two_cat():
         vcomp,
         wl,
         wr,
+    )
+
+
+def _two_cat_parts(d):
+    """The positional arguments of ``d`` up to, not including, its vcomp table."""
+    return (
+        list(d.objects),
+        [(a.id, a.dom, a.cod) for a in d.skeleton.morphisms.values()],
+        dict(d.skeleton.identity),
+        dict(d.skeleton.compose_table),
+        [(c.id, c.src, c.tgt) for c in d.two_cells.values()],
+        dict(d.identity2),
     )
 
 
@@ -183,31 +199,14 @@ def test_tampered_vcomp_rejected():
     # breaks the boundary of the composite
     vcomp[("ab", "ba")] = "im"
     with pytest.raises(InvalidInstance):
-        Finite2Category(
-            list(d.objects),
-            [(a.id, a.dom, a.cod) for a in d.skeleton.morphisms.values()],
-            dict(d.skeleton.identity),
-            dict(d.skeleton.compose_table),
-            [(c.id, c.src, c.tgt) for c in d.two_cells.values()],
-            dict(d.identity2),
-            vcomp,
-            dict(d.wl_table),
-            dict(d.wr_table),
-        )
+        Finite2Category(*_two_cat_parts(d), vcomp, dict(d.wl_table), dict(d.wr_table))
 
 
 def test_tables_from_a_builder_are_checked_when_first_read():
     d = walking_pair_two_cat()
     vcomp = dict(d.vcomp_table)
     vcomp[("ab", "ba")] = "nope"
-    parts = (
-        list(d.objects),
-        [(a.id, a.dom, a.cod) for a in d.skeleton.morphisms.values()],
-        dict(d.skeleton.identity),
-        dict(d.skeleton.compose_table),
-        [(c.id, c.src, c.tgt) for c in d.two_cells.values()],
-        dict(d.identity2),
-    )
+    parts = _two_cat_parts(d)
     built = []
 
     def tables():
@@ -226,8 +225,9 @@ def test_tables_from_a_builder_are_checked_when_first_read():
 def test_middle_four_violation_detected():
     # the delooped slice of the trivial Z/3 action on one point has parallel
     # 2-cells with commutative labels, so rerouting a single whisker entry
-    # keeps every unit, associativity, and order check happy while breaking
-    # the middle-four exchange.
+    # keeps every unit, associativity and functoriality check happy while
+    # breaking the middle-four exchange; validate() sees that whiskering by
+    # [pt] no longer keeps vertical composites.
     act = GroupAction.from_dict(
         {
             "group": {
@@ -247,20 +247,91 @@ def test_middle_four_violation_detected():
     wl = dict(d.wl_table)
     assert wl[("[pt]", "[pt]>[pt]#g")] == "[pt,pt]>[pt,pt]#e,g"
     wl[("[pt]", "[pt]>[pt]#g")] = "[pt,pt]>[pt,pt]#g,g"
-    broken = Finite2Category(
-        list(d.objects),
-        [(a.id, a.dom, a.cod) for a in d.skeleton.morphisms.values()],
-        dict(d.skeleton.identity),
-        dict(d.skeleton.compose_table),
-        [(c.id, c.src, c.tgt) for c in d.two_cells.values()],
-        dict(d.identity2),
-        dict(d.vcomp_table),
-        wl,
-        dict(d.wr_table),
+    broken = Finite2Category(*_two_cat_parts(d), dict(d.vcomp_table), wl, dict(d.wr_table), validate=False)
+    assert middle_four_violations(broken)
+    codes = {v.code for v in broken.validate()}
+    assert codes == {"whisker-left-vcomp"}
+
+
+def test_tampered_two_cell_tables_agree_with_the_middle_four_oracle():
+    # 1 to 5 vcomp / whisker entries of small slices with non-trivial
+    # stabilisers are rerouted to other 2-cells on the same boundary, so
+    # the boundary checks pass and only the laws can catch the change.
+    rng = random.Random(7)
+    late = {"whisker-left-vcomp", "whisker-right-vcomp", "whisker-assoc", "interchange-orders"}
+    past_functorial = rejected_by_vcomp_laws = 0
+    for act in (trivial_action(2, ["p", "q"]), trivial_action(3, ["pt"])):
+        d = deloop_slice(act, 1).two_category
+        twins = {}
+        for c in d.two_cells.values():
+            twins.setdefault((c.src, c.tgt), []).append(c.id)
+
+        def others(cid):
+            c = d.two_cells[cid]
+            return [x for x in twins[(c.src, c.tgt)] if x != cid]
+
+        lawful = (d.vcomp_table, d.wl_table, d.wr_table)
+        movable = [sorted(k for k, r in t.items() if others(r)) for t in lawful]
+        for _ in range(800):
+            tables = [dict(t) for t in lawful]
+            for _ in range(rng.randint(1, 5)):
+                i = rng.randrange(3)
+                key = rng.choice(movable[i])
+                tables[i][key] = rng.choice(others(tables[i][key]))
+            broken = Finite2Category(*_two_cat_parts(d), *tables, validate=False)
+            codes = {v.code for v in broken.validate()}
+            if not codes <= late:
+                continue  # caught before the laws the oracle stands in for
+            past_functorial += 1
+            if not codes:
+                assert middle_four_violations(broken) == []
+            elif codes <= {"whisker-left-vcomp", "whisker-right-vcomp"}:
+                rejected_by_vcomp_laws += 1
+                assert middle_four_violations(broken)
+    assert past_functorial >= 10
+    assert rejected_by_vcomp_laws >= 1
+
+
+def _one_object(compose, groups, wl, wr):
+    """One object '*'.  ``groups[f]`` is the vcomp table of a group of 2-cells f => f
+    whose unit is named first; ``e`` is the identity 1-cell."""
+    cells = [(c, f, f) for f, table in groups.items() for c in dict.fromkeys(b for b, _ in table)]
+    return Finite2Category(
+        ["*"], [(f, "*", "*") for f in groups], {"*": "e"}, compose, cells,
+        {f: next(iter(table))[0] for f, table in groups.items()},
+        {key: r for table in groups.values() for key, r in table.items()}, wl, wr,
         validate=False,
     )
-    codes = {v.code for v in broken.validate()}
-    assert codes == {"interchange-middle-four"}
+
+
+def test_non_commuting_two_cells_break_the_interchange_orders():
+    # Eckmann-Hilton: on one object and one 1-cell, the two whiskering
+    # orders of b * a are a . b and b . a, so the cells must commute
+    perms = list(itertools.permutations(range(3)))
+    name = {p: "s" + "".join(map(str, p)) for p in perms}
+    s3 = {(name[q], name[p]): name[tuple(q[i] for i in p)] for p in perms for q in perms}
+    d = _one_object({("e", "e"): "e"}, {"e": s3},
+                    {("e", c): c for c in name.values()}, {(c, "e"): c for c in name.values()})
+    codes = {v.code for v in d.validate()}
+    assert codes == {"interchange-orders"}
+
+
+def test_whisker_sides_that_do_not_commute_are_reported():
+    # 1-cells e, k with k.k = e; Klein four groups of 2-cells on both.
+    # k |> - sends e_i to k_i, - <| k sends e_i to k_sigma(i) for a
+    # 3-cycle sigma: each whiskering is a group isomorphism and an
+    # involution up to its inverse, but (k |> e_i) <| k != k |> (e_i <| k).
+    sigma = [0, 2, 3, 1]
+    groups = {f: {(f"{f}{i}", f"{f}{j}"): f"{f}{i ^ j}" for i in range(4) for j in range(4)} for f in "ek"}
+    wl = {("e", f"{f}{i}"): f"{f}{i}" for f in "ek" for i in range(4)}
+    wr = {(f"{f}{i}", "e"): f"{f}{i}" for f in "ek" for i in range(4)}
+    for i in range(4):
+        wl[("k", f"e{i}")], wl[("k", f"k{i}")] = f"k{i}", f"e{i}"
+        wr[(f"e{i}", "k")], wr[(f"k{sigma[i]}", "k")] = f"k{sigma[i]}", f"e{i}"
+    compose = {("e", "e"): "e", ("e", "k"): "k", ("k", "e"): "k", ("k", "k"): "e"}
+    d = _one_object(compose, groups, wl, wr)
+    codes = {v.code for v in d.validate()}
+    assert codes == {"whisker-assoc"}
 
 
 def test_random_thin_instances_validate_clean():

@@ -1,9 +1,14 @@
+import copy
 import json
+import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from morpheq import cli
@@ -313,3 +318,134 @@ def test_unknown_verb_rejected_by_parser():
     proc = run_cli("--input", str(INSTANCES / "mercedes.json"), "--verb", "spectra")
     assert proc.returncode == 2
     assert proc.stdout == ""
+
+
+# ------------------------------------------------- numeric and value inputs
+
+
+def run_main(capsys, doc, verb, tmp_path):
+    """Run ``cli.main`` in-process on ``doc``; return (code, json report or None, stderr)."""
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code = cli.main(["--input", str(p), "--verb", verb, "--format", "json"])
+    captured = capsys.readouterr()
+    return code, (json.loads(captured.out) if captured.out else None), captured.err
+
+
+def test_ill_conditioned_frame_has_a_valid_onb_witness(capsys, tmp_path):
+    # frame operator eigenvalues 1, 0.1, 1e-6: u P u* with u = P^(-1/2)
+    # is hermitian only up to rounding
+    q, _ = np.linalg.qr(np.random.default_rng(19).standard_normal((3, 3)))
+    vectors = q @ np.diag(np.sqrt([1, 0.1, 1e-6]))
+    doc = {"kind": "family", "field": "real", "dim": 3, "weights": [1.0] * 3,
+           "vectors": vectors.T.tolist()}
+    code, out, err = run_main(capsys, doc, "frame", tmp_path)
+    assert (code, err) == (0, "")
+    assert out["is_frame"] is True
+    assert out["onb_witness_valid"] is True
+
+
+def _ragged_u(doc):
+    family = {k: doc[k] for k in ("field", "dim", "weights", "vectors")}
+    doc["compare"] = {"family": family, "u": [[1, 0], [0]], "u_tilde": [[1, 0], [0, 1]]}
+
+
+def _ragged_vectors(doc):
+    doc["vectors"][1] = [1.0]
+
+
+@pytest.mark.parametrize("tamper", [_ragged_u, _ragged_vectors])
+def test_ragged_matrix_exits_two(capsys, tmp_path, tamper):
+    doc = json.loads((INSTANCES / "mercedes.json").read_text())
+    tamper(doc)
+    code, out, _ = run_main(capsys, doc, "frame", tmp_path)
+    assert code == 2
+    assert out["error"]["type"] == "ParseError"
+
+
+def _scalar(value):
+    def tamper(doc):
+        doc["cells"][0]["scalar"] = value
+    return tamper
+
+
+def _carrier_entry(doc):
+    doc["objects"][0]["carrier"][1] = "x"  # X is numeric: it has no act table
+
+
+def _huge_vector_entry(doc):
+    doc["vectors"][0][1] = 1e200  # the frame operator overflows
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("name, verb, tamper", [
+    ("preord_demo.json", "preord-check", _scalar("0")),
+    ("preord_demo.json", "preord-check", _scalar("1/0")),
+    ("preord_demo.json", "preord-check", _scalar("abc")),
+    ("preord_demo.json", "preord-check", _carrier_entry),
+    ("mercedes.json", "frame", _huge_vector_entry),
+])
+def test_bad_value_exits_two(capsys, tmp_path, name, verb, tamper):
+    doc = json.loads((INSTANCES / name).read_text())
+    tamper(doc)
+    code, out, _ = run_main(capsys, doc, verb, tmp_path)
+    assert code == 2
+    assert out["error"]["type"] == "InvalidValue"
+
+
+def _mutate(rng, doc):
+    """Change one to three numbers or rationals of ``doc``, sometimes a matrix row's length."""
+    numbers, rationals, rows = [], [], []
+
+    def walk(node, parent, key):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                walk(v, node, k)
+        elif isinstance(node, list):
+            if node and all(isinstance(r, list) for r in node) and len(node[0]) > 1:
+                rows.append(node)
+            for i, v in enumerate(node):
+                walk(v, node, i)
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            numbers.append((parent, key))
+        elif isinstance(node, str) and key != "name":
+            try:
+                Fraction(node)
+            except (ValueError, ZeroDivisionError):
+                return
+            rationals.append((parent, key))
+
+    walk(doc, None, None)
+    for _ in range(rng.randint(1, 3)):
+        if rationals and (not numbers or rng.random() < 0.5):
+            parent, key = rng.choice(rationals)
+            parent[key] = rng.choice(["0", "-1", "1/0"])
+        elif numbers:
+            parent, key = rng.choice(numbers)
+            how = rng.choice(["zero", "negate", "scale"])
+            if how == "zero":
+                parent[key] = 0
+            elif how == "negate":
+                parent[key] = -parent[key]
+            else:
+                scaled = parent[key] * 10.0 ** rng.choice([8, 12, 200, 300, -8, -12, -200, -300])
+                if math.isfinite(scaled):
+                    parent[key] = scaled
+    if rows and rng.random() < 0.1:
+        rng.choice(rng.choice(rows)).pop()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow and underflow of scaled numbers
+def test_fuzzed_documents_exit_zero_one_or_two(capsys, tmp_path):
+    rng = random.Random(3)
+    codes = []
+    for name, verb in (("mercedes.json", "frame"), ("bridge_demo.json", "bridge"),
+                       ("preord_demo.json", "preord-check")):
+        base = json.loads((INSTANCES / name).read_text())
+        for _ in range(200):
+            doc = copy.deepcopy(base)
+            _mutate(rng, doc)
+            code, _, err = run_main(capsys, doc, verb, tmp_path)
+            assert code in (0, 1, 2) and "internal error" not in err, (name, doc, err)
+            codes.append(code)
+    assert {0, 1, 2} <= set(codes)

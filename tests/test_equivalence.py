@@ -18,7 +18,7 @@ from morpheq import (
 from morpheq import equivalence
 from morpheq.errors import InvalidInstance, InvalidPremise
 
-from instance_gen import random_equiv_instance, regular_z3, swap_action
+from instance_gen import random_equiv_instance, regular_action, swap_action
 from oracles import are_equivalent_scan, equivalence_classes_all_pairs, side_search_scan
 
 
@@ -242,14 +242,14 @@ def test_classes_match_all_pairs_oracle():
     bundles = [random_equiv_instance(seed) for seed in range(30)]
     swap = swap_action()
     bundles += [deloop_slice(swap, 1).equiv, deloop_slice(swap, 2).equiv,
-                deloop_slice(regular_z3(), 2).equiv]
+                deloop_slice(regular_action(3), 2).equiv]
     for e in bundles:
         assert equivalence_classes(e) == equivalence_classes_all_pairs(e)
 
 
 def test_indexed_search_matches_the_scan_on_every_ordered_pair():
     bundles = [random_equiv_instance(seed) for seed in range(100)]
-    for action in (swap_action(), regular_z3()):
+    for action in (swap_action(), regular_action(3)):
         bundles += [deloop_slice(action, bound).equiv for bound in (0, 1, 2)]
     cross_boundary_hits = 0
     for e in bundles:
@@ -266,7 +266,7 @@ def test_indexed_search_matches_the_scan_on_every_ordered_pair():
 
 
 def test_classes_search_each_morphism_against_one_member_per_class(monkeypatch):
-    e = deloop_slice(regular_z3(), 2).equiv
+    e = deloop_slice(regular_action(3), 2).equiv
     calls = []
 
     def counted(*args):

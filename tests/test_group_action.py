@@ -11,13 +11,7 @@ from morpheq import (
 )
 from morpheq.errors import InvalidInstance, InvalidParameter, UnknownElement
 
-from instance_gen import parity_swap_c6, regular_z3, swap_action
-
-
-def trivial_action(n_group, carrier):
-    g = FiniteGroup.cyclic(n_group)
-    act = {(e, x): x for e in g.elements for x in carrier}
-    return GroupAction(g, carrier, act)
+from instance_gen import parity_swap_c6, regular_action, swap_action, trivial_action
 
 
 # ------------------------------------------------------------------ groups
@@ -80,7 +74,7 @@ def test_transporters_follow_element_order():
     t = trivial_action(3, ["p", "q"])
     assert t.transporters("p", "p") == ("g0", "g1", "g2")
     assert t.transporters("p", "q") == ()
-    r = regular_z3()
+    r = regular_action(3)
     assert r.transporters("x0", "x2") == ("g2",)
     assert orbit_partition(r) == [["x0", "x1", "x2"]]
 
@@ -121,6 +115,8 @@ def test_slice_tables_are_lawful_across_bounds():
     )
     s = deloop_slice(small, 2)
     assert s.two_category.validate() == []
+    s = deloop_slice(regular_action(4), 1)  # 274 2-cells, 4,162 vertical composites
+    assert s.two_category.validate() == []
 
 
 def test_slice_composition_overflows_past_the_bound():
@@ -157,7 +153,7 @@ def test_reserved_characters_rejected():
 
 
 def test_delooped_matches_orbits_everywhere():
-    actions = (swap_action(), regular_z3(), trivial_action(2, ["p", "q", "r"]), parity_swap_c6())
+    actions = (swap_action(), regular_action(3), trivial_action(2, ["p", "q", "r"]), parity_swap_c6())
     for a in actions:
         want = {
             (x, y): orbit_equivalent(a, x, y)[0]
@@ -181,7 +177,7 @@ def test_delooped_witness_uses_empty_comparison_chains():
 
 
 def test_delooped_verdicts_are_bound_independent_and_deterministic():
-    a = regular_z3()
+    a = regular_action(3)
     first = {
         (x, y): delooped_equivalent(a, x, y, 0)
         for x in a.carrier for y in a.carrier
@@ -192,7 +188,7 @@ def test_delooped_verdicts_are_bound_independent_and_deterministic():
             assert ok2 is ok
             assert w2 == w  # same lex-first witness, bound notwithstanding
     # a rebuilt action gives the same thing
-    again = regular_z3()
+    again = regular_action(3)
     for (x, y), got in first.items():
         assert delooped_equivalent(again, x, y, 0) == got
 
