@@ -53,6 +53,14 @@ class Cell:
     tgt: str
 
 
+def _index(items, key):
+    """Map each key value to the items with that value, in the order given."""
+    out = {}
+    for it in items:
+        out.setdefault(key(it), []).append(it)
+    return out
+
+
 def _as_arrows(items):
     out = []
     for it in items:
@@ -143,6 +151,8 @@ class FiniteCategory:
         bad = []
         mor = self.morphisms
         comp = self.compose_table
+        by_dom = _index(mor.values(), lambda a: a.dom)
+        by_cod = _index(mor.values(), lambda a: a.cod)
         for x in self.objects:
             m = self.identity.get(x)
             if m is None:
@@ -152,8 +162,8 @@ class FiniteCategory:
             if a.dom != x or a.cod != x:
                 bad.append(Violation("identity-boundary", f"id of {x} is {m}: {a.dom}->{a.cod}"))
         for g in mor.values():
-            for f in mor.values():
-                if f.cod == g.dom and (g.id, f.id) not in comp:
+            for f in by_cod.get(g.dom, ()):
+                if (g.id, f.id) not in comp:
                     bad.append(Violation("compose-missing", f"({g.id}, {f.id})"))
         for (g, f), h in comp.items():
             if mor[f].cod != mor[g].dom:
@@ -169,13 +179,9 @@ class FiniteCategory:
             if comp[(f.id, self.identity[f.dom])] != f.id:
                 bad.append(Violation("unit-right", f.id))
         for f in mor.values():
-            for g in mor.values():
-                if g.dom != f.cod:
-                    continue
+            for g in by_dom.get(f.cod, ()):
                 gf = comp[(g.id, f.id)]
-                for h in mor.values():
-                    if h.dom != g.cod:
-                        continue
+                for h in by_dom.get(g.cod, ()):
                     if comp[(h.id, gf)] != comp[(comp[(h.id, g.id)], f.id)]:
                         bad.append(Violation("assoc", f"({h.id}, {g.id}, {f.id})"))
         return bad
@@ -395,6 +401,11 @@ class Finite2Category:
         comp = self.skeleton.compose_table
         twos = self.two_cells
         vtab, wl, wr = self.vcomp_table, self.wl_table, self.wr_table
+        by_dom = _index(ones.values(), lambda k: k.dom)
+        by_cod = _index(ones.values(), lambda k: k.cod)
+        cells_from = _index(twos.values(), lambda c: c.src)
+        cells_to = _index(twos.values(), lambda c: c.tgt)
+        cells_ending_at = _index(twos.values(), lambda c: ones[c.src].cod)
 
         for c in twos.values():
             fa, ga = ones[c.src], ones[c.tgt]
@@ -409,11 +420,7 @@ class Finite2Category:
         if bad:
             return bad
 
-        vcomposable = []
-        for b in twos.values():
-            for a in twos.values():
-                if a.tgt == b.src:
-                    vcomposable.append((b.id, a.id))
+        vcomposable = [(b.id, a.id) for b in twos.values() for a in cells_to.get(b.src, ())]
         for pair in vcomposable:
             if pair not in vtab:
                 bad.append(Violation("vcomp-missing", f"({pair[0]}, {pair[1]})"))
@@ -424,9 +431,8 @@ class Finite2Category:
                 bad.append(Violation("vcomp-boundary", f"({b}, {a}) -> {r}"))
 
         for a in twos.values():
-            acod = ones[a.src].cod
-            for k in ones.values():
-                if k.dom == acod and (k.id, a.id) not in wl:
+            for k in by_dom.get(ones[a.src].cod, ()):
+                if (k.id, a.id) not in wl:
                     bad.append(Violation("whisker-left-missing", f"({k.id}, {a.id})"))
         for (k, a), r in wl.items():
             if ones[k].dom != ones[twos[a].src].cod:
@@ -438,9 +444,8 @@ class Finite2Category:
                 bad.append(Violation("whisker-left-boundary", f"({k}, {a}) -> {r}"))
 
         for a in twos.values():
-            adom = ones[a.src].dom
-            for k in ones.values():
-                if k.cod == adom and (a.id, k.id) not in wr:
+            for k in by_cod.get(ones[a.src].dom, ()):
+                if (a.id, k.id) not in wr:
                     bad.append(Violation("whisker-right-missing", f"({a.id}, {k.id})"))
         for (a, k), r in wr.items():
             if ones[k].cod != ones[twos[a].src].dom:
@@ -460,9 +465,7 @@ class Finite2Category:
                 bad.append(Violation("vcomp-unit-right", a.id))
         for (b, a) in vcomposable:
             ba = vtab[(b, a)]
-            for c in twos.values():
-                if c.src != twos[b].tgt:
-                    continue
+            for c in cells_from.get(twos[b].tgt, ()):
                 if vtab[(c.id, ba)] != vtab[(vtab[(c.id, b)], a)]:
                     bad.append(Violation("vcomp-assoc", f"({c.id}, {b}, {a})"))
 
@@ -481,58 +484,42 @@ class Finite2Category:
                 if k.cod == fa.dom and wr[(a, k.id)] != self.identity2[comp[(f, k.id)]]:
                     bad.append(Violation("whisker-right-id2", f"({f}, {k.id})"))
         for a in twos.values():
-            acod = ones[a.src].cod
-            for k2 in ones.values():
-                if k2.dom != acod:
-                    continue
+            for k2 in by_dom.get(ones[a.src].cod, ()):
                 inner = wl[(k2.id, a.id)]
-                for k1 in ones.values():
-                    if k1.dom != k2.cod:
-                        continue
+                for k1 in by_dom.get(k2.cod, ()):
                     if wl[(comp[(k1.id, k2.id)], a.id)] != wl[(k1.id, inner)]:
                         bad.append(Violation("whisker-left-functorial", f"({k1.id}, {k2.id}, {a.id})"))
-            adom = ones[a.src].dom
-            for k2 in ones.values():
-                if k2.cod != adom:
-                    continue
+            for k2 in by_cod.get(ones[a.src].dom, ()):
                 inner = wr[(a.id, k2.id)]
-                for k1 in ones.values():
-                    if k1.cod != k2.dom:
-                        continue
+                for k1 in by_cod.get(k2.dom, ()):
                     if wr[(a.id, comp[(k2.id, k1.id)])] != wr[(inner, k1.id)]:
                         bad.append(Violation("whisker-right-functorial", f"({a.id}, {k2.id}, {k1.id})"))
         if bad:
             return bad
 
         # whiskering keeps vertical composites, and its two sides commute
-        by_dom, by_cod = {}, {}
-        for k in ones.values():
-            by_dom.setdefault(k.dom, []).append(k.id)
-            by_cod.setdefault(k.cod, []).append(k.id)
         for (b, a) in vcomposable:
             ba = vtab[(b, a)]
             f = ones[twos[a].src]
-            for k in by_dom[f.cod]:
-                if wl[(k, ba)] != vtab[(wl[(k, b)], wl[(k, a)])]:
-                    bad.append(Violation("whisker-left-vcomp", f"({k}, {b}, {a})"))
-            for k in by_cod[f.dom]:
-                if wr[(ba, k)] != vtab[(wr[(b, k)], wr[(a, k)])]:
-                    bad.append(Violation("whisker-right-vcomp", f"({b}, {a}, {k})"))
+            for k in by_dom.get(f.cod, ()):
+                if wl[(k.id, ba)] != vtab[(wl[(k.id, b)], wl[(k.id, a)])]:
+                    bad.append(Violation("whisker-left-vcomp", f"({k.id}, {b}, {a})"))
+            for k in by_cod.get(f.dom, ()):
+                if wr[(ba, k.id)] != vtab[(wr[(b, k.id)], wr[(a, k.id)])]:
+                    bad.append(Violation("whisker-right-vcomp", f"({b}, {a}, {k.id})"))
         for a in twos.values():
             f = ones[a.src]
-            for j in by_cod[f.dom]:
-                aj = wr[(a.id, j)]
-                for k in by_dom[f.cod]:
-                    if wr[(wl[(k, a.id)], j)] != wl[(k, aj)]:
-                        bad.append(Violation("whisker-assoc", f"({k}, {a.id}, {j})"))
+            for j in by_cod.get(f.dom, ()):
+                aj = wr[(a.id, j.id)]
+                for k in by_dom.get(f.cod, ()):
+                    if wr[(wl[(k.id, a.id)], j.id)] != wl[(k.id, aj)]:
+                        bad.append(Violation("whisker-assoc", f"({k.id}, {a.id}, {j.id})"))
         if bad:
             return bad
 
         # interchange: both whiskering orders of every horizontal composite agree
         for b in twos.values():
-            for a in twos.values():
-                if ones[a.src].cod != ones[b.src].dom:
-                    continue
+            for a in cells_ending_at.get(ones[b.src].dom, ()):
                 one = vtab[(wl[(b.tgt, a.id)], wr[(b.id, a.src)])]
                 two = vtab[(wr[(b.id, a.tgt)], wl[(b.src, a.id)])]
                 if one != two:
@@ -570,11 +557,12 @@ class FunctorData:
                 raise InvalidInstance(report)
 
     def _check_refs(self):
+        objs = set(self.target.objects)
         for x in self.source.objects:
             y = self.object_map.get(x)
             if y is None:
                 raise UnknownId(f"object map misses {x!r}")
-            if y not in set(self.target.objects):
+            if y not in objs:
                 raise UnknownId(f"object map sends {x!r} to unknown {y!r}")
         for m in self.source.morphisms:
             n = self.morphism_map.get(m)
@@ -596,10 +584,9 @@ class FunctorData:
         for x in src.objects:
             if self.morphism_map[src.id_of(x)] != self.target.id_one(self.object_map[x]):
                 bad.append(Violation("functor-identity", x))
+        by_cod = _index(src.morphisms.values(), lambda a: a.cod)
         for g in src.morphisms.values():
-            for f in src.morphisms.values():
-                if f.cod != g.dom:
-                    continue
+            for f in by_cod.get(g.dom, ()):
                 gf = src.compose_table[(g.id, f.id)]
                 lhs = self.morphism_map[gf]
                 rhs = self.target.skeleton.compose_table.get(

@@ -103,10 +103,19 @@ def _reject_constant(name):
     raise ParseError(f"non-finite number {name} is not allowed")
 
 
+def _parse_int(text):
+    try:
+        value = int(text)
+        float(value)  # any number may reach float arithmetic
+    except (ValueError, OverflowError):
+        raise ParseError(f"integer literal of {len(text)} digits does not fit in a float") from None
+    return value
+
+
 def _load(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=_reject_constant)
+            return json.load(fh, parse_constant=_reject_constant, parse_int=_parse_int)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -365,7 +374,7 @@ def _run_frame(doc, cfg):
     }
     ok = verdict.is_frame
     if verdict.is_frame:
-        u, u_tilde = onb_witness(fam)
+        u, u_tilde = onb_witness(fam, tol_rank=cfg.tol_rank)
         white = transport_form(u, p)
         dev = float(np.linalg.norm(white.matrix - np.eye(fam.dim), 2))
         report["onb_witness_valid"] = dev <= cfg.tol_psd

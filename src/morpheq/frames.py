@@ -292,9 +292,9 @@ def is_frame(f: BesselFamily, *, tol_rank=TOL_RANK) -> FrameVerdict:
     return FrameVerdict(lo > hi * tol_rank and lo > 0.0, lo, hi)
 
 
-def onb_witness(f: BesselFamily):
+def onb_witness(f: BesselFamily, *, tol_rank=TOL_RANK):
     """Self-adjoint witness pair (P^-1/2, P^1/2) carrying f to the standard basis."""
-    verdict = is_frame(f)
+    verdict = is_frame(f, tol_rank=tol_rank)
     if not verdict.is_frame:
         raise NotAFrame("family has no positive lower bound")
     p = frame_operator(f)

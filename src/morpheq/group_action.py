@@ -253,20 +253,19 @@ class DeloopedSlice:
         cells = []
         id2 = {}
         cell_ids = {}  # (src word, tgt word, labels) -> id
-        by_len = {}
-        for w in words:
-            by_len.setdefault(len(w), []).append(w)
-        for length, ws in by_len.items():
-            for src in ws:
-                sid = wid[src]
-                for tgt in ws:
-                    tid = wid[tgt]
-                    for two in chain_two_cells(action, src, tgt):
-                        cid = _cell_id(sid, tid, two.labels)
-                        cells.append(Cell(cid, sid, tid))
-                        cell_ids[(src, tgt, two.labels)] = cid
-                        if src == tgt and all(l == unit for l in two.labels):
-                            id2[sid] = cid
+        # a 2-cell moves each letter within its orbit, so a word's targets are
+        # the product of its letters' orbits; carrier order keeps word order
+        orbit = {x: [y for y in action.carrier if action.transporters(x, y)] for x in action.carrier}
+        for src in words:
+            sid = wid[src]
+            for tgt in itertools.product(*(orbit[x] for x in src)):
+                tid = wid[tgt]
+                for two in chain_two_cells(action, src, tgt):
+                    cid = _cell_id(sid, tid, two.labels)
+                    cells.append(Cell(cid, sid, tid))
+                    cell_ids[(src, tgt, two.labels)] = cid
+                    if src == tgt and all(l == unit for l in two.labels):
+                        id2[sid] = cid
         over_id2 = _cell_id(OVERFLOW, OVERFLOW, ())
         cells.append(Cell(over_id2, OVERFLOW, OVERFLOW))
         id2[OVERFLOW] = over_id2

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .catkernel import Violation
+from .catkernel import Violation, _index
 from .errors import (
     InvalidCell,
     InvalidInstance,
@@ -61,7 +61,10 @@ class PreordObject:
             if not self.numeric:
                 raise InvalidValue("opaque carriers need an explicit order")
             leq = [(x, y) for x in self.carrier for y in self.carrier if x <= y]
-        self.leq = frozenset((self._elem(a), self._elem(b)) for a, b in leq)
+        # the pairs in input order, repeats dropped, for reports that do not
+        # depend on the hash seed; the frozenset answers membership
+        self.leq_pairs = tuple(dict.fromkeys((self._elem(a), self._elem(b)) for a, b in leq))
+        self.leq = frozenset(self.leq_pairs)
         self.generators = tuple(as_fraction(g) for g in generators)
         self.act_table = None if act is None else {(as_fraction(g), x): y for (g, x), y in act.items()}
         if validate:
@@ -113,7 +116,7 @@ class PreordObject:
     def validate(self):
         bad = []
         cset = set(self.carrier)
-        for (a, b) in self.leq:
+        for (a, b) in self.leq_pairs:
             if a not in cset or b not in cset:
                 bad.append(Violation("order-carrier", f"({a}, {b})"))
         if bad:
@@ -121,12 +124,13 @@ class PreordObject:
         for x in self.carrier:
             if (x, x) not in self.leq:
                 bad.append(Violation("order-reflexive", str(x)))
-        for (a, b) in self.leq:
-            for (b2, c) in self.leq:
-                if b2 == b and (a, c) not in self.leq:
+        above = _index(self.leq_pairs, lambda pair: pair[0])
+        for (a, b) in self.leq_pairs:
+            for (_, c) in above.get(b, ()):
+                if (a, c) not in self.leq:
                     bad.append(Violation("order-transitive", f"({a}, {b}, {c})"))
         if self.numeric:
-            for (a, b) in self.leq:
+            for (a, b) in self.leq_pairs:
                 if not a <= b:
                     bad.append(Violation("order-numeric", f"({a}, {b})"))
         else:
@@ -137,7 +141,7 @@ class PreordObject:
                         bad.append(Violation("action-carrier", f"({g}, {x})"))
             # monotonicity of each sampled generator where the table is defined
             for g in self.generators:
-                for (a, b) in self.leq:
+                for (a, b) in self.leq_pairs:
                     ga, gb = self.act_table.get((g, a)), self.act_table.get((g, b))
                     if ga is not None and gb is not None and (ga, gb) not in self.leq:
                         bad.append(Violation("action-monotone", f"({g}, {a}, {b})"))
@@ -189,7 +193,7 @@ class MonotoneMap:
                 bad.append(Violation("map-totality", f"({self.name}, {x})"))
         if bad:
             return bad
-        for (a, b) in dom.leq:
+        for (a, b) in dom.leq_pairs:
             if not cod.le(self.table[a], self.table[b]):
                 bad.append(Violation("map-monotone", f"({self.name}, {a}, {b})"))
         # equivariance on sampled generators, where the scaled point stays
@@ -247,7 +251,7 @@ def is_two_cell(c, f: MonotoneMap, g: MonotoneMap) -> bool:
     if f.dom is not g.dom or f.cod is not g.cod:
         raise NotParallel(f"{f.name!r} and {g.name!r} are not parallel")
     cod = f.cod
-    for (y, x) in f.dom.leq:  # stored pairs are (lower, upper)
+    for (y, x) in f.dom.leq_pairs:  # stored pairs are (lower, upper)
         if not cod.le(cod.scale(c, g.table[y]), f.table[x]):
             return False
     return True

@@ -10,8 +10,8 @@ eagerly, so a failing law in the consumer is always the consumer's bug.
 Size budget: at most 3 objects and 8 morphisms downstairs, 12 one-cells
 and 24 two-cells upstairs.
 
-Also three small group actions whose delooped slices serve as larger
-equivalence instances.
+Also small group actions, fixed and seeded, whose delooped slices serve
+as larger equivalence instances.
 """
 
 import random
@@ -265,3 +265,65 @@ def parity_swap_c6():
     for i, e in enumerate(g.elements):
         act[(e, "p")], act[(e, "q")] = ("p", "q") if i % 2 == 0 else ("q", "p")
     return GroupAction(g, ["p", "q"], act)
+
+
+def c4_plus_fixed_point():
+    """Z/4 rotating a0..a3 and fixing e."""
+    g = FiniteGroup.cyclic(4)
+    act = {(f"g{i}", f"a{j}"): f"a{(i + j) % 4}" for i in range(4) for j in range(4)}
+    act.update({(f"g{i}", "e"): "e" for i in range(4)})
+    return GroupAction(g, ["a0", "a1", "a2", "a3", "e"], act)
+
+
+def three_pairs_c2():
+    """Z/2 swapping the two points of each of three pairs."""
+    g = FiniteGroup.cyclic(2)
+    carrier = ["a0", "a1", "b0", "b1", "c0", "c1"]
+    act = {("g0", x): x for x in carrier}
+    act.update({("g1", x): f"{x[0]}{1 - int(x[1])}" for x in carrier})
+    return GroupAction(g, carrier, act)
+
+
+def fixed_actions():
+    """Eight named actions covering |G| up to 6 and |E| up to 6.
+
+    Any action with |G| = 6 and |E| = 6 simultaneously needs about
+    (|E| |G|^2)^3 = 10M vertical-composition entries at chain bound 2,
+    which no table build fits in a test's time budget, so the two
+    boundaries are covered by separate instances.  Verdicts are
+    bound-independent (comparison cells only connect equal-length words),
+    so no discriminating power is lost.
+    """
+    return [
+        ("swap-on-3", swap_action()),
+        ("regular-c3", regular_action(3)),
+        ("trivial-c2", trivial_action(2, ["p", "q"])),
+        ("regular-c4", regular_action(4)),
+        ("c4-plus-fixed-point", c4_plus_fixed_point()),
+        ("trivial-c6-point", trivial_action(6, ["p"])),
+        ("c2-three-pairs", three_pairs_c2()),
+        ("c6-parity-swap", parity_swap_c6()),
+    ]
+
+
+def random_action(seed):
+    """Z/n, n in {2, 3, 4, 6}, on 2-5 shuffled points split into random orbits.
+
+    Each orbit is the rotation action of Z/n on Z/k for a divisor k of n,
+    so fixed points and orbits of several sizes interleave in carrier order.
+    """
+    rng = random.Random(seed)
+    n = rng.choice([2, 3, 4, 6])
+    size = rng.randint(2, 5)
+    names = [f"p{j}" for j in range(size)]
+    rng.shuffle(names)
+    act = {}
+    start = 0
+    while start < size:
+        k = rng.choice([d for d in range(1, n + 1) if n % d == 0 and d <= size - start])
+        orbit = names[start:start + k]
+        for i in range(n):
+            for j, x in enumerate(orbit):
+                act[(f"g{i}", x)] = orbit[(j + i) % k]
+        start += k
+    return GroupAction(FiniteGroup.cyclic(n), sorted(names), act)

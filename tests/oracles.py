@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from morpheq import Witness, are_equivalent
+from morpheq import Witness, are_equivalent, chain_two_cells
 
 
 def direct_weighted_norm(weights, vectors, x):
@@ -78,6 +78,36 @@ def equivalence_classes_all_pairs(e):
         seen |= block
         blocks.append(sorted(block))
     return blocks
+
+
+def slice_cells_pairwise(action, max_chain_length):
+    """The 2-cells and identity2 of a delooped slice, from every pair of words.
+
+    Words up to length max_chain_length + 1 are listed by length, then
+    lexicographically in carrier order; every (src, tgt) pair of equal
+    length is tried with chain_two_cells, most of them bounding nothing.
+    The absorbing overflow cell comes last.  Returns the cells as
+    (id, src, tgt) triples in order, and the identity2 mapping.
+    """
+    def wid(w):
+        return "[" + ",".join(w) + "]"
+
+    unit = action.group.unit
+    by_len = [[()]]
+    for _ in range(max_chain_length + 1):
+        by_len.append([w + (x,) for w in by_len[-1] for x in action.carrier])
+    cells, id2 = [], {}
+    for ws in by_len:
+        for src in ws:
+            for tgt in ws:
+                for two in chain_two_cells(action, src, tgt):
+                    cid = f"{wid(src)}>{wid(tgt)}#{','.join(two.labels)}"
+                    cells.append((cid, wid(src), wid(tgt)))
+                    if src == tgt and all(g == unit for g in two.labels):
+                        id2[wid(src)] = cid
+    cells.append(("!overflow>!overflow#", "!overflow", "!overflow"))
+    id2["!overflow"] = "!overflow>!overflow#"
+    return cells, id2
 
 
 def side_search_scan(e, m_from, m_to):

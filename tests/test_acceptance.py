@@ -17,8 +17,6 @@ import numpy as np
 from morpheq import (
     BesselFamily,
     CentralCell,
-    FiniteGroup,
-    GroupAction,
     RhoForm,
     SeminormRep,
     adjoint_identity_check,
@@ -54,7 +52,7 @@ from morpheq import (
 )
 from morpheq.errors import NotAFrame
 
-from instance_gen import random_equiv_instance
+from instance_gen import fixed_actions, random_equiv_instance
 from oracles import direct_weighted_norm, mc_compare
 
 
@@ -205,76 +203,6 @@ def test_criterion_02_derived_witnesses_verify_and_match_the_formulas():
 # ------------------------------------------------------------------ 03
 
 
-def _regular_cyclic_action(n):
-    g = FiniteGroup.cyclic(n)
-    carrier = [f"x{i}" for i in range(n)]
-    act = {(f"g{i}", f"x{j}"): f"x{(i + j) % n}" for i in range(n) for j in range(n)}
-    return GroupAction(g, carrier, act)
-
-
-def _trivial_action(n, points):
-    g = FiniteGroup.cyclic(n)
-    act = {(el, x): x for el in g.elements for x in points}
-    return GroupAction(g, points, act)
-
-
-def _action_matrix():
-    """Eight actions covering |G| up to 6 and |E| up to 6.
-
-    Any action with |G| = 6 and |E| = 6 simultaneously needs about
-    (|E| |G|^2)^3 = 10M vertical-composition entries at the deepest word
-    bound tested here, which no table build fits in the time budget, so
-    the two boundaries are covered by separate instances.  Verdicts are
-    bound-independent (comparison cells only connect equal-length words),
-    so no discriminating power is lost.
-    """
-    g2 = FiniteGroup.cyclic(2)
-    swap3 = GroupAction(
-        g2,
-        ["a", "b", "c"],
-        {
-            ("g0", "a"): "a", ("g0", "b"): "b", ("g0", "c"): "c",
-            ("g1", "a"): "b", ("g1", "b"): "a", ("g1", "c"): "c",
-        },
-    )
-
-    g4 = FiniteGroup.cyclic(4)
-    z4_fixed_pts = ["a0", "a1", "a2", "a3", "e"]
-    z4_fixed_act = {}
-    for i in range(4):
-        for j in range(4):
-            z4_fixed_act[(f"g{i}", f"a{j}")] = f"a{(i + j) % 4}"
-        z4_fixed_act[(f"g{i}", "e")] = "e"
-    z4_plus_fixed = GroupAction(g4, z4_fixed_pts, z4_fixed_act)
-
-    pairs_pts = ["a0", "a1", "b0", "b1", "c0", "c1"]
-    pairs_act = {}
-    for x in pairs_pts:
-        pairs_act[("g0", x)] = x
-        pairs_act[("g1", x)] = f"{x[0]}{1 - int(x[1])}"
-    three_pairs = GroupAction(g2, pairs_pts, pairs_act)
-
-    g6 = FiniteGroup.cyclic(6)
-    parity_act = {}
-    for i in range(6):
-        if i % 2 == 0:
-            parity_act[(f"g{i}", "p")], parity_act[(f"g{i}", "q")] = "p", "q"
-        else:
-            parity_act[(f"g{i}", "p")], parity_act[(f"g{i}", "q")] = "q", "p"
-    parity_swap = GroupAction(g6, ["p", "q"], parity_act)
-
-    return [
-        ("swap-on-3", swap3),
-        ("regular-c3", _regular_cyclic_action(3)),
-        ("trivial-c2", _trivial_action(2, ["p", "q"])),
-        ("regular-c4", _regular_cyclic_action(4)),
-        ("c4-plus-fixed-point", z4_plus_fixed),
-        ("trivial-c6-point", _trivial_action(6, ["p"])),
-        ("c2-three-pairs", three_pairs),
-        ("c6-parity-swap", parity_swap),
-    ]
-
-
 def _partition_by(eq, items):
     blocks = []
     for x in items:
@@ -291,7 +219,7 @@ def test_criterion_03_delooped_verdicts_match_orbits_exactly():
     failures = []
     t0 = time.perf_counter()
     n_actions = 0
-    for name, act in _action_matrix():
+    for name, act in fixed_actions():
         n_actions += 1
         want = sorted((sorted(b) for b in orbit_partition(act)), key=lambda b: b[0])
         for bound in (0, 1, 2):

@@ -334,6 +334,44 @@ def test_whisker_sides_that_do_not_commute_are_reported():
     assert codes == {"whisker-assoc"}
 
 
+def test_tampered_multi_object_report_is_pinned():
+    # three objects, eight 1-cells, ten 2-cells; every table entry that
+    # names one 2-cell is deleted, one entry of each table is rerouted and
+    # one extra vcomp pair is added.  The list was recorded before
+    # validate() read its cells from boundary indexes, so it pins the
+    # report's order as well as its content.
+    d = random_equiv_instance(12).d
+    cells = sorted((c.id, c.src, c.tgt) for c in d.two_cells.values())
+    ids = [c[0] for c in cells]
+    tables = [dict(sorted(t.items())) for t in (d.vcomp_table, d.wl_table, d.wr_table)]
+    rng = random.Random(12)
+    victim = rng.choice(ids)
+    for t in tables:
+        for key in [k for k in t if victim in k]:
+            del t[key]
+        t[rng.choice(sorted(t))] = rng.choice(ids)
+    tables[0][(ids[-1], ids[0])] = ids[0]
+    broken = Finite2Category(
+        sorted(d.objects), sorted((a.id, a.dom, a.cod) for a in d.one_cells.values()),
+        dict(d.skeleton.identity), dict(sorted(d.skeleton.compose_table.items())), cells,
+        dict(d.identity2), *tables, validate=False,
+    )
+    assert len(broken.objects) == 3
+    assert [(v.code, v.detail) for v in broken.validate()] == [
+        ("vcomp-missing", "(idA=>idA, idA=>idA)"),
+        ("vcomp-boundary", "(idC=>idC, idC=>idC) -> gf0=>gf0"),
+        ("vcomp-extra", "(idC=>idC, f0=>f0)"),
+        ("whisker-left-missing", "(f0, idA=>idA)"),
+        ("whisker-left-missing", "(f1, idA=>idA)"),
+        ("whisker-left-missing", "(gf0, idA=>idA)"),
+        ("whisker-left-missing", "(gf1, idA=>idA)"),
+        ("whisker-left-missing", "(idA, idA=>idA)"),
+        ("whisker-left-boundary", "(idC, gf0=>gf1) -> idB=>idB"),
+        ("whisker-right-missing", "(idA=>idA, idA)"),
+        ("whisker-right-boundary", "(g=>g, f1) -> gf0=>gf1"),
+    ]
+
+
 def test_random_thin_instances_validate_clean():
     for seed in range(25):
         e = random_equiv_instance(seed)

@@ -121,19 +121,53 @@ def test_reports_are_byte_stable():
         assert runs[0].returncode == runs[1].returncode == 0
 
 
+SHIPPED = (
+    ("terminal_two_category.json", "validate"),
+    ("arrow_equiv.json", "equiv"),
+    ("arrow_equiv.json", "classes"),
+    ("z2_orbit.json", "orbit-check"),
+    ("preord_demo.json", "preord-check"),
+    ("mercedes.json", "frame"),
+    ("bridge_demo.json", "bridge"),
+)
+
+
 def test_validate_report_does_not_depend_on_hash_seed(tmp_path):
+    # every verb on its shipped instance, plus two broken documents whose
+    # violations come from hashed containers: compose gaps of a category
+    # and an order given as a chain with no transitive pairs
     doc = json.loads((INSTANCES / "arrow_equiv.json").read_text())
     doc["c"]["compose"] = doc["c"]["compose"][3:]
-    p = tmp_path / "gaps.json"
-    p.write_text(json.dumps(doc))
-    runs = [
-        run_cli("--input", str(p), "--verb", "validate",
-                env={**os.environ, "PYTHONHASHSEED": seed})
-        for seed in ("0", "2")
-    ]
-    assert runs[0].returncode == runs[1].returncode == 1
-    assert "compose-missing" in runs[0].stdout
-    assert runs[0].stdout == runs[1].stdout
+    gaps = tmp_path / "gaps.json"
+    gaps.write_text(json.dumps(doc))
+    doc = json.loads((INSTANCES / "preord_demo.json").read_text())
+    w = next(o for o in doc["objects"] if o["name"] == "W")
+    w["carrier"] = list("abcde")
+    w["leq"] = [[x, x] for x in "abcde"] + [list(p) for p in ("ab", "bc", "cd", "de")]
+    w["act"] = [["2", x, x] for x in "abcde"]
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps(doc))
+    runs = [(INSTANCES / name, verb) for name, verb in SHIPPED]
+    runs += [(gaps, "validate"), (chain, "preord-check")]
+    argvs = [["--input", str(path), "--verb", verb, "--format", fmt]
+             for path, verb in runs for fmt in ("text", "json")]
+    script = (
+        "import json, sys\n"
+        "from morpheq import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    print('exit', cli.main(argv))\n"
+    )
+    outs = []
+    for seed in ("0", "7"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0].count("exit 0") == 2 * len(SHIPPED)
+    assert "compose-missing" in outs[0] and "order-transitive" in outs[0]
+    assert outs[0] == outs[1]
 
 
 def test_out_file_matches_stdout(tmp_path):
@@ -239,16 +273,32 @@ def _set_seminorm_scale(doc):
     doc["seminorm"]["scale"] = float("inf")
 
 
+def _weight_literal(doc, digits):
+    """The document's text with its first weight written as 1 and ``digits`` zeros."""
+    doc["weights"][0] = "<weight>"
+    return json.dumps(doc).replace('"<weight>"', "1" + "0" * digits)
+
+
+def _weight_past_float(doc):
+    return _weight_literal(doc, 400)
+
+
+def _weight_past_int_digits(doc):
+    return _weight_literal(doc, 5000)  # int() refuses more than 4,300 digits
+
+
 @pytest.mark.parametrize("name, verb, tamper", [
     ("bridge_demo.json", "bridge", _set_u1_entry),
     ("mercedes.json", "frame", _set_vector_entry),
     ("bridge_demo.json", "bridge", _set_seminorm_scale),
+    ("mercedes.json", "frame", _weight_past_float),
+    ("mercedes.json", "frame", _weight_past_int_digits),
 ])
 def test_non_finite_constant_exits_two(tmp_path, name, verb, tamper):
     doc = json.loads((INSTANCES / name).read_text())
-    tamper(doc)
+    text = tamper(doc) or json.dumps(doc)  # NaN / Infinity, which strict JSON lacks
     p = tmp_path / name
-    p.write_text(json.dumps(doc))  # writes NaN / Infinity, which strict JSON lacks
+    p.write_text(text)
     code, out = run_json("--input", str(p), "--verb", verb)
     assert code == 2
     assert out["error"]["type"] == "ParseError"
@@ -323,11 +373,11 @@ def test_unknown_verb_rejected_by_parser():
 # ------------------------------------------------- numeric and value inputs
 
 
-def run_main(capsys, doc, verb, tmp_path):
+def run_main(capsys, doc, verb, tmp_path, *flags):
     """Run ``cli.main`` in-process on ``doc``; return (code, json report or None, stderr)."""
     p = tmp_path / "doc.json"
     p.write_text(json.dumps(doc))
-    code = cli.main(["--input", str(p), "--verb", verb, "--format", "json"])
+    code = cli.main(["--input", str(p), "--verb", verb, "--format", "json", *flags])
     captured = capsys.readouterr()
     return code, (json.loads(captured.out) if captured.out else None), captured.err
 
@@ -340,6 +390,17 @@ def test_ill_conditioned_frame_has_a_valid_onb_witness(capsys, tmp_path):
     doc = {"kind": "family", "field": "real", "dim": 3, "weights": [1.0] * 3,
            "vectors": vectors.T.tolist()}
     code, out, err = run_main(capsys, doc, "frame", tmp_path)
+    assert (code, err) == (0, "")
+    assert out["is_frame"] is True
+    assert out["onb_witness_valid"] is True
+
+
+def test_tol_rank_reaches_the_onb_witness(capsys, tmp_path):
+    # P = diag(1, 9e-12): singular at the default tolerance 1e-10, a frame
+    # at 1e-12; P is diagonal, so whitening it is exact
+    doc = {"kind": "family", "field": "real", "dim": 2, "weights": [1, 1],
+           "vectors": [[1, 0], [0, 3e-6]]}
+    code, out, err = run_main(capsys, doc, "frame", tmp_path, "--tol-rank", "1e-12")
     assert (code, err) == (0, "")
     assert out["is_frame"] is True
     assert out["onb_witness_valid"] is True

@@ -11,7 +11,15 @@ from morpheq import (
 )
 from morpheq.errors import InvalidInstance, InvalidParameter, UnknownElement
 
-from instance_gen import parity_swap_c6, regular_action, swap_action, trivial_action
+from instance_gen import (
+    fixed_actions,
+    parity_swap_c6,
+    random_action,
+    regular_action,
+    swap_action,
+    trivial_action,
+)
+from oracles import slice_cells_pairwise
 
 
 # ------------------------------------------------------------------ groups
@@ -117,6 +125,20 @@ def test_slice_tables_are_lawful_across_bounds():
     assert s.two_category.validate() == []
     s = deloop_slice(regular_action(4), 1)  # 274 2-cells, 4,162 vertical composites
     assert s.two_category.validate() == []
+
+
+def test_slice_cells_match_the_pairwise_enumeration():
+    # cell ids name witnesses, and cell order sets the order of validate() reports
+    cases = [(act, bound) for _, act in fixed_actions() for bound in (0, 1, 2)]
+    cases.append((swap_action(), 3))
+    for seed in range(20):
+        act = random_action(seed)
+        cases.append((act, 2 if len(act.group.elements) * len(act.carrier) <= 12 else 1))
+    for act, bound in cases:
+        d = deloop_slice(act, bound).two_category
+        cells, id2 = slice_cells_pairwise(act, bound)
+        assert [(c.id, c.src, c.tgt) for c in d.two_cells.values()] == cells
+        assert list(d.identity2.items()) == list(id2.items())
 
 
 def test_slice_composition_overflows_past_the_bound():
