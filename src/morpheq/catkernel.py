@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, product, repeat
+from operator import itemgetter, ne
 
 from .errors import (
     InterchangeViolation,
@@ -58,6 +60,51 @@ def _index(items, key):
     out = {}
     for it in items:
         out.setdefault(key(it), []).append(it)
+    return out
+
+
+def _gather(xs):
+    """A function reading a row at every key of the non-empty ``xs``, as one tuple."""
+    if len(xs) == 1:
+        x = xs[0]
+        return lambda row: (row[x],)
+    return itemgetter(*xs)
+
+
+def _pairwise(rows, ks, xs):
+    """``rows[k][x]`` for the ``k, x`` of ``ks, xs`` taken in step, as an iterator."""
+    return map(dict.__getitem__, map(rows.__getitem__, ks), xs)
+
+
+def _positions(ids):
+    return {x: i for i, x in enumerate(ids)}
+
+
+def _in_order(found):
+    """The violations of ``(key, Violation)`` pairs, sorted by key."""
+    return [v for _, v in sorted(found, key=itemgetter(0))]
+
+
+def _action_failures(act, groups, outers_of, composite):
+    """Triples (h, g, x) with ``act[composite(h, g)][x] != act[h][act[g][x]]``.
+
+    ``act`` maps each k to its row ``{x: k acting on x}``.  ``groups`` pairs
+    a non-empty list of xs with the inner gs whose rows are read at them.
+    For each such g and each outer h in ``outers_of(g)`` the law is one
+    comparison of two gathered tuples, the row of h . g against the row of
+    h read at the values of g's row.  Only a pair whose tuples differ is
+    walked to name its failing xs.
+    """
+    out = []
+    for xs, inners in groups:
+        at_xs = _gather(xs)
+        for g in inners:
+            at_gx = _gather(at_xs(act[g]))
+            for h in outers_of(g):
+                lhs = at_xs(act[composite(h, g)])
+                rhs = at_gx(act[h])
+                if lhs != rhs:
+                    out.extend((h, g, x) for x, l, r in zip(xs, lhs, rhs) if l != r)
     return out
 
 
@@ -151,8 +198,8 @@ class FiniteCategory:
         bad = []
         mor = self.morphisms
         comp = self.compose_table
-        by_dom = _index(mor.values(), lambda a: a.dom)
-        by_cod = _index(mor.values(), lambda a: a.cod)
+        by_dom = _index(mor, lambda m: mor[m].dom)
+        by_cod = _index(mor, lambda m: mor[m].cod)
         for x in self.objects:
             m = self.identity.get(x)
             if m is None:
@@ -163,8 +210,8 @@ class FiniteCategory:
                 bad.append(Violation("identity-boundary", f"id of {x} is {m}: {a.dom}->{a.cod}"))
         for g in mor.values():
             for f in by_cod.get(g.dom, ()):
-                if (g.id, f.id) not in comp:
-                    bad.append(Violation("compose-missing", f"({g.id}, {f.id})"))
+                if (g.id, f) not in comp:
+                    bad.append(Violation("compose-missing", f"({g.id}, {f})"))
         for (g, f), h in comp.items():
             if mor[f].cod != mor[g].dom:
                 bad.append(Violation("compose-extra", f"({g}, {f})"))
@@ -178,12 +225,19 @@ class FiniteCategory:
                 bad.append(Violation("unit-left", f.id))
             if comp[(f.id, self.identity[f.dom])] != f.id:
                 bad.append(Violation("unit-right", f.id))
-        for f in mor.values():
-            for g in by_dom.get(f.cod, ()):
-                gf = comp[(g.id, f.id)]
-                for h in by_dom.get(g.cod, ()):
-                    if comp[(h.id, gf)] != comp[(comp[(h.id, g.id)], f.id)]:
-                        bad.append(Violation("assoc", f"({h.id}, {g.id}, {f.id})"))
+        # associativity as row(h . g) = row(h) o row(g) on the f into dom g,
+        # where row[g] is f |-> g . f; key (f, g, h)
+        row = {g: {} for g in mor}
+        for (g, f), h in comp.items():
+            row[g][f] = h
+        failed = _action_failures(
+            row, ((by_cod[x], gs) for x, gs in by_dom.items()),
+            lambda g: by_dom.get(mor[g].cod, ()), lambda h, g: row[h][g],
+        )
+        at = _positions(mor)
+        bad += _in_order(
+            ((at[f], at[g], at[h]), Violation("assoc", f"({h}, {g}, {f})")) for h, g, f in failed
+        )
         return bad
 
     @classmethod
@@ -400,19 +454,19 @@ class Finite2Category:
         ones = self.skeleton.morphisms
         comp = self.skeleton.compose_table
         twos = self.two_cells
+        id2 = self.identity2
         vtab, wl, wr = self.vcomp_table, self.wl_table, self.wr_table
-        by_dom = _index(ones.values(), lambda k: k.dom)
-        by_cod = _index(ones.values(), lambda k: k.cod)
-        cells_from = _index(twos.values(), lambda c: c.src)
-        cells_to = _index(twos.values(), lambda c: c.tgt)
-        cells_ending_at = _index(twos.values(), lambda c: ones[c.src].cod)
+        by_dom = _index(ones, lambda k: ones[k].dom)
+        by_cod = _index(ones, lambda k: ones[k].cod)
+        cells_from = _index(twos, lambda c: twos[c].src)
+        cells_to = _index(twos, lambda c: twos[c].tgt)
 
         for c in twos.values():
             fa, ga = ones[c.src], ones[c.tgt]
             if fa.dom != ga.dom or fa.cod != ga.cod:
                 bad.append(Violation("cell-parallel", c.id))
         for f in ones:
-            a = self.identity2.get(f)
+            a = id2.get(f)
             if a is None:
                 bad.append(Violation("id2-missing", f))
             elif twos[a].src != f or twos[a].tgt != f:
@@ -420,10 +474,10 @@ class Finite2Category:
         if bad:
             return bad
 
-        vcomposable = [(b.id, a.id) for b in twos.values() for a in cells_to.get(b.src, ())]
-        for pair in vcomposable:
-            if pair not in vtab:
-                bad.append(Violation("vcomp-missing", f"({pair[0]}, {pair[1]})"))
+        for b in twos.values():
+            for a in cells_to.get(b.src, ()):
+                if (b.id, a) not in vtab:
+                    bad.append(Violation("vcomp-missing", f"({b.id}, {a})"))
         for (b, a), r in vtab.items():
             if twos[a].tgt != twos[b].src:
                 bad.append(Violation("vcomp-extra", f"({b}, {a})"))
@@ -432,8 +486,8 @@ class Finite2Category:
 
         for a in twos.values():
             for k in by_dom.get(ones[a.src].cod, ()):
-                if (k.id, a.id) not in wl:
-                    bad.append(Violation("whisker-left-missing", f"({k.id}, {a.id})"))
+                if (k, a.id) not in wl:
+                    bad.append(Violation("whisker-left-missing", f"({k}, {a.id})"))
         for (k, a), r in wl.items():
             if ones[k].dom != ones[twos[a].src].cod:
                 bad.append(Violation("whisker-left-extra", f"({k}, {a})"))
@@ -445,8 +499,8 @@ class Finite2Category:
 
         for a in twos.values():
             for k in by_cod.get(ones[a.src].dom, ()):
-                if (a.id, k.id) not in wr:
-                    bad.append(Violation("whisker-right-missing", f"({a.id}, {k.id})"))
+                if (a.id, k) not in wr:
+                    bad.append(Violation("whisker-right-missing", f"({a.id}, {k})"))
         for (a, k), r in wr.items():
             if ones[k].cod != ones[twos[a].src].dom:
                 bad.append(Violation("whisker-right-extra", f"({a}, {k})"))
@@ -458,16 +512,42 @@ class Finite2Category:
         if bad:
             return bad
 
+        # The tables are now total where the laws read them, and every 1-cell
+        # and object has an identity cell, so no index list below is empty.
+        # Each law is an equation between rows: vrow[b] is a |-> b.a,
+        # wlrow[k] is a |-> k|>a and wrrow[k] is a |-> a<|k.  The failures of
+        # a stage are sorted by the key named at it, the order of a loop over
+        # its instances.
+        vrow = {b: {} for b in twos}
+        for (b, a), r in vtab.items():
+            vrow[b][a] = r
+        wlrow = {k: {} for k in ones}
+        for (k, a), r in wl.items():
+            wlrow[k][a] = r
+        wrrow = {k: {} for k in ones}
+        for (a, k), r in wr.items():
+            wrrow[k][a] = r
+        at1, at2 = _positions(ones), _positions(twos)
+        by_hom, cells_starting_at, cells_ending_at = {}, {}, {}
+        for c in twos.values():
+            f = ones[c.src]
+            by_hom.setdefault((f.dom, f.cod), []).append(c.id)
+            cells_starting_at.setdefault(f.dom, []).append(c.id)
+            cells_ending_at.setdefault(f.cod, []).append(c.id)
+
         for a in twos.values():
-            if vtab[(self.identity2[a.tgt], a.id)] != a.id:
+            if vtab[(id2[a.tgt], a.id)] != a.id:
                 bad.append(Violation("vcomp-unit-left", a.id))
-            if vtab[(a.id, self.identity2[a.src])] != a.id:
+            if vtab[(a.id, id2[a.src])] != a.id:
                 bad.append(Violation("vcomp-unit-right", a.id))
-        for (b, a) in vcomposable:
-            ba = vtab[(b, a)]
-            for c in cells_from.get(twos[b].tgt, ()):
-                if vtab[(c.id, ba)] != vtab[(vtab[(c.id, b)], a)]:
-                    bad.append(Violation("vcomp-assoc", f"({c.id}, {b}, {a})"))
+        # V(c . b) = V(c) o V(b) on the a into src(b); key (b, a, c)
+        failed = _action_failures(
+            vrow, ((cells_to[f], bs) for f, bs in cells_from.items()),
+            lambda b: cells_from.get(twos[b].tgt, ()), lambda c, b: vrow[c][b],
+        )
+        bad += _in_order(
+            ((at2[b], at2[a], at2[c]), Violation("vcomp-assoc", f"({c}, {b}, {a})")) for c, b, a in failed
+        )
 
         for a in twos.values():
             idc = self.skeleton.identity[ones[a.src].cod]
@@ -476,54 +556,100 @@ class Finite2Category:
             idd = self.skeleton.identity[ones[a.src].dom]
             if wr[(a.id, idd)] != a.id:
                 bad.append(Violation("whisker-right-unit", a.id))
-        for f, a in self.identity2.items():
+        # whiskering keeps identities; key (position in identity2, k, side)
+        found = []
+        for i, (f, a) in enumerate(id2.items()):
             fa = ones[f]
-            for k in ones.values():
-                if k.dom == fa.cod and wl[(k.id, a)] != self.identity2[comp[(k.id, f)]]:
-                    bad.append(Violation("whisker-left-id2", f"({k.id}, {f})"))
-                if k.cod == fa.dom and wr[(a, k.id)] != self.identity2[comp[(f, k.id)]]:
-                    bad.append(Violation("whisker-right-id2", f"({f}, {k.id})"))
-        for a in twos.values():
-            for k2 in by_dom.get(ones[a.src].cod, ()):
-                inner = wl[(k2.id, a.id)]
-                for k1 in by_dom.get(k2.cod, ()):
-                    if wl[(comp[(k1.id, k2.id)], a.id)] != wl[(k1.id, inner)]:
-                        bad.append(Violation("whisker-left-functorial", f"({k1.id}, {k2.id}, {a.id})"))
-            for k2 in by_cod.get(ones[a.src].dom, ()):
-                inner = wr[(a.id, k2.id)]
-                for k1 in by_cod.get(k2.dom, ()):
-                    if wr[(a.id, comp[(k2.id, k1.id)])] != wr[(inner, k1.id)]:
-                        bad.append(Violation("whisker-right-functorial", f"({a.id}, {k2.id}, {k1.id})"))
+            for k in by_dom.get(fa.cod, ()):
+                if wlrow[k][a] != id2[comp[(k, f)]]:
+                    found.append(((i, at1[k], 0), Violation("whisker-left-id2", f"({k}, {f})")))
+            for k in by_cod.get(fa.dom, ()):
+                if wrrow[k][a] != id2[comp[(f, k)]]:
+                    found.append(((i, at1[k], 1), Violation("whisker-right-id2", f"({f}, {k})")))
+        bad += _in_order(found)
+        # W(k1 . k2) = W(k1) o W(k2); key (a, side, k2, k1)
+        failed_left = _action_failures(
+            wlrow, ((cells_ending_at[y], ks) for y, ks in by_dom.items()),
+            lambda k2: by_dom.get(ones[k2].cod, ()), lambda k1, k2: comp[(k1, k2)],
+        )
+        failed_right = _action_failures(
+            wrrow, ((cells_starting_at[y], ks) for y, ks in by_cod.items()),
+            lambda k2: by_cod.get(ones[k2].dom, ()), lambda k1, k2: comp[(k2, k1)],
+        )
+        found = [
+            ((at2[a], 0, at1[k2], at1[k1]), Violation("whisker-left-functorial", f"({k1}, {k2}, {a})"))
+            for k1, k2, a in failed_left
+        ]
+        found += [
+            ((at2[a], 1, at1[k2], at1[k1]), Violation("whisker-right-functorial", f"({a}, {k2}, {k1})"))
+            for k1, k2, a in failed_right
+        ]
+        bad += _in_order(found)
         if bad:
             return bad
 
-        # whiskering keeps vertical composites, and its two sides commute
-        for (b, a) in vcomposable:
-            ba = vtab[(b, a)]
-            f = ones[twos[a].src]
-            for k in by_dom.get(f.cod, ()):
-                if wl[(k.id, ba)] != vtab[(wl[(k.id, b)], wl[(k.id, a)])]:
-                    bad.append(Violation("whisker-left-vcomp", f"({k.id}, {b}, {a})"))
-            for k in by_cod.get(f.dom, ()):
-                if wr[(ba, k.id)] != vtab[(wr[(b, k.id)], wr[(a, k.id)])]:
-                    bad.append(Violation("whisker-right-vcomp", f"({b}, {a}, {k.id})"))
-        for a in twos.values():
-            f = ones[a.src]
-            for j in by_cod.get(f.dom, ()):
-                aj = wr[(a.id, j.id)]
-                for k in by_dom.get(f.cod, ()):
-                    if wr[(wl[(k.id, a.id)], j.id)] != wl[(k.id, aj)]:
-                        bad.append(Violation("whisker-assoc", f"({k.id}, {a.id}, {j.id})"))
+        # W_k o V_b = V_{W_k(b)} o W_k on the cells a into src(b), for each
+        # whiskering 1-cell k on either side; key (b, a, side, k)
+        found = []
+        for g, cells in cells_to.items():
+            at_cells = _gather(cells)
+            sides = ((0, wlrow, by_dom.get(ones[g].cod, ())), (1, wrrow, by_cod.get(ones[g].dom, ())))
+            whiskers = [(side, k, w[k], _gather(at_cells(w[k]))) for side, w, ks in sides for k in ks]
+            for b in cells_from.get(g, ()):
+                at_bcells = _gather(at_cells(vrow[b]))
+                for side, k, wk, at_kcells in whiskers:
+                    lhs = at_bcells(wk)
+                    rhs = at_kcells(vrow[wk[b]])
+                    if lhs != rhs:
+                        found += [
+                            ((at2[b], at2[a], side, at1[k]),
+                             Violation("whisker-left-vcomp", f"({k}, {b}, {a})") if side == 0
+                             else Violation("whisker-right-vcomp", f"({b}, {a}, {k})"))
+                            for a, x, y in zip(cells, lhs, rhs) if x != y
+                        ]
+        bad += _in_order(found)
+        # WR_j o WL_k = WL_k o WR_j on each hom-set of 2-cells; key (a, j, k)
+        found = []
+        for (x, y), cells in by_hom.items():
+            at_cells = _gather(cells)
+            js = [(j, wrrow[j], _gather(at_cells(wrrow[j]))) for j in by_cod.get(x, ())]
+            for k in by_dom.get(y, ()):
+                wk = wlrow[k]
+                at_kcells = _gather(at_cells(wk))
+                for j, wj, at_jcells in js:
+                    lhs = at_kcells(wj)
+                    rhs = at_jcells(wk)
+                    if lhs != rhs:
+                        found += [
+                            ((at2[a], at1[j], at1[k]), Violation("whisker-assoc", f"({k}, {a}, {j})"))
+                            for a, u, v in zip(cells, lhs, rhs) if u != v
+                        ]
+        bad += _in_order(found)
         if bad:
             return bad
 
-        # interchange: both whiskering orders of every horizontal composite agree
-        for b in twos.values():
-            for a in cells_ending_at.get(ones[b.src].dom, ()):
-                one = vtab[(wl[(b.tgt, a.id)], wr[(b.id, a.src)])]
-                two = vtab[(wr[(b.id, a.tgt)], wl[(b.src, a.id)])]
-                if one != two:
-                    bad.append(Violation("interchange-orders", f"({b.id}, {a.id})"))
+        # interchange: both whiskering orders of b * a, for all the b starting
+        # and a ending at each object, as two b-major streams; key (b, a)
+        def orders(bs, cells):
+            at_cells = _gather(cells)
+            src_rows = [wrrow[twos[a].src] for a in cells]
+            tgt_rows = [wrrow[twos[a].tgt] for a in cells]
+            at_bs = list(map(itemgetter, bs))
+            tgt_a = chain.from_iterable(map(at_cells, [wlrow[twos[b].tgt] for b in bs]))
+            src_a = chain.from_iterable(map(at_cells, [wlrow[twos[b].src] for b in bs]))
+            b_src = chain.from_iterable(map(map, at_bs, repeat(src_rows)))
+            b_tgt = chain.from_iterable(map(map, at_bs, repeat(tgt_rows)))
+            return _pairwise(vrow, tgt_a, b_src), _pairwise(vrow, b_tgt, src_a)
+
+        found = []
+        for y, bs in cells_starting_at.items():
+            cells = cells_ending_at[y]
+            if any(map(ne, *orders(bs, cells))):
+                found += [
+                    ((at2[b], at2[a]), Violation("interchange-orders", f"({b}, {a})"))
+                    for (b, a), u, v in zip(product(bs, cells), *orders(bs, cells)) if u != v
+                ]
+        bad += _in_order(found)
         return bad
 
     @classmethod

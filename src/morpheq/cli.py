@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -92,8 +93,9 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.tol_rank <= 0 or self.tol_psd <= 0:
-            raise ValueError("tolerances must be positive")
+        for tol in (self.tol_rank, self.tol_psd):
+            if not math.isfinite(tol) or tol <= 0:
+                raise ValueError("tolerances must be positive and finite")
 
 
 # ---------------------------------------------------------------- loading

@@ -164,8 +164,8 @@ def _mount_thin_two_layer(cat: FiniteCategory, rng):
     cell = {pair: f"{pair[0]}=>{pair[1]}" for pair in sorted(rel)}
     table = cat.compose_table
     vcomp = {}
-    for f, g in rel:
-        for h, i in rel:
+    for f, g in sorted(rel):
+        for h, i in sorted(rel):
             if g == h:
                 vcomp[(cell[(h, i)], cell[(f, g)])] = cell[(f, i)]
     wl, wr = {}, {}

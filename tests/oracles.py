@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from morpheq import Witness, are_equivalent, chain_two_cells
+from morpheq import Violation, Witness, are_equivalent, chain_two_cells
 
 
 def direct_weighted_norm(weights, vectors, x):
@@ -184,4 +184,194 @@ def middle_four_violations(d):
                     rhs = vtab[(hval[(delta, beta)], hval[(gamma, alpha)])]
                     if lhs != rhs:
                         bad.append(f"({delta}, {gamma}; {beta}, {alpha})")
+    return bad
+
+
+def _index(items, key):
+    """Map each key value to the items with that value, in the order given."""
+    out = {}
+    for it in items:
+        out.setdefault(key(it), []).append(it)
+    return out
+
+
+def _category_by_instances(c):
+    """FiniteCategory.validate() with one table probe per associativity triple."""
+    bad = []
+    mor = c.morphisms
+    comp = c.compose_table
+    by_dom = _index(mor.values(), lambda a: a.dom)
+    by_cod = _index(mor.values(), lambda a: a.cod)
+    for x in c.objects:
+        m = c.identity.get(x)
+        if m is None:
+            bad.append(Violation("identity-missing", x))
+            continue
+        a = mor[m]
+        if a.dom != x or a.cod != x:
+            bad.append(Violation("identity-boundary", f"id of {x} is {m}: {a.dom}->{a.cod}"))
+    for g in mor.values():
+        for f in by_cod.get(g.dom, ()):
+            if (g.id, f.id) not in comp:
+                bad.append(Violation("compose-missing", f"({g.id}, {f.id})"))
+    for (g, f), h in comp.items():
+        if mor[f].cod != mor[g].dom:
+            bad.append(Violation("compose-extra", f"({g}, {f})"))
+            continue
+        if mor[h].dom != mor[f].dom or mor[h].cod != mor[g].cod:
+            bad.append(Violation("compose-boundary", f"({g}, {f}) -> {h}"))
+    if bad:
+        return bad  # unit/assoc checks assume a total, boundary-correct table
+    for f in mor.values():
+        if comp[(c.identity[f.cod], f.id)] != f.id:
+            bad.append(Violation("unit-left", f.id))
+        if comp[(f.id, c.identity[f.dom])] != f.id:
+            bad.append(Violation("unit-right", f.id))
+    for f in mor.values():
+        for g in by_dom.get(f.cod, ()):
+            gf = comp[(g.id, f.id)]
+            for h in by_dom.get(g.cod, ()):
+                if comp[(h.id, gf)] != comp[(comp[(h.id, g.id)], f.id)]:
+                    bad.append(Violation("assoc", f"({h.id}, {g.id}, {f.id})"))
+    return bad
+
+
+def validate_by_instances(d):
+    """Finite2Category.validate() as one table probe per axiom instance.
+
+    The same checks and report order as the library, but every law is
+    tested triple by triple (associativity, functoriality, whiskering
+    keeping vertical composites, the two sides commuting) and every
+    interchange pair on its own.  Reads only the public tables.
+    """
+    bad = [Violation("one:" + v.code, v.detail) for v in _category_by_instances(d.skeleton)]
+    if bad:
+        return bad  # the 2-cell layer assumes a lawful 1-skeleton
+    ones = d.skeleton.morphisms
+    comp = d.skeleton.compose_table
+    twos = d.two_cells
+    vtab, wl, wr = d.vcomp_table, d.wl_table, d.wr_table
+    by_dom = _index(ones.values(), lambda k: k.dom)
+    by_cod = _index(ones.values(), lambda k: k.cod)
+    cells_from = _index(twos.values(), lambda c: c.src)
+    cells_to = _index(twos.values(), lambda c: c.tgt)
+    cells_ending_at = _index(twos.values(), lambda c: ones[c.src].cod)
+
+    for c in twos.values():
+        fa, ga = ones[c.src], ones[c.tgt]
+        if fa.dom != ga.dom or fa.cod != ga.cod:
+            bad.append(Violation("cell-parallel", c.id))
+    for f in ones:
+        a = d.identity2.get(f)
+        if a is None:
+            bad.append(Violation("id2-missing", f))
+        elif twos[a].src != f or twos[a].tgt != f:
+            bad.append(Violation("id2-boundary", f"id2({f}) = {a}"))
+    if bad:
+        return bad
+
+    vcomposable = [(b.id, a.id) for b in twos.values() for a in cells_to.get(b.src, ())]
+    for pair in vcomposable:
+        if pair not in vtab:
+            bad.append(Violation("vcomp-missing", f"({pair[0]}, {pair[1]})"))
+    for (b, a), r in vtab.items():
+        if twos[a].tgt != twos[b].src:
+            bad.append(Violation("vcomp-extra", f"({b}, {a})"))
+        elif twos[r].src != twos[a].src or twos[r].tgt != twos[b].tgt:
+            bad.append(Violation("vcomp-boundary", f"({b}, {a}) -> {r}"))
+
+    for a in twos.values():
+        for k in by_dom.get(ones[a.src].cod, ()):
+            if (k.id, a.id) not in wl:
+                bad.append(Violation("whisker-left-missing", f"({k.id}, {a.id})"))
+    for (k, a), r in wl.items():
+        if ones[k].dom != ones[twos[a].src].cod:
+            bad.append(Violation("whisker-left-extra", f"({k}, {a})"))
+            continue
+        want_src = comp[(k, twos[a].src)]
+        want_tgt = comp[(k, twos[a].tgt)]
+        if twos[r].src != want_src or twos[r].tgt != want_tgt:
+            bad.append(Violation("whisker-left-boundary", f"({k}, {a}) -> {r}"))
+
+    for a in twos.values():
+        for k in by_cod.get(ones[a.src].dom, ()):
+            if (a.id, k.id) not in wr:
+                bad.append(Violation("whisker-right-missing", f"({a.id}, {k.id})"))
+    for (a, k), r in wr.items():
+        if ones[k].cod != ones[twos[a].src].dom:
+            bad.append(Violation("whisker-right-extra", f"({a}, {k})"))
+            continue
+        want_src = comp[(twos[a].src, k)]
+        want_tgt = comp[(twos[a].tgt, k)]
+        if twos[r].src != want_src or twos[r].tgt != want_tgt:
+            bad.append(Violation("whisker-right-boundary", f"({a}, {k}) -> {r}"))
+    if bad:
+        return bad
+
+    for a in twos.values():
+        if vtab[(d.identity2[a.tgt], a.id)] != a.id:
+            bad.append(Violation("vcomp-unit-left", a.id))
+        if vtab[(a.id, d.identity2[a.src])] != a.id:
+            bad.append(Violation("vcomp-unit-right", a.id))
+    for (b, a) in vcomposable:
+        ba = vtab[(b, a)]
+        for c in cells_from.get(twos[b].tgt, ()):
+            if vtab[(c.id, ba)] != vtab[(vtab[(c.id, b)], a)]:
+                bad.append(Violation("vcomp-assoc", f"({c.id}, {b}, {a})"))
+
+    for a in twos.values():
+        idc = d.skeleton.identity[ones[a.src].cod]
+        if wl[(idc, a.id)] != a.id:
+            bad.append(Violation("whisker-left-unit", a.id))
+        idd = d.skeleton.identity[ones[a.src].dom]
+        if wr[(a.id, idd)] != a.id:
+            bad.append(Violation("whisker-right-unit", a.id))
+    for f, a in d.identity2.items():
+        fa = ones[f]
+        for k in ones.values():
+            if k.dom == fa.cod and wl[(k.id, a)] != d.identity2[comp[(k.id, f)]]:
+                bad.append(Violation("whisker-left-id2", f"({k.id}, {f})"))
+            if k.cod == fa.dom and wr[(a, k.id)] != d.identity2[comp[(f, k.id)]]:
+                bad.append(Violation("whisker-right-id2", f"({f}, {k.id})"))
+    for a in twos.values():
+        for k2 in by_dom.get(ones[a.src].cod, ()):
+            inner = wl[(k2.id, a.id)]
+            for k1 in by_dom.get(k2.cod, ()):
+                if wl[(comp[(k1.id, k2.id)], a.id)] != wl[(k1.id, inner)]:
+                    bad.append(Violation("whisker-left-functorial", f"({k1.id}, {k2.id}, {a.id})"))
+        for k2 in by_cod.get(ones[a.src].dom, ()):
+            inner = wr[(a.id, k2.id)]
+            for k1 in by_cod.get(k2.dom, ()):
+                if wr[(a.id, comp[(k2.id, k1.id)])] != wr[(inner, k1.id)]:
+                    bad.append(Violation("whisker-right-functorial", f"({a.id}, {k2.id}, {k1.id})"))
+    if bad:
+        return bad
+
+    # whiskering keeps vertical composites, and its two sides commute
+    for (b, a) in vcomposable:
+        ba = vtab[(b, a)]
+        f = ones[twos[a].src]
+        for k in by_dom.get(f.cod, ()):
+            if wl[(k.id, ba)] != vtab[(wl[(k.id, b)], wl[(k.id, a)])]:
+                bad.append(Violation("whisker-left-vcomp", f"({k.id}, {b}, {a})"))
+        for k in by_cod.get(f.dom, ()):
+            if wr[(ba, k.id)] != vtab[(wr[(b, k.id)], wr[(a, k.id)])]:
+                bad.append(Violation("whisker-right-vcomp", f"({b}, {a}, {k.id})"))
+    for a in twos.values():
+        f = ones[a.src]
+        for j in by_cod.get(f.dom, ()):
+            aj = wr[(a.id, j.id)]
+            for k in by_dom.get(f.cod, ()):
+                if wr[(wl[(k.id, a.id)], j.id)] != wl[(k.id, aj)]:
+                    bad.append(Violation("whisker-assoc", f"({k.id}, {a.id}, {j.id})"))
+    if bad:
+        return bad
+
+    # interchange: both whiskering orders of every horizontal composite agree
+    for b in twos.values():
+        for a in cells_ending_at.get(ones[b.src].dom, ()):
+            one = vtab[(wl[(b.tgt, a.id)], wr[(b.id, a.src)])]
+            two = vtab[(wr[(b.id, a.tgt)], wl[(b.src, a.id)])]
+            if one != two:
+                bad.append(Violation("interchange-orders", f"({b.id}, {a.id})"))
     return bad

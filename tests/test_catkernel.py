@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,8 +19,8 @@ from morpheq.errors import (
     UnknownId,
 )
 
-from instance_gen import random_equiv_instance, trivial_action
-from oracles import middle_four_violations
+from instance_gen import random_equiv_instance, regular_action, swap_action, trivial_action
+from oracles import middle_four_violations, validate_by_instances
 
 
 def chain3():
@@ -304,34 +305,116 @@ def _one_object(compose, groups, wl, wr):
     )
 
 
-def test_non_commuting_two_cells_break_the_interchange_orders():
-    # Eckmann-Hilton: on one object and one 1-cell, the two whiskering
-    # orders of b * a are a . b and b . a, so the cells must commute
+def _symmetric_group_cells():
+    """One object, one 1-cell e, and the group S3 of 2-cells e => e.
+
+    Eckmann-Hilton: the two whiskering orders of b * a are a . b and
+    b . a, so the cells would have to commute.
+    """
     perms = list(itertools.permutations(range(3)))
     name = {p: "s" + "".join(map(str, p)) for p in perms}
     s3 = {(name[q], name[p]): name[tuple(q[i] for i in p)] for p in perms for q in perms}
-    d = _one_object({("e", "e"): "e"}, {"e": s3},
-                    {("e", c): c for c in name.values()}, {(c, "e"): c for c in name.values()})
-    codes = {v.code for v in d.validate()}
+    return _one_object({("e", "e"): "e"}, {"e": s3},
+                       {("e", c): c for c in name.values()}, {(c, "e"): c for c in name.values()})
+
+
+def test_non_commuting_two_cells_break_the_interchange_orders():
+    codes = {v.code for v in _symmetric_group_cells().validate()}
     assert codes == {"interchange-orders"}
 
 
-def test_whisker_sides_that_do_not_commute_are_reported():
-    # 1-cells e, k with k.k = e; Klein four groups of 2-cells on both.
-    # k |> - sends e_i to k_i, - <| k sends e_i to k_sigma(i) for a
-    # 3-cycle sigma: each whiskering is a group isomorphism and an
-    # involution up to its inverse, but (k |> e_i) <| k != k |> (e_i <| k).
+def _twisted_klein(n=2):
+    """1-cells e, k, ... with k^n = e (n = 2 or 3); Klein four groups of 2-cells on each.
+
+    k^m |> - keeps the index of a cell; - <| k moves the cells on k^p by
+    tau_p, where the tau_p run through the identity (for n = 3), a 3-cycle
+    sigma of the non-unit cells and its inverse, so that k^n acts
+    trivially.  Each whiskering is a group isomorphism and functorial in
+    the 1-cell, but (k |> e_i) <| k != k |> (e_i <| k).
+    """
     sigma = [0, 2, 3, 1]
-    groups = {f: {(f"{f}{i}", f"{f}{j}"): f"{f}{i ^ j}" for i in range(4) for j in range(4)} for f in "ek"}
-    wl = {("e", f"{f}{i}"): f"{f}{i}" for f in "ek" for i in range(4)}
-    wr = {(f"{f}{i}", "e"): f"{f}{i}" for f in "ek" for i in range(4)}
-    for i in range(4):
-        wl[("k", f"e{i}")], wl[("k", f"k{i}")] = f"k{i}", f"e{i}"
-        wr[(f"e{i}", "k")], wr[(f"k{sigma[i]}", "k")] = f"k{sigma[i]}", f"e{i}"
-    compose = {("e", "e"): "e", ("e", "k"): "k", ("k", "e"): "k", ("k", "k"): "e"}
-    d = _one_object(compose, groups, wl, wr)
-    codes = {v.code for v in d.validate()}
-    assert codes == {"whisker-assoc"}
+    taus = ([] if n == 2 else [[0, 1, 2, 3]]) + [sigma, [sigma.index(i) for i in range(4)]]
+    ones = ["e", "k", "kk"][:n]
+    groups = {f: {(f"{f}{i}", f"{f}{j}"): f"{f}{i ^ j}" for i in range(4) for j in range(4)} for f in ones}
+    wl, wr = {}, {}
+    for p, f in enumerate(ones):
+        for m, k in enumerate(ones):
+            index = list(range(4))
+            for step in range(m):
+                index = [taus[(p + step) % n][i] for i in index]
+            for i in range(4):
+                wl[(k, f"{f}{i}")] = f"{ones[(p + m) % n]}{i}"
+                wr[(f"{f}{i}", k)] = f"{ones[(p + m) % n]}{index[i]}"
+    compose = {(g, f): ones[(p + q) % n] for q, g in enumerate(ones) for p, f in enumerate(ones)}
+    return _one_object(compose, groups, wl, wr)
+
+
+def test_whisker_sides_that_do_not_commute_are_reported():
+    for n in (2, 3):
+        codes = {v.code for v in _twisted_klein(n).validate()}
+        assert codes == {"whisker-assoc"}
+
+
+def _rerouting(d):
+    """The compose, vcomp, whisker-left and whisker-right tables of ``d``, and
+    for each its sorted (key, ids) pairs: the entries whose value shares its
+    boundary with another id, and all the ids on that boundary."""
+    ones, twos = d.one_cells, d.two_cells
+    hom, par = {}, {}
+    for a in ones.values():
+        hom.setdefault((a.dom, a.cod), []).append(a.id)
+    for c in twos.values():
+        par.setdefault((c.src, c.tgt), []).append(c.id)
+    same = [lambda m: hom[(ones[m].dom, ones[m].cod)]] + [lambda c: par[(twos[c].src, twos[c].tgt)]] * 3
+    tables = [d.skeleton.compose_table, d.vcomp_table, d.wl_table, d.wr_table]
+    return tables, [
+        sorted((key, ids(r)) for key, r in t.items() if len(ids(r)) > 1) for t, ids in zip(tables, same)
+    ]
+
+
+def test_row_equations_report_what_the_instance_loops_report():
+    # 1 to 5 entries of the compose, vcomp and whiskering tables are rerouted
+    # to other ids on the same boundary, so the gates pass and the laws
+    # decide; the report must equal the per-instance oracle's, order
+    # included.  Fewer reroutes are likelier, since each one more tends to
+    # break an earlier law and hide the later ones.  The one-object
+    # instances are the inputs on which interchange alone, or the commuting
+    # of the whiskering sides alone, fails; they are checked as they are
+    # and as starting points.
+    rng = random.Random(11)
+    bases = [deloop_slice(act, 1).two_category
+             for act in (swap_action(), trivial_action(2, ["p", "q"]), regular_action(3),
+                         trivial_action(3, ["pt"]))]
+    bases += [random_equiv_instance(seed).d for seed in range(8)]
+    bases += [_symmetric_group_cells(), _twisted_klein(2), _twisted_klein(3)]
+    converted = {
+        "one:assoc", "vcomp-assoc", "whisker-left-id2", "whisker-right-id2",
+        "whisker-left-functorial", "whisker-right-functorial", "whisker-left-vcomp",
+        "whisker-right-vcomp", "whisker-assoc", "interchange-orders",
+    }
+    reports = [d.validate() for d in bases]
+    assert reports == [validate_by_instances(d) for d in bases]
+    cases = [(d, *_rerouting(d)) for d in bases]
+    cases = [case for case in cases if any(case[2])]
+    for trial in range(1200):
+        d, lawful, movable = cases[trial % len(cases)]
+        tables = [dict(t) for t in lawful]
+        # the compose table rarely: a broken skeleton hides the 2-cell laws
+        pick = [i for i in (0, 1, 2, 3) if movable[i] and (i or rng.random() < 0.15)]
+        pick = pick or [i for i in (0, 1, 2, 3) if movable[i]]
+        for _ in range(min(rng.randint(1, 5), rng.randint(1, 5))):
+            i = rng.choice(pick)
+            key, to = rng.choice(movable[i])
+            tables[i][key] = rng.choice([x for x in to if x != tables[i][key]])
+        parts = list(_two_cat_parts(d))
+        parts[3] = tables[0]
+        broken = Finite2Category(*parts, *tables[1:], validate=False)
+        reports.append(broken.validate())
+        assert reports[-1] == validate_by_instances(broken)
+    counts = [Counter(v.code for v in report) for report in reports]
+    assert converted <= set().union(*counts)
+    for code in ("one:assoc", "vcomp-assoc", "interchange-orders"):
+        assert any(c[code] >= 2 for c in counts)
 
 
 def test_tampered_multi_object_report_is_pinned():

@@ -364,6 +364,19 @@ def test_nonpositive_tolerance_rejected():
     assert "error" in proc.stderr
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--tol-rank", "nan"), ("--tol-rank", "inf"), ("--tol-psd", "nan"), ("--tol-psd", "inf"),
+])
+def test_non_finite_tolerance_exits_two(capsys, flag, value):
+    # NaN compares false with everything, so a bare <= 0 test lets it
+    # through, and a NaN or infinite tolerance turns the verdicts into "no"
+    code = cli.main(["--input", str(INSTANCES / "mercedes.json"), "--verb", "frame", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: tolerances must be positive and finite\n"
+
+
 def test_unknown_verb_rejected_by_parser():
     proc = run_cli("--input", str(INSTANCES / "mercedes.json"), "--verb", "spectra")
     assert proc.returncode == 2
