@@ -31,7 +31,7 @@ from .catkernel import (
     Violation,
 )
 from .equivalence import EquivData, are_equivalent, equivalence_classes, verify_witness
-from .errors import MorpheqError, ParseError, SchemaError
+from .errors import InvalidInstance, MorpheqError, ParseError, SchemaError
 from .frames import (
     BesselFamily,
     TOL_PSD,
@@ -165,11 +165,25 @@ def _family(doc):
     return BesselFamily(field, doc["dim"], doc["weights"], vectors.T)
 
 
+def _read_table(cls, doc, field):
+    # the schema types c and d only as objects, so their shape is checked
+    # here, as they are read; a fault past this point is an internal error
+    try:
+        return cls.from_dict(doc[field], validate=False)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{field} is not a well-formed table: {type(exc).__name__}: {exc}") from None
+
+
 def _build_equiv(doc, *, validate=True):
     # the checking verbs demand lawful carriers (broken tables are an input
     # error); the validate verb passes False and reports violations itself
-    c = FiniteCategory.from_dict(doc["c"], validate=validate)
-    d = Finite2Category.from_dict(doc["d"], validate=validate)
+    c = _read_table(FiniteCategory, doc, "c")
+    d = _read_table(Finite2Category, doc, "d")
+    if validate:
+        for table in (c, d):
+            report = table.validate()
+            if report:
+                raise InvalidInstance(report)
     sigma = MorphismFunction(c, d, doc["sigma"]["objects"], doc["sigma"]["morphisms"], validate=False)
     tau1 = FunctorData(c, d, doc["tau1"]["objects"], doc["tau1"]["morphisms"], validate=False)
     tau2 = FunctorData(c, d, doc["tau2"]["objects"], doc["tau2"]["morphisms"], validate=False)
@@ -379,7 +393,8 @@ def _run_frame(doc, cfg):
         u, u_tilde = onb_witness(fam, tol_rank=cfg.tol_rank)
         white = transport_form(u, p)
         dev = float(np.linalg.norm(white.matrix - np.eye(fam.dim), 2))
-        report["onb_witness_valid"] = dev <= cfg.tol_psd
+        # relative backward error: for u = P^(-1/2), |u|^2 |P| = upper / lower
+        report["onb_witness_valid"] = dev <= cfg.tol_psd * verdict.upper / verdict.lower
         ok = ok and report["onb_witness_valid"]
     if "compare" in doc:
         other = _family(doc["compare"]["family"])

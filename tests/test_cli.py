@@ -132,6 +132,50 @@ SHIPPED = (
 )
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _flat(value, key=""):
+    if isinstance(value, dict) and value:
+        for k, v in value.items():
+            yield from _flat(v, f"{key}.{k}" if key else k)
+    elif isinstance(value, list) and value:
+        for i, v in enumerate(value):
+            yield from _flat(v, f"{key}[{i}]")
+    else:
+        yield key, value
+
+
+def _leaves(text, fmt):
+    """The report's (key, value) pairs in the order it prints them."""
+    if fmt == "text":
+        return [(k, json.loads(v)) for k, v in (ln.split(" = ", 1) for ln in text.splitlines())]
+    return list(_flat(json.loads(text)))
+
+
+def _same_leaf(got, want):
+    # floats may differ in their last bits with the BLAS build
+    if type(got) is float and type(want) is float:
+        return abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+    return type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("name, verb", SHIPPED)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_shipped_reports_match_the_golden_files(capsys, name, verb, fmt):
+    code = cli.main(["--input", str(INSTANCES / name), "--verb", verb, "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[f"{verb}.{fmt}"]
+    want = (GOLDEN / f"{verb}.{fmt}").read_text()
+    if verb not in ("frame", "bridge"):
+        assert out == want
+        return
+    got, expected = _leaves(out, fmt), _leaves(want, fmt)
+    assert [k for k, _ in got] == [k for k, _ in expected]
+    for (key, g), (_, w) in zip(got, expected):
+        assert _same_leaf(g, w), (key, g, w)
+
+
 def test_validate_report_does_not_depend_on_hash_seed(tmp_path):
     # every verb on its shipped instance, plus two broken documents whose
     # violations come from hashed containers: compose gaps of a category
@@ -408,6 +452,19 @@ def test_ill_conditioned_frame_has_a_valid_onb_witness(capsys, tmp_path):
     assert out["onb_witness_valid"] is True
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_onb_witness_is_judged_by_its_relative_error(capsys, tmp_path, seed):
+    # frame operator eigenvalues 1, 0.1, 1e-8: |u P u* - I| reaches about
+    # 1e-8, far above tol_psd, yet within tol_psd * upper / lower
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    vectors = q @ np.diag(np.sqrt([1, 0.1, 1e-8]))
+    doc = {"kind": "family", "field": "real", "dim": 3, "weights": [1.0] * 3,
+           "vectors": vectors.T.tolist()}
+    code, out, err = run_main(capsys, doc, "frame", tmp_path)
+    assert (code, err) == (0, "")
+    assert out["onb_witness_valid"] is True
+
+
 def test_tol_rank_reaches_the_onb_witness(capsys, tmp_path):
     # P = diag(1, 9e-12): singular at the default tolerance 1e-10, a frame
     # at 1e-12; P is diagonal, so whitening it is exact
@@ -468,7 +525,14 @@ def test_bad_value_exits_two(capsys, tmp_path, name, verb, tamper):
 
 
 def _mutate(rng, doc):
-    """Change one to three numbers or rationals of ``doc``, sometimes a matrix row's length."""
+    """Change one to three numbers or rationals of ``doc``, sometimes a matrix row's length.
+
+    The tables embedded in an equivalence instance (its ``c`` and ``d``),
+    which the schema types only as objects, get structural changes instead.
+    """
+    if "c" in doc:
+        _mutate_tables(rng, doc)
+        return
     numbers, rationals, rows = [], [], []
 
     def walk(node, parent, key):
@@ -509,12 +573,74 @@ def _mutate(rng, doc):
         rng.choice(rng.choice(rows)).pop()
 
 
+def _mutate_tables(rng, doc):
+    """One to three changes to the shape of ``doc["c"]`` and ``doc["d"]``: a
+    key dropped, a table entry resized to 0-4 items, an object entry written
+    as the list of its values, or a value swapped for one of another type."""
+    for _ in range(rng.randint(1, 3)):
+        table = doc[rng.choice("cd")]
+        if not table:
+            continue
+        key = rng.choice(sorted(table))
+        how = rng.choice(["drop", "resize", "as-list", "swap"])
+        if how == "drop":
+            del table[key]
+        elif how == "swap":
+            table[key] = rng.choice([{}, [], "x", 5, None])
+        elif isinstance(table[key], list) and table[key]:
+            i = rng.randrange(len(table[key]))
+            entry = table[key][i]
+            if how == "as-list" and isinstance(entry, dict):
+                table[key][i] = list(entry.values())
+            elif isinstance(entry, list):
+                table[key][i] = (entry * 2)[:rng.randint(0, 4)]
+            else:
+                table[key][i] = rng.choice([{}, [], "x", 5, None, ["x", "y", "z"]])
+
+
+def _empty_c(doc):
+    doc["c"] = {}
+
+
+def _short_compose_entry(doc):
+    doc["d"]["compose"][0] = ["a"]
+
+
+def _two_cell_as_list(doc):
+    doc["d"]["two_cells"][0] = list(doc["d"]["two_cells"][0].values())
+
+
+@pytest.mark.parametrize("tamper, field", [
+    (_empty_c, "c"), (_short_compose_entry, "d"), (_two_cell_as_list, "d"),
+])
+@pytest.mark.parametrize("verb", ["equiv", "classes", "validate"])
+def test_misshapen_tables_exit_two(capsys, tmp_path, tamper, field, verb):
+    # the schema types c and d only as objects; reading them checks their shape
+    doc = json.loads((INSTANCES / "arrow_equiv.json").read_text())
+    tamper(doc)
+    code, out, err = run_main(capsys, doc, verb, tmp_path)
+    assert (code, err) == (2, "")
+    assert out["error"]["type"] == "ParseError"
+    assert out["error"]["message"].startswith(f"{field} is not a well-formed table: ")
+
+
+def test_a_fault_in_validate_still_exits_three(monkeypatch, capsys):
+    def crash(self):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli.Finite2Category, "validate", crash)
+    code = cli.main(["--input", str(INSTANCES / "arrow_equiv.json"), "--verb", "classes"])
+    assert code == 3
+    assert capsys.readouterr().err == "internal error: KeyError: 'boom'\n"
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow and underflow of scaled numbers
 def test_fuzzed_documents_exit_zero_one_or_two(capsys, tmp_path):
     rng = random.Random(3)
     codes = []
     for name, verb in (("mercedes.json", "frame"), ("bridge_demo.json", "bridge"),
-                       ("preord_demo.json", "preord-check")):
+                       ("preord_demo.json", "preord-check"), ("arrow_equiv.json", "equiv"),
+                       ("arrow_equiv.json", "classes"), ("arrow_equiv.json", "validate")):
         base = json.loads((INSTANCES / name).read_text())
         for _ in range(200):
             doc = copy.deepcopy(base)
