@@ -2,9 +2,11 @@
 
 Everything is stored as explicit finite tables over opaque string
 identifiers, so every axiom instance can be checked exhaustively.
-Composition tables are keyed ``(second, first)`` and read "second after
-first": the entry for ``(g, f)`` is ``g . f`` and requires
-``cod(f) == dom(g)``.
+Composition reads "second after first": the entry for ``(g, f)`` is
+``g . f`` and requires ``cod(f) == dom(g)``.  A category stores it as
+rows ``{g: {f: g . f}}``, the form every law and the witness search
+read; ``compose_table`` is a read-only view of those rows keyed
+``(g, f)``, and tables are given to the constructors in that keying.
 
 Validation is eager: the constructors raise :class:`InvalidInstance`
 unless told otherwise, and ``validate()`` returns the full list of
@@ -13,6 +15,7 @@ violated axiom instances as data for reporting.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product, repeat
@@ -119,8 +122,63 @@ def _as_arrows(items):
     return out
 
 
+class ComposeTable(Mapping):
+    """A read-only view of composition rows as the mapping ``(g, f) -> g . f``.
+
+    Nothing is copied: a lookup reads ``rows[g][f]``.  Iteration walks the
+    rows, or the pairs in the order they were given when that order
+    interleaves rows (``order``), so ``dict(view)`` gives back a table
+    entry for entry and order for order.
+    """
+
+    __slots__ = ("rows", "_order")
+
+    def __init__(self, rows, order=None):
+        self.rows = rows
+        self._order = order
+
+    def __getitem__(self, key):
+        g, f = key
+        try:
+            return self.rows[g][f]
+        except KeyError:
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        if self._order is not None:
+            return iter(self._order)
+        return ((g, f) for g, row in self.rows.items() for f in row)
+
+    def __len__(self):
+        return sum(map(len, self.rows.values()))
+
+
+def _as_rows(compose):
+    """A ``ComposeTable`` over the rows of ``compose``, which maps ``(g, f)`` to
+    ``g . f`` (or lists such pairs); a ``ComposeTable`` is taken as it is."""
+    if isinstance(compose, ComposeTable):
+        return compose
+    pairs = compose if isinstance(compose, Mapping) else dict(compose)
+    rows = {}
+    last = row = None
+    interleaved = False
+    for (g, f), h in pairs.items():
+        if row is None or g != last:
+            interleaved = interleaved or g in rows
+            row = rows.setdefault(g, {})
+            last = g
+        row[f] = h
+    return ComposeTable(rows, tuple(pairs) if interleaved else None)
+
+
 class FiniteCategory:
-    """A finite category given by identity and composition tables."""
+    """A finite category given by identity and composition tables.
+
+    Composition is stored as rows, ``rows[g][f] = g . f``, built from the
+    ``(g, f)``-keyed table given or, for a ``ComposeTable``, taken over
+    without a copy.  ``compose_table`` is a read-only view of the rows that
+    iterates in the given order.
+    """
 
     def __init__(self, objects, morphisms, identity, compose, *, validate=True):
         self.objects = tuple(objects)
@@ -129,7 +187,8 @@ class FiniteCategory:
         if len(self.morphisms) != len(arrows):
             raise InvalidInstance([Violation("duplicate-id", "repeated morphism id")])
         self.identity = dict(identity)
-        self.compose_table = dict(compose)
+        self.compose_table = _as_rows(compose)
+        self.rows = self.compose_table.rows
         self._check_refs()
         self._hom = {}
         for a in self.morphisms.values():
@@ -151,7 +210,12 @@ class FiniteCategory:
                 raise UnknownId(f"identity table mentions unknown object {x!r}")
             if m not in self.morphisms:
                 raise UnknownId(f"identity of {x!r} is unknown morphism {m!r}")
-        for (g, f), h in self.compose_table.items():
+        ids = set(self.morphisms)
+        if ids.issuperset(self.rows) and all(
+            ids.issuperset(row) and ids.issuperset(row.values()) for row in self.rows.values()
+        ):
+            return
+        for (g, f), h in self.compose_table.items():  # name the first unknown id
             for m in (g, f, h):
                 if m not in self.morphisms:
                     raise UnknownId(f"compose table mentions unknown morphism {m!r}")
@@ -183,7 +247,7 @@ class FiniteCategory:
     def compose(self, g, f):
         """The composite g . f (g after f)."""
         try:
-            return self.compose_table[(g, f)]
+            return self.rows[g][f]
         except KeyError:
             pass
         ga, fa = self.arrow(g), self.arrow(f)
@@ -197,7 +261,7 @@ class FiniteCategory:
         """Return every violated category axiom instance (empty iff lawful)."""
         bad = []
         mor = self.morphisms
-        comp = self.compose_table
+        rows = self.rows
         by_dom = _index(mor, lambda m: mor[m].dom)
         by_cod = _index(mor, lambda m: mor[m].cod)
         for x in self.objects:
@@ -209,30 +273,38 @@ class FiniteCategory:
             if a.dom != x or a.cod != x:
                 bad.append(Violation("identity-boundary", f"id of {x} is {m}: {a.dom}->{a.cod}"))
         for g in mor.values():
+            row = rows.get(g.id, {})
             for f in by_cod.get(g.dom, ()):
-                if (g.id, f) not in comp:
+                if f not in row:
                     bad.append(Violation("compose-missing", f"({g.id}, {f})"))
-        for (g, f), h in comp.items():
-            if mor[f].cod != mor[g].dom:
-                bad.append(Violation("compose-extra", f"({g}, {f})"))
-                continue
-            if mor[h].dom != mor[f].dom or mor[h].cod != mor[g].cod:
-                bad.append(Violation("compose-boundary", f"({g}, {f}) -> {h}"))
+        # a row g passes when each f in it ends at dom g, and each g . f starts
+        # at dom f and ends at cod g; only a table with a failing row is
+        # walked, in the order it was given, to name its faults
+        dom = {m: a.dom for m, a in mor.items()}
+        cod = {m: a.cod for m, a in mor.items()}
+        if not all(
+            set(map(cod.__getitem__, row)) <= {dom[g]}
+            and set(map(cod.__getitem__, row.values())) <= {cod[g]}
+            and list(map(dom.__getitem__, row)) == list(map(dom.__getitem__, row.values()))
+            for g, row in rows.items()
+        ):
+            for (g, f), h in self.compose_table.items():
+                if cod[f] != dom[g]:
+                    bad.append(Violation("compose-extra", f"({g}, {f})"))
+                elif dom[h] != dom[f] or cod[h] != cod[g]:
+                    bad.append(Violation("compose-boundary", f"({g}, {f}) -> {h}"))
         if bad:
             return bad  # unit/assoc checks assume a total, boundary-correct table
         for f in mor.values():
-            if comp[(self.identity[f.cod], f.id)] != f.id:
+            if rows[self.identity[f.cod]][f.id] != f.id:
                 bad.append(Violation("unit-left", f.id))
-            if comp[(f.id, self.identity[f.dom])] != f.id:
+            if rows[f.id][self.identity[f.dom]] != f.id:
                 bad.append(Violation("unit-right", f.id))
-        # associativity as row(h . g) = row(h) o row(g) on the f into dom g,
-        # where row[g] is f |-> g . f; key (f, g, h)
-        row = {g: {} for g in mor}
-        for (g, f), h in comp.items():
-            row[g][f] = h
+        # associativity as rows[h . g] = rows[h] o rows[g] on the f into dom g;
+        # key (f, g, h)
         failed = _action_failures(
-            row, ((by_cod[x], gs) for x, gs in by_dom.items()),
-            lambda g: by_dom.get(mor[g].cod, ()), lambda h, g: row[h][g],
+            rows, ((by_cod[x], gs) for x, gs in by_dom.items()),
+            lambda g: by_dom.get(mor[g].cod, ()), lambda h, g: rows[h][g],
         )
         at = _positions(mor)
         bad += _in_order(
@@ -452,7 +524,7 @@ class Finite2Category:
         if bad:
             return bad  # the 2-cell layer assumes a lawful 1-skeleton
         ones = self.skeleton.morphisms
-        comp = self.skeleton.compose_table
+        rows = self.skeleton.rows
         twos = self.two_cells
         id2 = self.identity2
         vtab, wl, wr = self.vcomp_table, self.wl_table, self.wr_table
@@ -492,8 +564,8 @@ class Finite2Category:
             if ones[k].dom != ones[twos[a].src].cod:
                 bad.append(Violation("whisker-left-extra", f"({k}, {a})"))
                 continue
-            want_src = comp[(k, twos[a].src)]
-            want_tgt = comp[(k, twos[a].tgt)]
+            want_src = rows[k][twos[a].src]
+            want_tgt = rows[k][twos[a].tgt]
             if twos[r].src != want_src or twos[r].tgt != want_tgt:
                 bad.append(Violation("whisker-left-boundary", f"({k}, {a}) -> {r}"))
 
@@ -505,8 +577,8 @@ class Finite2Category:
             if ones[k].cod != ones[twos[a].src].dom:
                 bad.append(Violation("whisker-right-extra", f"({a}, {k})"))
                 continue
-            want_src = comp[(twos[a].src, k)]
-            want_tgt = comp[(twos[a].tgt, k)]
+            want_src = rows[twos[a].src][k]
+            want_tgt = rows[twos[a].tgt][k]
             if twos[r].src != want_src or twos[r].tgt != want_tgt:
                 bad.append(Violation("whisker-right-boundary", f"({a}, {k}) -> {r}"))
         if bad:
@@ -561,20 +633,20 @@ class Finite2Category:
         for i, (f, a) in enumerate(id2.items()):
             fa = ones[f]
             for k in by_dom.get(fa.cod, ()):
-                if wlrow[k][a] != id2[comp[(k, f)]]:
+                if wlrow[k][a] != id2[rows[k][f]]:
                     found.append(((i, at1[k], 0), Violation("whisker-left-id2", f"({k}, {f})")))
             for k in by_cod.get(fa.dom, ()):
-                if wrrow[k][a] != id2[comp[(f, k)]]:
+                if wrrow[k][a] != id2[rows[f][k]]:
                     found.append(((i, at1[k], 1), Violation("whisker-right-id2", f"({f}, {k})")))
         bad += _in_order(found)
         # W(k1 . k2) = W(k1) o W(k2); key (a, side, k2, k1)
         failed_left = _action_failures(
             wlrow, ((cells_ending_at[y], ks) for y, ks in by_dom.items()),
-            lambda k2: by_dom.get(ones[k2].cod, ()), lambda k1, k2: comp[(k1, k2)],
+            lambda k2: by_dom.get(ones[k2].cod, ()), lambda k1, k2: rows[k1][k2],
         )
         failed_right = _action_failures(
             wrrow, ((cells_starting_at[y], ks) for y, ks in by_cod.items()),
-            lambda k2: by_cod.get(ones[k2].dom, ()), lambda k1, k2: comp[(k2, k1)],
+            lambda k2: by_cod.get(ones[k2].dom, ()), lambda k1, k2: rows[k2][k1],
         )
         found = [
             ((at2[a], 0, at1[k2], at1[k1]), Violation("whisker-left-functorial", f"({k1}, {k2}, {a})"))
@@ -711,13 +783,11 @@ class FunctorData:
             if self.morphism_map[src.id_of(x)] != self.target.id_one(self.object_map[x]):
                 bad.append(Violation("functor-identity", x))
         by_cod = _index(src.morphisms.values(), lambda a: a.cod)
+        mm, target_rows = self.morphism_map, self.target.skeleton.rows
         for g in src.morphisms.values():
             for f in by_cod.get(g.dom, ()):
-                gf = src.compose_table[(g.id, f.id)]
-                lhs = self.morphism_map[gf]
-                rhs = self.target.skeleton.compose_table.get(
-                    (self.morphism_map[g.id], self.morphism_map[f.id])
-                )
+                lhs = mm[src.rows[g.id][f.id]]
+                rhs = target_rows.get(mm[g.id], {}).get(mm[f.id])
                 if lhs != rhs:
                     bad.append(Violation("functor-compose", f"({g.id}, {f.id})"))
         return bad

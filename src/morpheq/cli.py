@@ -442,7 +442,7 @@ def _run_bridge(doc, cfg):
         "forward": _compare_dump(verdict.forward),
         "backward": _compare_dump(verdict.backward),
         "cells": list(verdict.cells) if verdict.cells else None,
-        "seminorm_dominated": s.dominated,
+        "seminorm_dominated": s.dominated_within(cfg.tol_psd),
         "staged_closed_dev": dev,
         # true by construction; schema_version 1 and the cli-verbs benchmark read the key
         "matches_direct_test": True,

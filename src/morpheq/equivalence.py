@@ -143,18 +143,17 @@ def _side_search(e: EquivData, m_from, m_to):
     target = e.sigma(m_to)
     sig = e.sigma(m_from)
     tau1, tau2 = e.tau1.morphism_map, e.tau2.morphism_map
-    comp = d.skeleton.compose_table
+    rows = d.skeleton.rows
     cells = d._by_boundary
     linked = d._linked.get(target, ())
-    u2s = c.hom(a_to.dom, a_from.dom)
+    back = c.hom(a_to.dom, a_from.dom)[::-1]  # the least u2 is set last, so it wins
     for u1 in c.hom(a_from.cod, a_to.cod):
-        left = comp[(tau1[u1], sig)]
+        left = rows[tau1[u1]][sig]
         key = (left, a_to.dom, a_from.dom)  # one row per left and u2 hom-set
         row = e._rows.get(key)
         if row is None:
-            row = e._rows[key] = {}
-            for u2 in u2s:
-                row.setdefault(comp[(left, tau2[u2])], u2)
+            lrow = rows[left]
+            row = e._rows[key] = dict(zip(map(lrow.__getitem__, map(tau2.__getitem__, back)), back))
         small, big = (linked, row) if len(linked) < len(row) else (row, linked)
         hits = [x for x in small if x in big]
         if hits:

@@ -213,6 +213,8 @@ class OperatorMatrix:
 
     def __init__(self, matrix, klass="any", *, tol=TOL_PSD):
         self.matrix = _as_matrix(matrix)
+        if not np.all(np.isfinite(self.matrix)):
+            raise InvalidValue("matrix must be finite")
         if klass not in _CLASS_TAGS:
             raise ValueError(f"unknown class tag {klass!r}")
         self.klass = klass

@@ -11,7 +11,7 @@ be empty.
 
 The delooping itself is infinite; :func:`deloop_slice` builds the finite
 sub-2-category of chains of length <= max_chain_length + 1.  Its 1-cells,
-2-cells and composition table are built with the slice; the vertical
+2-cells and composition rows are built with the slice; the vertical
 composition and whiskering tables, which the witness search never reads,
 are built the first time something reads them (``validate()``,
 ``vcomp``, ``whisker_*``, ``hcomp``, the transitivity witnesses).  To
@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .catkernel import Cell, Finite2Category, FunctorData, MorphismFunction, Violation
+from .catkernel import Cell, ComposeTable, Finite2Category, FunctorData, MorphismFunction, Violation
 from .equivalence import EquivData, are_equivalent
 from .errors import InvalidInstance, InvalidParameter, UnknownElement
 
@@ -190,6 +190,12 @@ class WordTwoCell:
     labels: tuple
 
 
+def _labellings(a: GroupAction, src, tgt):
+    """The pointwise transporter labellings of ``src`` onto ``tgt``, two chains
+    of one length, in the group's element order position by position."""
+    return itertools.product(*map(a.transporters, src, tgt))
+
+
 def chain_two_cells(a: GroupAction, src, tgt):
     """All 2-cells between two chains: pointwise transporter labellings.
 
@@ -199,10 +205,7 @@ def chain_two_cells(a: GroupAction, src, tgt):
     src, tgt = tuple(src), tuple(tgt)
     if len(src) != len(tgt):
         return []
-    pools = [a.transporters(x, y) for x, y in zip(src, tgt)]
-    if any(not p for p in pools):
-        return []
-    return [WordTwoCell(src, tgt, labels) for labels in itertools.product(*pools)]
+    return [WordTwoCell(src, tgt, labels) for labels in _labellings(a, src, tgt)]
 
 
 def _word_id(word):
@@ -216,7 +219,10 @@ def _cell_id(src_id, tgt_id, labels):
 class DeloopedSlice:
     """The bounded delooping plus its identity parameter bundle.
 
-    The vcomp and whiskering tables are built on first read.
+    Composition is built as rows, ``{g: {f: g . f}}``, by index arithmetic
+    and handed to the category without a copy, so its ``compose_table`` is
+    a view of them; the vcomp and whiskering tables are built on first
+    read.
     """
 
     def __init__(self, action: GroupAction, max_chain_length: int):
@@ -230,23 +236,29 @@ class DeloopedSlice:
         bound = max_chain_length + 1
         obj = "*"
 
-        words = [()]
-        frontier = [()]
+        # words by length, each length in carrier-numeral order (first letter
+        # most significant), so blocks[n][i] is the word of length n numbered i
+        blocks = [[()]]
         for _ in range(bound):
-            frontier = [w + (x,) for w in frontier for x in action.carrier]
-            words.extend(frontier)
+            blocks.append([w + (x,) for w in blocks[-1] for x in action.carrier])
+        words = list(itertools.chain.from_iterable(blocks))
         wid = {w: _word_id(w) for w in words}
         one_cells = [(wid[w], obj, obj) for w in words] + [(OVERFLOW, obj, obj)]
 
-        compose = {}
+        # g . f is the concatenation g + f (outer letters first), numbered
+        # i * k^b + j for g = blocks[a][i], f = blocks[b][j] and k letters:
+        # g's composites with the words of length b are one slice of the
+        # length a + b block; longer concatenations are the overflow cell
         ids = [wid[w] for w in words] + [OVERFLOW]
-        for g in words:
-            for f in words:
-                cat = g + f  # letters of the outer chain precede the inner one
-                compose[(wid[g], wid[f])] = wid[cat] if len(cat) <= bound else OVERFLOW
-        for m in ids:
-            compose[(m, OVERFLOW)] = OVERFLOW
-            compose[(OVERFLOW, m)] = OVERFLOW
+        id_blocks = [[wid[w] for w in block] for block in blocks]
+        overflow_row = dict.fromkeys(ids, OVERFLOW)
+        rows = {}
+        for a, gs in enumerate(id_blocks):
+            for i, g in enumerate(gs):
+                row = rows[g] = overflow_row.copy()
+                for b, fs in enumerate(id_blocks[:bound + 1 - a]):
+                    row.update(zip(fs, id_blocks[a + b][i * len(fs):(i + 1) * len(fs)]))
+        rows[OVERFLOW] = overflow_row
 
         unit = action.group.unit
         mul = action.group.mul_table
@@ -258,14 +270,13 @@ class DeloopedSlice:
         orbit = {x: [y for y in action.carrier if action.transporters(x, y)] for x in action.carrier}
         for src in words:
             sid = wid[src]
-            for tgt in itertools.product(*(orbit[x] for x in src)):
+            for tgt in itertools.product(*map(orbit.__getitem__, src)):
                 tid = wid[tgt]
-                for two in chain_two_cells(action, src, tgt):
-                    cid = _cell_id(sid, tid, two.labels)
+                for labels in _labellings(action, src, tgt):
+                    cid = _cell_id(sid, tid, labels)
                     cells.append(Cell(cid, sid, tid))
-                    cell_ids[(src, tgt, two.labels)] = cid
-                    if src == tgt and all(l == unit for l in two.labels):
-                        id2[sid] = cid
+                    cell_ids[(src, tgt, labels)] = cid
+            id2[sid] = _cell_id(sid, sid, (unit,) * len(src))  # the all-unit labelling
         over_id2 = _cell_id(OVERFLOW, OVERFLOW, ())
         cells.append(Cell(over_id2, OVERFLOW, OVERFLOW))
         id2[OVERFLOW] = over_id2
@@ -302,7 +313,7 @@ class DeloopedSlice:
             return vcomp, wl, wr
 
         self.two_category = Finite2Category(
-            [obj], one_cells, {obj: wid[()]}, compose, cells, id2,
+            [obj], one_cells, {obj: wid[()]}, ComposeTable(rows), cells, id2,
             tables=tables, validate=False,
         )
         self.category = self.two_category.skeleton

@@ -38,8 +38,6 @@ from .frames import (
     def_equivalent_with_witness,
 )
 
-_DOM_SLACK = 1e-9
-
 
 class SeminormRep:
     """The seminorm x -> scale * ||op x|| on op's domain space."""
@@ -70,10 +68,14 @@ class SeminormRep:
         s = np.linalg.svd(self.matrix, compute_uv=False)
         return self.scale * (float(s[0]) if len(s) else 0.0)
 
+    def dominated_within(self, slack):
+        """Whether the seminorm is bounded by the ambient norm up to a relative ``slack``."""
+        return self.sup_unit_sphere() <= 1.0 + slack
+
     @property
     def dominated(self):
-        """Whether the seminorm is bounded by the ambient norm."""
-        return self.sup_unit_sphere() <= 1.0 + _DOM_SLACK
+        """Whether the seminorm is bounded by the ambient norm, up to ``TOL_PSD``."""
+        return self.dominated_within(TOL_PSD)
 
     def gram(self):
         """scale^2 * op* op — the quadratic form the seminorm squares to."""

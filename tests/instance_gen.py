@@ -11,9 +11,12 @@ Size budget: at most 3 objects and 8 morphisms downstairs, 12 one-cells
 and 24 two-cells upstairs.
 
 Also small group actions, fixed and seeded, whose delooped slices serve
-as larger equivalence instances.
+as larger equivalence instances, and the categories of maps between
+finite sets, whose locally discrete bundles have Green's J-relation as
+their equivalence, with the rank classes as its known answer.
 """
 
+import itertools
 import random
 
 from morpheq import (
@@ -284,6 +287,19 @@ def three_pairs_c2():
     return GroupAction(g, carrier, act)
 
 
+def action_doc(action, bound):
+    """A ``group_action`` instance document of ``action`` at chain bound ``bound``."""
+    g = action.group
+    return {
+        "kind": "group_action",
+        "group": {"elements": list(g.elements), "unit": g.unit,
+                  "mul": [[a, b, c] for (a, b), c in g.mul_table.items()]},
+        "carrier": list(action.carrier),
+        "act": [[a, x, y] for (a, x), y in action.act_table.items()],
+        "max_chain_length": bound,
+    }
+
+
 def fixed_actions():
     """Eight named actions covering |G| up to 6 and |E| up to 6.
 
@@ -327,3 +343,69 @@ def random_action(seed):
                 act[(f"g{i}", x)] = orbit[(j + i) % k]
         start += k
     return GroupAction(FiniteGroup.cyclic(n), sorted(names), act)
+
+
+def finite_sets(sizes):
+    """Every map between the sets {0, ..., n - 1} for n in ``sizes``.
+
+    Object ``S<n>`` is the set of size n; the map f: S<a> -> S<b> has id
+    ``S<a>>S<b>:`` followed by its images f(0) ... f(a - 1), one digit
+    each, and g . f applies f first.  For several sizes the composition
+    rows are partial: a map composes only with the maps out of its
+    codomain.
+    """
+    objects = [f"S{n}" for n in sizes]
+    maps = {}  # id -> (dom size, cod size, images)
+    for a, b in itertools.product(sizes, repeat=2):
+        for images in itertools.product(range(b), repeat=a):
+            maps[f"S{a}>S{b}:" + "".join(map(str, images))] = (a, b, images)
+    by_dom = {}
+    for m, (a, _, _) in maps.items():
+        by_dom.setdefault(a, []).append(m)
+    compose = {}
+    for f, (a, b, fi) in maps.items():
+        for g in by_dom[b]:
+            _, c, gi = maps[g]
+            compose[(g, f)] = f"S{a}>S{c}:" + "".join(str(gi[x]) for x in fi)
+    return FiniteCategory(
+        objects,
+        [(m, f"S{a}", f"S{b}") for m, (a, b, _) in maps.items()],
+        {f"S{n}": f"S{n}>S{n}:" + "".join(map(str, range(n))) for n in sizes},
+        compose,
+    )
+
+
+def transformation_monoid(n):
+    """The full transformation monoid T_n, as the one-object category of maps of S<n>."""
+    return finite_sets([n])
+
+
+def map_rank(m):
+    """The image size of a map of ``finite_sets``, read off its id."""
+    return len(set(m.split(":")[1]))
+
+
+def locally_discrete_bundle(cat: FiniteCategory):
+    """The bundle (cat, d, id, id, id) whose d has only identity 2-cells.
+
+    There a witness says exactly u1 . m . u2 = mt and v1 . mt . v2 = m,
+    so the equivalence is Green's J-relation of ``cat``.
+    """
+    cell = {m: f"1_{m}" for m in cat.morphisms}
+    wl, wr = {}, {}
+    for (g, f), h in cat.compose_table.items():
+        wl[(g, cell[f])] = cell[h]
+        wr[(cell[g], f)] = cell[h]
+    d = Finite2Category(
+        list(cat.objects),
+        [(a.id, a.dom, a.cod) for a in cat.morphisms.values()],
+        dict(cat.identity),
+        cat.compose_table,
+        [(cell[m], m, m) for m in cat.morphisms],
+        cell,
+        {(a, a): a for a in cell.values()},
+        wl,
+        wr,
+    )
+    sigma = MorphismFunction(cat, d, {o: o for o in cat.objects}, {m: m for m in cat.morphisms})
+    return EquivData(cat, d, sigma, _identity_functor(cat, d), _identity_functor(cat, d))

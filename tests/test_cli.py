@@ -11,7 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from morpheq import cli
+from morpheq import FiniteCategory, cli
+from morpheq.errors import UnknownId
+
+from instance_gen import action_doc, three_pairs_c2
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
@@ -288,6 +291,50 @@ def test_validate_reports_parameter_violations(tmp_path):
     assert "object-map-disagree" in [v["code"] for v in out["violations"]]
 
 
+CHAIN = {
+    "kind": "category",
+    "objects": ["A", "B", "C"],
+    "morphisms": [{"id": m, "dom": d, "cod": c} for m, d, c in (
+        ("idA", "A", "A"), ("idB", "B", "B"), ("idC", "C", "C"),
+        ("f", "A", "B"), ("g", "B", "C"), ("gf", "A", "C"))],
+    "identity": {"A": "idA", "B": "idB", "C": "idC"},
+    "compose": [["idA", "idA", "idA"], ["idB", "idB", "idB"], ["idC", "idC", "idC"],
+                ["f", "idA", "f"], ["idB", "f", "f"], ["g", "idB", "g"], ["idC", "g", "g"],
+                ["gf", "idA", "gf"], ["idC", "gf", "gf"], ["g", "f", "gf"]],
+}
+
+
+def test_reports_keep_the_order_of_a_table_that_interleaves_rows(capsys, tmp_path):
+    # the bad entries come in rows f, idA, g and f again: stored by row, the
+    # table would report (f, g) second and name nope2 before nope1
+    doc = copy.deepcopy(CHAIN)
+    doc["compose"] = [["f", "idB", "f"], ["idA", "g", "g"], ["g", "idB", "gf"], ["f", "g", "gf"]] + [
+        t for t in CHAIN["compose"] if t[:2] != ["g", "idB"]]
+    want = [("compose-extra", "(f, idB)"), ("compose-extra", "(idA, g)"),
+            ("compose-boundary", "(g, idB) -> gf"), ("compose-extra", "(f, g)")]
+    found = FiniteCategory.from_dict(doc, validate=False).validate()
+    assert [(v.code, v.detail) for v in found] == want
+    code, out, _ = run_main(capsys, doc, "validate", tmp_path)
+    assert code == 1
+    assert [(v["code"], v["detail"]) for v in out["violations"]] == want
+
+    doc["compose"] = [["f", "idB", "f"], ["idA", "g", "nope1"], ["f", "nope2", "f"]] + CHAIN["compose"]
+    with pytest.raises(UnknownId, match="'nope1'"):
+        FiniteCategory.from_dict(doc, validate=False)
+    code, out, _ = run_main(capsys, doc, "validate", tmp_path)
+    assert code == 2
+    assert out["error"]["message"] == "compose table mentions unknown morphism 'nope1'"
+
+
+def test_orbit_check_at_chain_bound_three_matches_the_golden_report(tmp_path):
+    # the schema's largest bound: c2-three-pairs has 1,556 1-cells there
+    p = tmp_path / "c2_three_pairs_l3.json"
+    p.write_text(json.dumps(action_doc(three_pairs_c2(), 3)))
+    proc = run_cli("--input", str(p), "--verb", "orbit-check", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "orbit-check-l3.json").read_text()
+
+
 # ----------------------------------------------------------- input errors
 
 
@@ -463,6 +510,17 @@ def test_onb_witness_is_judged_by_its_relative_error(capsys, tmp_path, seed):
     code, out, err = run_main(capsys, doc, "frame", tmp_path)
     assert (code, err) == (0, "")
     assert out["onb_witness_valid"] is True
+
+
+def test_tol_psd_reaches_seminorm_domination(capsys, tmp_path):
+    # sup of the seminorm on the unit sphere is 1 + 1e-7: above the default
+    # slack 1e-9, within 1e-6
+    doc = json.loads((INSTANCES / "bridge_demo.json").read_text())
+    doc["seminorm"]["scale"] = 1.0 + 1e-7
+    _, out, _ = run_main(capsys, doc, "bridge", tmp_path)
+    assert out["seminorm_dominated"] is False
+    _, out, _ = run_main(capsys, doc, "bridge", tmp_path, "--tol-psd", "1e-6")
+    assert out["seminorm_dominated"] is True
 
 
 def test_tol_rank_reaches_the_onb_witness(capsys, tmp_path):
@@ -649,3 +707,14 @@ def test_fuzzed_documents_exit_zero_one_or_two(capsys, tmp_path):
             assert code in (0, 1, 2) and "internal error" not in err, (name, doc, err)
             codes.append(code)
     assert {0, 1, 2} <= set(codes)
+
+
+def test_benchmark_self_test_passes():
+    # the benchmark reads the library's tables its own way (compose_table
+    # as a mapping, the lazily built 2-cell tables); its self-test feeds
+    # every output check right and wrong answers
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+                          capture_output=True, text=True, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -18,7 +18,15 @@ from morpheq import (
 from morpheq import equivalence
 from morpheq.errors import InvalidInstance, InvalidPremise
 
-from instance_gen import random_equiv_instance, regular_action, swap_action
+from instance_gen import (
+    finite_sets,
+    locally_discrete_bundle,
+    map_rank,
+    random_equiv_instance,
+    regular_action,
+    swap_action,
+    transformation_monoid,
+)
 from oracles import are_equivalent_scan, equivalence_classes_all_pairs, side_search_scan
 
 
@@ -341,3 +349,25 @@ def test_violations_match_what_the_constructor_raises():
             EquivData(c, d, *parts)
         assert EquivData(c, d, *parts, validate=False).violations() == exc.value.violations
     assert EquivData(c, d, e.sigma, e.tau1, e.tau2, validate=False).violations() == []
+
+
+@pytest.mark.parametrize("name, cat", [
+    *((f"T{n}", transformation_monoid(n)) for n in (1, 2, 3)),
+    ("sets of size 1-3", finite_sets((1, 2, 3))),
+])
+def test_green_j_classes_are_the_rank_classes(name, cat):
+    # with only identity 2-cells and identity parameters the relation is
+    # Green's J-relation, whose classes in T_n and in the maps between
+    # nonempty finite sets (multi-object, so the rows are partial) are the
+    # maps of one image size (Howie, Fundamentals of Semigroup Theory, 1995)
+    e = locally_discrete_bundle(cat)
+    by_rank = {}
+    for m in sorted(cat.morphisms):
+        by_rank.setdefault(map_rank(m), []).append(m)
+    assert equivalence_classes(e) == sorted(by_rank.values())
+    for m in cat.morphisms:
+        for mt in cat.morphisms:
+            ok, w = are_equivalent(e, m, mt)
+            assert ok == (map_rank(m) == map_rank(mt))
+            if ok:
+                assert verify_witness(e, m, mt, w)

@@ -20,6 +20,7 @@ from morpheq.errors import (
     BadPhase,
     ClassViolation,
     DimensionMismatch,
+    InvalidValue,
     NotAFrame,
     NotUnitary,
 )
@@ -218,6 +219,13 @@ def test_operator_class_tags():
     OperatorMatrix(np.zeros((2, 2)), "any")
     with pytest.raises(ValueError):
         OperatorMatrix(rot, "surj")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("klass", ["any", "inj", "iso"])
+def test_operator_matrix_rejects_non_finite_entries(bad, klass):
+    with pytest.raises(InvalidValue, match="finite"):
+        OperatorMatrix([[1.0, 0.0], [bad, 1.0]], klass)
 
 
 def test_transport_form_is_conjugation():

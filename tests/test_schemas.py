@@ -21,7 +21,7 @@ from morpheq import cli
 from morpheq.errors import SchemaError
 from morpheq.group_action import deloop_slice
 
-from instance_gen import random_equiv_instance, three_pairs_c2, trivial_action
+from instance_gen import action_doc, random_equiv_instance, three_pairs_c2, trivial_action
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
@@ -68,18 +68,6 @@ def _equiv_doc(e):
     return {"kind": "equiv_instance", "c": _category_doc(e.c), "d": _two_category_doc(e.d), **parts}
 
 
-def _action_doc(action, bound):
-    g = action.group
-    return {
-        "kind": "group_action",
-        "group": {"elements": list(g.elements), "unit": g.unit,
-                  "mul": [[a, b, c] for (a, b), c in g.mul_table.items()]},
-        "carrier": list(action.carrier),
-        "act": [[a, x, y] for (a, x), y in action.act_table.items()],
-        "max_chain_length": bound,
-    }
-
-
 def _rows(m):
     """A matrix as the schemas spell it: real entries as numbers, others as [re, im]."""
     return [[float(x.real) if x.imag == 0 else [float(x.real), float(x.imag)] for x in row] for row in m]
@@ -105,7 +93,7 @@ def _generated():
     return {
         "family": [frame],
         "bridge": [bridge],
-        "group_action": [_action_doc(three_pairs_c2(), 2)],
+        "group_action": [action_doc(three_pairs_c2(), 2)],
         "equiv_instance": [_equiv_doc(slice_.equiv), _equiv_doc(random_equiv_instance(3))],
         "two_category": [{"kind": "two_category", **_two_category_doc(slice_.two_category)}],
         "category": [{"kind": "category", **_category_doc(random_equiv_instance(5).c)}],
