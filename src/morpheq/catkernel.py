@@ -3,10 +3,12 @@
 Everything is stored as explicit finite tables over opaque string
 identifiers, so every axiom instance can be checked exhaustively.
 Composition reads "second after first": the entry for ``(g, f)`` is
-``g . f`` and requires ``cod(f) == dom(g)``.  A category stores it as
-rows ``{g: {f: g . f}}``, the form every law and the witness search
-read; ``compose_table`` is a read-only view of those rows keyed
-``(g, f)``, and tables are given to the constructors in that keying.
+``g . f`` and requires ``cod(f) == dom(g)``.  Every table is stored once,
+as rows keyed by the acting cell (``{g: {f: g . f}}``, ``{b: {a: b . a}}``,
+``{k: {a: k |> a}}`` and ``{k: {a: a <| k}}``), the form every law and the
+witness search read.  The ``*_table`` attributes are read-only views of
+those rows in the keying the constructors take: ``(g, f)``, ``(b, a)``,
+``(k, a)`` and ``(a, k)``.
 
 Validation is eager: the constructors raise :class:`InvalidInstance`
 unless told otherwise, and ``validate()`` returns the full list of
@@ -18,8 +20,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product, repeat
-from operator import itemgetter, ne
+from itertools import chain, compress, product, repeat
+from operator import eq, itemgetter, ne
 
 from .errors import (
     InterchangeViolation,
@@ -111,78 +113,162 @@ def _action_failures(act, groups, outers_of, composite):
     return out
 
 
-def _as_arrows(items):
-    out = []
-    for it in items:
-        if isinstance(it, Arrow):
-            out.append(it)
-        else:
-            i, d, c = it
-            out.append(Arrow(i, d, c))
-    return out
+class RowTable(Mapping):
+    """A read-only view of rows ``{r: {c: value}}``, keyed ``(r, c)`` or, when
+    ``flipped``, ``(c, r)``.
 
-
-class ComposeTable(Mapping):
-    """A read-only view of composition rows as the mapping ``(g, f) -> g . f``.
-
-    Nothing is copied: a lookup reads ``rows[g][f]``.  Iteration walks the
-    rows, or the pairs in the order they were given when that order
-    interleaves rows (``order``), so ``dict(view)`` gives back a table
-    entry for entry and order for order.
+    Nothing is copied: a lookup reads one row.  Iteration walks the rows,
+    or the keys in the order they were given when that order interleaves
+    rows (``order``), so ``dict(view)`` gives back a table entry for entry
+    and order for order.
     """
 
-    __slots__ = ("rows", "_order")
+    __slots__ = ("rows", "flipped", "_order")
 
-    def __init__(self, rows, order=None):
+    def __init__(self, rows, order=None, flipped=False):
         self.rows = rows
+        self.flipped = flipped
         self._order = order
 
+    def key(self, r, c):
+        """The key of the entry ``rows[r][c]``; given a key, its ``(r, c)``."""
+        return (c, r) if self.flipped else (r, c)
+
     def __getitem__(self, key):
-        g, f = key
+        x, y = key
         try:
-            return self.rows[g][f]
+            return self.rows[y][x] if self.flipped else self.rows[x][y]
         except KeyError:
             raise KeyError(key) from None
 
     def __iter__(self):
         if self._order is not None:
             return iter(self._order)
-        return ((g, f) for g, row in self.rows.items() for f in row)
+        if self.flipped:
+            return ((c, r) for r, row in self.rows.items() for c in row)
+        return ((r, c) for r, row in self.rows.items() for c in row)
 
     def __len__(self):
         return sum(map(len, self.rows.values()))
 
 
-def _as_rows(compose):
-    """A ``ComposeTable`` over the rows of ``compose``, which maps ``(g, f)`` to
-    ``g . f`` (or lists such pairs); a ``ComposeTable`` is taken as it is."""
-    if isinstance(compose, ComposeTable):
-        return compose
-    pairs = compose if isinstance(compose, Mapping) else dict(compose)
+def _as_rows(table, flipped=False):
+    """A ``RowTable`` over the rows of ``table``, which maps keys to values (or
+    lists such pairs), keys read as in a view ``flipped`` or not; a
+    ``RowTable`` keyed that way is taken as it is."""
+    if isinstance(table, RowTable) and table.flipped == flipped:
+        return table
+    pairs = table if isinstance(table, Mapping) else dict(table)
     rows = {}
     last = row = None
     interleaved = False
-    for (g, f), h in pairs.items():
-        if row is None or g != last:
-            interleaved = interleaved or g in rows
-            row = rows.setdefault(g, {})
-            last = g
-        row[f] = h
-    return ComposeTable(rows, tuple(pairs) if interleaved else None)
+    for (x, y), v in pairs.items():
+        r, c = (y, x) if flipped else (x, y)
+        if row is None or r != last:
+            interleaved = interleaved or r in rows
+            row = rows.setdefault(r, {})
+            last = r
+        row[c] = v
+    return RowTable(rows, tuple(pairs) if interleaved else None, flipped)
+
+
+def _check_table_refs(table, heads, ids, unknown_head, unknown):
+    """Raise ``UnknownId`` unless every row of ``table`` is keyed in ``heads``
+    and holds only ``ids``.  Each row is tested as a set; only a failing
+    table is walked, in its order, to name the first unknown id with the
+    message ``unknown_head`` or ``unknown`` (formatted with the id)."""
+    rows = table.rows
+    if heads.issuperset(rows) and all(ids.issuperset(r) and ids.issuperset(r.values()) for r in rows.values()):
+        return
+    for key, v in table.items():
+        r, c = table.key(*key)
+        if r not in heads:
+            raise UnknownId(unknown_head.format(r))
+        for x in (c, v):
+            if x not in ids:
+                raise UnknownId(unknown.format(x))
+
+
+def _gate(table, name, need, wanted, bounds, ends, column_rank=None):
+    """The ``-missing``, ``-extra`` and ``-boundary`` faults of a table.
+
+    Row r must hold exactly the columns ``wanted[need[r]]``, for every r of
+    ``need``.  ``bounds`` maps each value to its boundary pair, and
+    ``ends(rows)`` lists the pairs that the values of such rows must have,
+    entry by entry.  Both are tested on whole rows; only a failing test
+    walks the table to name its faults: the missing entries row by row, or
+    column by column in ``column_rank`` order when given, then the extra
+    and off-boundary entries in the order the table was given.
+    """
+    rows = table.rows
+    allowed = {x: set(cs) for x, cs in wanted.items()}
+    empty, none = {}, set()
+    exact = all(map(eq, map(dict.keys, map(rows.get, need, repeat(empty))),
+                    map(allowed.get, need.values(), repeat(none))))
+    fit = rows if exact else {  # the entries whose boundaries ends() can give
+        r: {c: v for c, v in row.items() if c in allowed.get(need[r], none)} for r, row in rows.items()}
+    want, got = ends(fit), [bounds[v] for row in fit.values() for v in row.values()]
+    if exact and want == got:
+        return []
+    off = set(compress(((r, c) for r, row in fit.items() for c in row), map(ne, want, got)))
+    bad = []
+    if not exact:
+        gaps = [(r, c) for r, x in need.items() for c in wanted.get(x, ()) if c not in rows.get(r, empty)]
+        if column_rank is not None:
+            gaps.sort(key=lambda rc: column_rank[rc[1]])
+        bad += [Violation(name + "-missing", "({}, {})".format(*table.key(r, c))) for r, c in gaps]
+    for key, v in table.items():
+        r, c = table.key(*key)
+        if c not in allowed.get(need[r], none):
+            bad.append(Violation(name + "-extra", "({}, {})".format(*key)))
+        elif (r, c) in off:
+            bad.append(Violation(name + "-boundary", "({}, {}) -> {}".format(*key, v)))
+    return bad
+
+
+def _category_laws(rows, unit, source, target, by_source, by_target, code, order):
+    """The unit and associativity failures of a category stored as ``rows``.
+
+    Arrows run from ``source`` to ``target``, ``unit`` maps each object to
+    its identity, and ``by_source`` and ``by_target`` list the arrows by
+    their ends.  Associativity is rows[h . g] = rows[h] o rows[g] on the f
+    into the source of g; its failures are sorted by ``order(h, g, f)`` read
+    at the positions of the arrows.
+    """
+    bad = []
+    for f in source:
+        if rows[unit[target[f]]][f] != f:
+            bad.append(Violation(code + "unit-left", f))
+        if rows[f][unit[source[f]]] != f:
+            bad.append(Violation(code + "unit-right", f))
+    failed = _action_failures(
+        rows, ((by_target[x], gs) for x, gs in by_source.items()),
+        lambda g: by_source.get(target[g], ()), lambda h, g: rows[h][g],
+    )
+    at = _positions(source)
+    return bad + _in_order(
+        (order(at[h], at[g], at[f]), Violation(code + "assoc", f"({h}, {g}, {f})")) for h, g, f in failed
+    )
+
+
+def _composing(source, target):
+    """``ends`` for a composition table: ``r . c`` runs from the source of c to
+    the target of r."""
+    return lambda rows: [(source[c], t) for r, row in rows.items() for t in (target[r],) for c in row]
 
 
 class FiniteCategory:
     """A finite category given by identity and composition tables.
 
     Composition is stored as rows, ``rows[g][f] = g . f``, built from the
-    ``(g, f)``-keyed table given or, for a ``ComposeTable``, taken over
-    without a copy.  ``compose_table`` is a read-only view of the rows that
+    ``(g, f)``-keyed table given or, for a ``RowTable``, taken over without
+    a copy.  ``compose_table`` is the read-only view of the rows that
     iterates in the given order.
     """
 
     def __init__(self, objects, morphisms, identity, compose, *, validate=True):
         self.objects = tuple(objects)
-        arrows = _as_arrows(morphisms)
+        arrows = [a if isinstance(a, Arrow) else Arrow(*a) for a in morphisms]
         self.morphisms = {a.id: a for a in arrows}
         if len(self.morphisms) != len(arrows):
             raise InvalidInstance([Violation("duplicate-id", "repeated morphism id")])
@@ -211,14 +297,8 @@ class FiniteCategory:
             if m not in self.morphisms:
                 raise UnknownId(f"identity of {x!r} is unknown morphism {m!r}")
         ids = set(self.morphisms)
-        if ids.issuperset(self.rows) and all(
-            ids.issuperset(row) and ids.issuperset(row.values()) for row in self.rows.values()
-        ):
-            return
-        for (g, f), h in self.compose_table.items():  # name the first unknown id
-            for m in (g, f, h):
-                if m not in self.morphisms:
-                    raise UnknownId(f"compose table mentions unknown morphism {m!r}")
+        unknown = "compose table mentions unknown morphism {!r}"
+        _check_table_refs(self.compose_table, ids, ids, unknown, unknown)
 
     # -- accessors ----------------------------------------------------
 
@@ -261,9 +341,8 @@ class FiniteCategory:
         """Return every violated category axiom instance (empty iff lawful)."""
         bad = []
         mor = self.morphisms
-        rows = self.rows
-        by_dom = _index(mor, lambda m: mor[m].dom)
-        by_cod = _index(mor, lambda m: mor[m].cod)
+        dom = {m: a.dom for m, a in mor.items()}
+        cod = {m: a.cod for m, a in mor.items()}
         for x in self.objects:
             m = self.identity.get(x)
             if m is None:
@@ -272,45 +351,14 @@ class FiniteCategory:
             a = mor[m]
             if a.dom != x or a.cod != x:
                 bad.append(Violation("identity-boundary", f"id of {x} is {m}: {a.dom}->{a.cod}"))
-        for g in mor.values():
-            row = rows.get(g.id, {})
-            for f in by_cod.get(g.dom, ()):
-                if f not in row:
-                    bad.append(Violation("compose-missing", f"({g.id}, {f})"))
-        # a row g passes when each f in it ends at dom g, and each g . f starts
-        # at dom f and ends at cod g; only a table with a failing row is
-        # walked, in the order it was given, to name its faults
-        dom = {m: a.dom for m, a in mor.items()}
-        cod = {m: a.cod for m, a in mor.items()}
-        if not all(
-            set(map(cod.__getitem__, row)) <= {dom[g]}
-            and set(map(cod.__getitem__, row.values())) <= {cod[g]}
-            and list(map(dom.__getitem__, row)) == list(map(dom.__getitem__, row.values()))
-            for g, row in rows.items()
-        ):
-            for (g, f), h in self.compose_table.items():
-                if cod[f] != dom[g]:
-                    bad.append(Violation("compose-extra", f"({g}, {f})"))
-                elif dom[h] != dom[f] or cod[h] != cod[g]:
-                    bad.append(Violation("compose-boundary", f"({g}, {f}) -> {h}"))
+        # row g holds the f ending at dom g, and g . f runs from dom f to cod g
+        by_dom = _index(mor, dom.__getitem__)
+        by_cod = _index(mor, cod.__getitem__)
+        bounds = {m: (a.dom, a.cod) for m, a in mor.items()}
+        bad += _gate(self.compose_table, "compose", dom, by_cod, bounds, _composing(dom, cod))
         if bad:
             return bad  # unit/assoc checks assume a total, boundary-correct table
-        for f in mor.values():
-            if rows[self.identity[f.cod]][f.id] != f.id:
-                bad.append(Violation("unit-left", f.id))
-            if rows[f.id][self.identity[f.dom]] != f.id:
-                bad.append(Violation("unit-right", f.id))
-        # associativity as rows[h . g] = rows[h] o rows[g] on the f into dom g;
-        # key (f, g, h)
-        failed = _action_failures(
-            rows, ((by_cod[x], gs) for x, gs in by_dom.items()),
-            lambda g: by_dom.get(mor[g].cod, ()), lambda h, g: rows[h][g],
-        )
-        at = _positions(mor)
-        bad += _in_order(
-            ((at[f], at[g], at[h]), Violation("assoc", f"({h}, {g}, {f})")) for h, g, f in failed
-        )
-        return bad
+        return _category_laws(self.rows, self.identity, dom, cod, by_dom, by_cod, "", lambda h, g, f: (f, g, h))
 
     @classmethod
     def from_dict(cls, data, *, validate=True):
@@ -333,6 +381,46 @@ def _built_on_read(name):
     return cached_property(build)
 
 
+# a side's name, and the ends of k and of the 1-cells of a that meet in k |> a or a <| k
+_SIDES = {False: ("whisker-left", "dom", "cod"), True: ("whisker-right", "cod", "dom")}
+
+
+class _Side:
+    """Whiskering on one side of a ``Finite2Category``, read as the left side.
+
+    Whiskering on the right is whiskering on the left in the 2-category
+    with its 1-cells reversed: ``dom`` and ``cod`` swap and k after f is
+    f . k, so one code path checks both sides.  ``rows[k][a]`` is a
+    whiskered by k, ``by_dom`` lists the 1-cells by ``dom``, and
+    ``ending_at`` the 2-cells by the object where their 1-cells end, both
+    on this reading.
+    """
+
+    def __init__(self, d, right, dom, cod, by_dom, ending_at, bounds):
+        self.right = right
+        self.name = _SIDES[right][0]
+        self.table = d.wr_table if right else d.wl_table
+        self.rows = self.table.rows
+        self._composites = d.skeleton.rows
+        self._bounds = bounds
+        self.dom, self.cod, self.by_dom, self.ending_at = dom, cod, by_dom, ending_at
+
+    def of(self, k, f):
+        """k after f on this side: ``k . f``, or ``f . k`` on the right."""
+        return self._composites[f][k] if self.right else self._composites[k][f]
+
+    def ends(self, rows):
+        """The boundary pair of each 2-cell of ``rows`` whiskered by its row's 1-cell."""
+        comp, bounds = self._composites, self._bounds
+        if self.right:
+            return [(comp[f][k], comp[g][k]) for k, row in rows.items() for f, g in map(bounds.__getitem__, row)]
+        return [(ck[f], ck[g]) for k, row in rows.items() for ck in (comp[k],) for f, g in map(bounds.__getitem__, row)]
+
+    def show(self, *terms):
+        """The ids of an instance, in the order this side writes them."""
+        return "(" + ", ".join(reversed(terms) if self.right else terms) + ")"
+
+
 class Finite2Category:
     """A finite strict 2-category over explicit whiskering and vcomp tables.
 
@@ -350,25 +438,14 @@ class Finite2Category:
     The vcomp and whiskering tables are given either as three mappings or,
     through ``tables``, as one zero-argument callable returning the three;
     the callable runs the first time one of them is read (``validate()``,
-    ``vcomp``, ``whisker_*``, ``hcomp`` or the table attributes).  The
+    ``vcomp``, ``whisker_*``, ``hcomp`` or the table attributes).  Either
+    way they are stored as rows keyed by the acting cell, once, and
+    ``vcomp_table``, ``wl_table`` and ``wr_table`` are views of them.  The
     cells, the skeleton and the boundary index are always built eagerly.
     """
 
-    def __init__(
-        self,
-        objects,
-        one_cells,
-        identity,
-        compose,
-        two_cells,
-        identity2,
-        vcomp=None,
-        whisker_left=None,
-        whisker_right=None,
-        *,
-        tables=None,
-        validate=True,
-    ):
+    def __init__(self, objects, one_cells, identity, compose, two_cells, identity2,
+                 vcomp=None, whisker_left=None, whisker_right=None, *, tables=None, validate=True):
         self.skeleton = FiniteCategory(objects, one_cells, identity, compose, validate=False)
         cells = [c if isinstance(c, Cell) else Cell(*c) for c in two_cells]
         self.two_cells = {c.id: c for c in cells}
@@ -408,26 +485,16 @@ class Finite2Category:
     def _fill_tables(self, vcomp, whisker_left, whisker_right):
         # plain instance attributes: once set, the cached properties are
         # never consulted again, so a read costs an attribute lookup
-        self.vcomp_table = dict(vcomp)
-        self.wl_table = dict(whisker_left)
-        self.wr_table = dict(whisker_right)
+        self.vcomp_table = _as_rows(vcomp)
+        self.wl_table = _as_rows(whisker_left)
+        self.wr_table = _as_rows(whisker_right, flipped=True)
         self._tables = None  # frees the builder and what it holds
-        ones = self.skeleton.morphisms
-        twos = self.two_cells
-        for (b, a), r in self.vcomp_table.items():
-            for cid in (b, a, r):
-                if cid not in twos:
-                    raise UnknownId(f"vcomp table mentions unknown 2-cell {cid!r}")
-        for (k, a), r in self.wl_table.items():
-            if k not in ones:
-                raise UnknownId(f"whisker-left mentions unknown 1-cell {k!r}")
-            if a not in twos or r not in twos:
-                raise UnknownId("whisker-left mentions unknown 2-cell")
-        for (a, k), r in self.wr_table.items():
-            if k not in ones:
-                raise UnknownId(f"whisker-right mentions unknown 1-cell {k!r}")
-            if a not in twos or r not in twos:
-                raise UnknownId("whisker-right mentions unknown 2-cell")
+        ones, twos = set(self.skeleton.morphisms), set(self.two_cells)
+        unknown = "vcomp table mentions unknown 2-cell {!r}"
+        _check_table_refs(self.vcomp_table, twos, twos, unknown, unknown)
+        for name, table in (("whisker-left", self.wl_table), ("whisker-right", self.wr_table)):
+            _check_table_refs(table, ones, twos, name + " mentions unknown 1-cell {!r}",
+                              name + " mentions unknown 2-cell")
 
     vcomp_table = _built_on_read("vcomp_table")
     wl_table = _built_on_read("wl_table")
@@ -471,7 +538,7 @@ class Finite2Category:
     def vcomp(self, b, a):
         """Vertical composite b . a (b after a)."""
         try:
-            return self.vcomp_table[(b, a)]
+            return self.vcomp_table.rows[b][a]
         except KeyError:
             pass
         ca, cb = self.cell(a), self.cell(b)
@@ -481,27 +548,22 @@ class Finite2Category:
 
     def whisker_left(self, k, a):
         """Whisker the 2-cell a on the left by the 1-cell k."""
-        try:
-            return self.wl_table[(k, a)]
-        except KeyError:
-            pass
-        ka = self.skeleton.arrow(k)
-        ca = self.cell(a)
-        if ka.dom != self.skeleton.cod(ca.src):
-            raise NotComposable(f"dom({k!r}) != cod(src({a!r}))")
-        raise InvalidInstance([Violation("whisker-left-missing", f"({k}, {a})")])
+        return self._whisker(False, k, a)
 
     def whisker_right(self, a, k):
         """Whisker the 2-cell a on the right by the 1-cell k."""
+        return self._whisker(True, k, a)
+
+    def _whisker(self, right, k, a):
+        table = self.wr_table if right else self.wl_table
         try:
-            return self.wr_table[(a, k)]
+            return table.rows[k][a]
         except KeyError:
             pass
-        ka = self.skeleton.arrow(k)
-        ca = self.cell(a)
-        if ka.cod != self.skeleton.dom(ca.src):
-            raise NotComposable(f"cod({k!r}) != dom(src({a!r}))")
-        raise InvalidInstance([Violation("whisker-right-missing", f"({a}, {k})")])
+        name, near, far = _SIDES[right]
+        if getattr(self.skeleton.arrow(k), near) != getattr(self.skeleton.arrow(self.cell(a).src), far):
+            raise NotComposable(f"{near}({k!r}) != {far}(src({a!r}))")
+        raise InvalidInstance([Violation(name + "-missing", "({}, {})".format(*table.key(k, a)))])
 
     def hcomp(self, b, a):
         """Horizontal composite b * a, derived from the two whiskering orders.
@@ -523,16 +585,7 @@ class Finite2Category:
         bad = [Violation("one:" + v.code, v.detail) for v in self.skeleton.validate()]
         if bad:
             return bad  # the 2-cell layer assumes a lawful 1-skeleton
-        ones = self.skeleton.morphisms
-        rows = self.skeleton.rows
-        twos = self.two_cells
-        id2 = self.identity2
-        vtab, wl, wr = self.vcomp_table, self.wl_table, self.wr_table
-        by_dom = _index(ones, lambda k: ones[k].dom)
-        by_cod = _index(ones, lambda k: ones[k].cod)
-        cells_from = _index(twos, lambda c: twos[c].src)
-        cells_to = _index(twos, lambda c: twos[c].tgt)
-
+        ones, twos, id2 = self.skeleton.morphisms, self.two_cells, self.identity2
         for c in twos.values():
             fa, ga = ones[c.src], ones[c.tgt]
             if fa.dom != ga.dom or fa.cod != ga.cod:
@@ -546,117 +599,59 @@ class Finite2Category:
         if bad:
             return bad
 
-        for b in twos.values():
-            for a in cells_to.get(b.src, ()):
-                if (b.id, a) not in vtab:
-                    bad.append(Violation("vcomp-missing", f"({b.id}, {a})"))
-        for (b, a), r in vtab.items():
-            if twos[a].tgt != twos[b].src:
-                bad.append(Violation("vcomp-extra", f"({b}, {a})"))
-            elif twos[r].src != twos[a].src or twos[r].tgt != twos[b].tgt:
-                bad.append(Violation("vcomp-boundary", f"({b}, {a}) -> {r}"))
-
-        for a in twos.values():
-            for k in by_dom.get(ones[a.src].cod, ()):
-                if (k, a.id) not in wl:
-                    bad.append(Violation("whisker-left-missing", f"({k}, {a.id})"))
-        for (k, a), r in wl.items():
-            if ones[k].dom != ones[twos[a].src].cod:
-                bad.append(Violation("whisker-left-extra", f"({k}, {a})"))
-                continue
-            want_src = rows[k][twos[a].src]
-            want_tgt = rows[k][twos[a].tgt]
-            if twos[r].src != want_src or twos[r].tgt != want_tgt:
-                bad.append(Violation("whisker-left-boundary", f"({k}, {a}) -> {r}"))
-
-        for a in twos.values():
-            for k in by_cod.get(ones[a.src].dom, ()):
-                if (a.id, k) not in wr:
-                    bad.append(Violation("whisker-right-missing", f"({a.id}, {k})"))
-        for (a, k), r in wr.items():
-            if ones[k].cod != ones[twos[a].src].dom:
-                bad.append(Violation("whisker-right-extra", f"({a}, {k})"))
-                continue
-            want_src = rows[twos[a].src][k]
-            want_tgt = rows[twos[a].tgt][k]
-            if twos[r].src != want_src or twos[r].tgt != want_tgt:
-                bad.append(Violation("whisker-right-boundary", f"({a}, {k}) -> {r}"))
+        # every table is read as rows keyed by the acting cell: vrow[b] is
+        # a |-> b . a, and side.rows[k] is a |-> k |> a or a |-> a <| k
+        dom = {k: a.dom for k, a in ones.items()}
+        cod = {k: a.cod for k, a in ones.items()}
+        src = {c: x.src for c, x in twos.items()}
+        tgt = {c: x.tgt for c, x in twos.items()}
+        bounds = {c: (x.src, x.tgt) for c, x in twos.items()}
+        at1, at2 = _positions(ones), _positions(twos)
+        by_dom, by_cod = _index(ones, dom.__getitem__), _index(ones, cod.__getitem__)
+        cells_from, cells_to, by_hom, starting_at, ending_at = {}, {}, {}, {}, {}
+        for c, (f, g) in bounds.items():
+            cells_from.setdefault(f, []).append(c)
+            cells_to.setdefault(g, []).append(c)
+            by_hom.setdefault((dom[f], cod[f]), []).append(c)
+            starting_at.setdefault(dom[f], []).append(c)
+            ending_at.setdefault(cod[f], []).append(c)
+        vrow = self.vcomp_table.rows
+        left = _Side(self, False, dom, cod, by_dom, ending_at, bounds)
+        right = _Side(self, True, cod, dom, by_cod, starting_at, bounds)
+        sides = (left, right)
+        bad += _gate(self.vcomp_table, "vcomp", src, cells_to, bounds, _composing(src, tgt))
+        for side in sides:
+            bad += _gate(side.table, side.name, side.dom, side.ending_at, bounds, side.ends, at2)
         if bad:
             return bad
 
         # The tables are now total where the laws read them, and every 1-cell
         # and object has an identity cell, so no index list below is empty.
-        # Each law is an equation between rows: vrow[b] is a |-> b.a,
-        # wlrow[k] is a |-> k|>a and wrrow[k] is a |-> a<|k.  The failures of
-        # a stage are sorted by the key named at it, the order of a loop over
-        # its instances.
-        vrow = {b: {} for b in twos}
-        for (b, a), r in vtab.items():
-            vrow[b][a] = r
-        wlrow = {k: {} for k in ones}
-        for (k, a), r in wl.items():
-            wlrow[k][a] = r
-        wrrow = {k: {} for k in ones}
-        for (a, k), r in wr.items():
-            wrrow[k][a] = r
-        at1, at2 = _positions(ones), _positions(twos)
-        by_hom, cells_starting_at, cells_ending_at = {}, {}, {}
-        for c in twos.values():
-            f = ones[c.src]
-            by_hom.setdefault((f.dom, f.cod), []).append(c.id)
-            cells_starting_at.setdefault(f.dom, []).append(c.id)
-            cells_ending_at.setdefault(f.cod, []).append(c.id)
+        # Each law is an equation between rows.  The failures of a stage are
+        # sorted by the key named at it, the order of a loop over its
+        # instances.
+        bad += _category_laws(vrow, id2, src, tgt, cells_from, cells_to, "vcomp-", lambda c, b, a: (b, a, c))
 
-        for a in twos.values():
-            if vtab[(id2[a.tgt], a.id)] != a.id:
-                bad.append(Violation("vcomp-unit-left", a.id))
-            if vtab[(a.id, id2[a.src])] != a.id:
-                bad.append(Violation("vcomp-unit-right", a.id))
-        # V(c . b) = V(c) o V(b) on the a into src(b); key (b, a, c)
-        failed = _action_failures(
-            vrow, ((cells_to[f], bs) for f, bs in cells_from.items()),
-            lambda b: cells_from.get(twos[b].tgt, ()), lambda c, b: vrow[c][b],
-        )
-        bad += _in_order(
-            ((at2[b], at2[a], at2[c]), Violation("vcomp-assoc", f"({c}, {b}, {a})")) for c, b, a in failed
-        )
-
-        for a in twos.values():
-            idc = self.skeleton.identity[ones[a.src].cod]
-            if wl[(idc, a.id)] != a.id:
-                bad.append(Violation("whisker-left-unit", a.id))
-            idd = self.skeleton.identity[ones[a.src].dom]
-            if wr[(a.id, idd)] != a.id:
-                bad.append(Violation("whisker-right-unit", a.id))
+        identity = self.skeleton.identity
+        for a in twos:
+            for side in sides:
+                if side.rows[identity[side.cod[src[a]]]][a] != a:
+                    bad.append(Violation(side.name + "-unit", a))
         # whiskering keeps identities; key (position in identity2, k, side)
-        found = []
-        for i, (f, a) in enumerate(id2.items()):
-            fa = ones[f]
-            for k in by_dom.get(fa.cod, ()):
-                if wlrow[k][a] != id2[rows[k][f]]:
-                    found.append(((i, at1[k], 0), Violation("whisker-left-id2", f"({k}, {f})")))
-            for k in by_cod.get(fa.dom, ()):
-                if wrrow[k][a] != id2[rows[f][k]]:
-                    found.append(((i, at1[k], 1), Violation("whisker-right-id2", f"({f}, {k})")))
-        bad += _in_order(found)
+        bad += _in_order(
+            ((i, at1[k], side.right), Violation(side.name + "-id2", side.show(k, f)))
+            for i, (f, a) in enumerate(id2.items()) for side in sides
+            for k in side.by_dom.get(side.cod[f], ()) if side.rows[k][a] != id2[side.of(k, f)]
+        )
         # W(k1 . k2) = W(k1) o W(k2); key (a, side, k2, k1)
-        failed_left = _action_failures(
-            wlrow, ((cells_ending_at[y], ks) for y, ks in by_dom.items()),
-            lambda k2: by_dom.get(ones[k2].cod, ()), lambda k1, k2: rows[k1][k2],
+        bad += _in_order(
+            ((at2[a], side.right, at1[k2], at1[k1]), Violation(side.name + "-functorial", side.show(k1, k2, a)))
+            for side in sides
+            for k1, k2, a in _action_failures(
+                side.rows, ((side.ending_at[y], ks) for y, ks in side.by_dom.items()),
+                lambda k2: side.by_dom.get(side.cod[k2], ()), side.of,
+            )
         )
-        failed_right = _action_failures(
-            wrrow, ((cells_starting_at[y], ks) for y, ks in by_cod.items()),
-            lambda k2: by_cod.get(ones[k2].dom, ()), lambda k1, k2: rows[k2][k1],
-        )
-        found = [
-            ((at2[a], 0, at1[k2], at1[k1]), Violation("whisker-left-functorial", f"({k1}, {k2}, {a})"))
-            for k1, k2, a in failed_left
-        ]
-        found += [
-            ((at2[a], 1, at1[k2], at1[k1]), Violation("whisker-right-functorial", f"({a}, {k2}, {k1})"))
-            for k1, k2, a in failed_right
-        ]
-        bad += _in_order(found)
         if bad:
             return bad
 
@@ -665,8 +660,8 @@ class Finite2Category:
         found = []
         for g, cells in cells_to.items():
             at_cells = _gather(cells)
-            sides = ((0, wlrow, by_dom.get(ones[g].cod, ())), (1, wrrow, by_cod.get(ones[g].dom, ())))
-            whiskers = [(side, k, w[k], _gather(at_cells(w[k]))) for side, w, ks in sides for k in ks]
+            whiskers = [(side, k, side.rows[k], _gather(at_cells(side.rows[k])))
+                        for side in sides for k in side.by_dom.get(side.cod[g], ())]
             for b in cells_from.get(g, ()):
                 at_bcells = _gather(at_cells(vrow[b]))
                 for side, k, wk, at_kcells in whiskers:
@@ -674,13 +669,13 @@ class Finite2Category:
                     rhs = at_kcells(vrow[wk[b]])
                     if lhs != rhs:
                         found += [
-                            ((at2[b], at2[a], side, at1[k]),
-                             Violation("whisker-left-vcomp", f"({k}, {b}, {a})") if side == 0
-                             else Violation("whisker-right-vcomp", f"({b}, {a}, {k})"))
+                            ((at2[b], at2[a], side.right, at1[k]),
+                             Violation(side.name + "-vcomp", side.show(k, f"{b}, {a}")))
                             for a, x, y in zip(cells, lhs, rhs) if x != y
                         ]
         bad += _in_order(found)
         # WR_j o WL_k = WL_k o WR_j on each hom-set of 2-cells; key (a, j, k)
+        wlrow, wrrow = left.rows, right.rows
         found = []
         for (x, y), cells in by_hom.items():
             at_cells = _gather(cells)
@@ -714,8 +709,8 @@ class Finite2Category:
             return _pairwise(vrow, tgt_a, b_src), _pairwise(vrow, b_tgt, src_a)
 
         found = []
-        for y, bs in cells_starting_at.items():
-            cells = cells_ending_at[y]
+        for y, bs in starting_at.items():
+            cells = ending_at[y]
             if any(map(ne, *orders(bs, cells))):
                 found += [
                     ((at2[b], at2[a]), Violation("interchange-orders", f"({b}, {a})"))

@@ -3,8 +3,9 @@
 Every invocation reads one JSON instance file, dispatches on a verb, and
 emits a deterministic report (text or JSON).  Exit codes: 0 when the
 verdict is true/valid, 1 when it is false, 2 on input errors (unparsable
-files, schema violations, or instances that fail their preconditions),
-3 when the run stopped on an unexpected exception (an internal error).
+files, schema violations, instances that fail their preconditions, bad
+flag values, or an ``--out`` file that cannot be written), 3 when the
+run stopped on an unexpected exception (an internal error).
 
 Instance files carry a ``kind`` field matched against a shipped JSON
 schema; run ``morpheq --help`` for the verb list and see the schemas
@@ -96,6 +97,8 @@ class RunConfig:
         for tol in (self.tol_rank, self.tol_psd):
             if not math.isfinite(tol) or tol <= 0:
                 raise ValueError("tolerances must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
 
 # ---------------------------------------------------------------- loading
@@ -475,14 +478,6 @@ def _dispatch(cfg: RunConfig):
     return _run_bridge(doc, cfg)
 
 
-def _emit(text, cfg):
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="morpheq",
@@ -512,13 +507,20 @@ def main(argv=None) -> int:
     try:
         code, body = _dispatch(cfg)
     except MorpheqError as exc:
-        _emit(_render({**base, "error": {"type": type(exc).__name__, "message": str(exc)}},
-                      cfg.format), cfg)
-        return 2
+        code, body = 2, {"error": {"type": type(exc).__name__, "message": str(exc)}}
     except Exception as exc:  # a crash must not read as the answer "no"
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 3
-    _emit(_render({**base, **body}, cfg.format), cfg)
+    text = _render({**base, **body}, cfg.format)
+    if not cfg.out:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(cfg.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:  # nor may a report that was never written
+        sys.stderr.write(f"error: cannot write {cfg.out}: {exc.strerror or exc}\n")
+        return 2
     return code
 
 

@@ -11,15 +11,15 @@ be empty.
 
 The delooping itself is infinite; :func:`deloop_slice` builds the finite
 sub-2-category of chains of length <= max_chain_length + 1.  Its 1-cells,
-2-cells and composition rows are built with the slice; the vertical
-composition and whiskering tables, which the witness search never reads,
-are built the first time something reads them (``validate()``,
-``vcomp``, ``whisker_*``, ``hcomp``, the transitivity witnesses).  To
-keep every table total on boundary-compatible pairs, concatenations that
-would exceed the length bound are collapsed onto a single absorbing
-1-cell (id ``!overflow``) whose only 2-cell is its identity.  The
-absorbing cell can never bound a transporter 2-cell, so verdicts agree
-with the unbounded delooping for every bound.
+2-cells and composition rows are built with the slice; the rows of the
+vertical composition and whiskering tables, which the witness search
+never reads, are written the first time something reads them
+(``validate()``, ``vcomp``, ``whisker_*``, ``hcomp``, the transitivity
+witnesses).  To keep every table total on boundary-compatible pairs,
+concatenations that would exceed the length bound are collapsed onto a
+single absorbing 1-cell (id ``!overflow``) whose only 2-cell is its
+identity.  The absorbing cell can never bound a transporter 2-cell, so
+verdicts agree with the unbounded delooping for every bound.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .catkernel import Cell, ComposeTable, Finite2Category, FunctorData, MorphismFunction, Violation
+from .catkernel import Cell, Finite2Category, FunctorData, MorphismFunction, RowTable, Violation
 from .equivalence import EquivData, are_equivalent
 from .errors import InvalidInstance, InvalidParameter, UnknownElement
 
@@ -219,10 +219,10 @@ def _cell_id(src_id, tgt_id, labels):
 class DeloopedSlice:
     """The bounded delooping plus its identity parameter bundle.
 
-    Composition is built as rows, ``{g: {f: g . f}}``, by index arithmetic
-    and handed to the category without a copy, so its ``compose_table`` is
-    a view of them; the vcomp and whiskering tables are built on first
-    read.
+    Composition is built as rows, ``{g: {f: g . f}}``, by index arithmetic;
+    the vcomp and whiskering rows are written on first read.  Every table
+    is handed to the category as a ``RowTable`` without a copy, so its
+    ``*_table`` attributes are views of these rows.
     """
 
     def __init__(self, action: GroupAction, max_chain_length: int):
@@ -282,38 +282,38 @@ class DeloopedSlice:
         id2[OVERFLOW] = over_id2
 
         def tables():
-            cells_from = {}
+            # rows keyed by the acting cell: v[b][a] = b . a, and wl[k][a] =
+            # k |> a and wr[k][a] = a <| k relabel the letters of k by the unit
+            cells_to = {}
+            by_length = {}
             for (src, tgt, labels), cid in cell_ids.items():
-                cells_from.setdefault(src, []).append((tgt, labels, cid))
-            vcomp = {}
-            for (src, mid, l1), aid in cell_ids.items():
-                for tgt, l2, bid in cells_from[mid]:
-                    labels = tuple(mul[(b, a)] for b, a in zip(l2, l1))
-                    vcomp[(bid, aid)] = cell_ids[(src, tgt, labels)]
-            vcomp[(over_id2, over_id2)] = over_id2
+                cells_to.setdefault(tgt, []).append((src, labels, cid))
+                by_length.setdefault(len(src), []).append((src, tgt, labels, cid))
+            v = {
+                bid: {aid: cell_ids[(src, tgt, tuple(map(mul.__getitem__, zip(l2, l1))))]
+                      for src, l1, aid in cells_to[mid]}
+                for (mid, tgt, l2), bid in cell_ids.items()
+            }
+            v[over_id2] = {over_id2: over_id2}
 
+            # cells too long to take k on go to the overflow cell; rows are
+            # only read, so both sides share the overflow cell's own row
+            over_row = dict.fromkeys([c.id for c in cells], over_id2)
             wl = {}
             wr = {}
-            unit_labels = {n: (unit,) * n for n in range(bound + 1)}
-            for (src, tgt, labels), cid in cell_ids.items():
-                n = len(src)
-                for k in words:
-                    if len(k) + n <= bound:
-                        ks, kt = k + src, k + tgt
-                        wl[(wid[k], cid)] = cell_ids[(ks, kt, unit_labels[len(k)] + labels)]
-                        wr[(cid, wid[k])] = cell_ids[(src + k, tgt + k, labels + unit_labels[len(k)])]
-                    else:
-                        wl[(wid[k], cid)] = over_id2
-                        wr[(cid, wid[k])] = over_id2
-                wl[(OVERFLOW, cid)] = over_id2
-                wr[(cid, OVERFLOW)] = over_id2
-            for m in ids:
-                wl[(m, over_id2)] = over_id2
-                wr[(over_id2, m)] = over_id2
-            return vcomp, wl, wr
+            for k in words:
+                pad = (unit,) * len(k)
+                left = wl[wid[k]] = over_row.copy()
+                right = wr[wid[k]] = over_row.copy()
+                for n in range(bound + 1 - len(k)):
+                    for src, tgt, labels, cid in by_length[n]:
+                        left[cid] = cell_ids[(k + src, k + tgt, pad + labels)]
+                        right[cid] = cell_ids[(src + k, tgt + k, labels + pad)]
+            wl[OVERFLOW] = wr[OVERFLOW] = over_row
+            return RowTable(v), RowTable(wl), RowTable(wr, flipped=True)
 
         self.two_category = Finite2Category(
-            [obj], one_cells, {obj: wid[()]}, ComposeTable(rows), cells, id2,
+            [obj], one_cells, {obj: wid[()]}, RowTable(rows), cells, id2,
             tables=tables, validate=False,
         )
         self.category = self.two_category.skeleton

@@ -455,6 +455,42 @@ def test_tampered_multi_object_report_is_pinned():
     ]
 
 
+def test_two_cell_reports_keep_the_order_of_tables_that_interleave_rows():
+    # Each table is given cell by cell, so its entries interleave the rows
+    # of the acting cells, with an extra pair and two rerouted entries.  In
+    # every table the first reroute lies in a row that starts later than
+    # the row of the second, so a walk row by row would name them the other
+    # way round.  The oracles read the same views and cannot see this.
+    d = walking_pair_two_cat()
+    vcomp, wl, wr = dict(d.vcomp_table), dict(d.wl_table), dict(d.wr_table)
+    vcomp[("ia", "ab")] = "ia"  # src(ia) is not tgt(ab)
+    vcomp[("ab", "ba")] = "im"  # ab . ba runs mt => mt
+    vcomp[("ba", "imt")] = "ab"  # ba . imt runs mt => m
+    wl[("idA", "ab")] = "ia"  # dom(idA) is not cod(m)
+    wl[("m", "ia")] = "imt"  # m |> ia runs m => m
+    wl[("idB", "im")] = "ab"
+    wr[("ab", "idB")] = "ia"  # cod(idB) is not dom(m)
+    wr[("ib", "m")] = "imt"  # ib <| m runs m => m
+    wr[("im", "idA")] = "ab"
+    by_cell = [dict(sorted(vcomp.items(), key=lambda e: e[0][::-1])),
+               dict(sorted(wl.items(), key=lambda e: e[0][::-1])),
+               dict(sorted(wr.items()))]
+    broken = Finite2Category(*_two_cat_parts(d), *by_cell, validate=False)
+    assert [(v.code, v.detail) for v in broken.validate()] == [
+        ("vcomp-extra", "(ia, ab)"),
+        ("vcomp-boundary", "(ab, ba) -> im"),
+        ("vcomp-boundary", "(ba, imt) -> ab"),
+        ("whisker-left-extra", "(idA, ab)"),
+        ("whisker-left-boundary", "(m, ia) -> imt"),
+        ("whisker-left-boundary", "(idB, im) -> ab"),
+        ("whisker-right-extra", "(ab, idB)"),
+        ("whisker-right-boundary", "(ib, m) -> imt"),
+        ("whisker-right-boundary", "(im, idA) -> ab"),
+    ]
+    assert [list(t) for t in (broken.vcomp_table, broken.wl_table, broken.wr_table)] == list(map(list, by_cell))
+    assert dict(broken.wr_table) == by_cell[2]
+
+
 def test_random_thin_instances_validate_clean():
     for seed in range(25):
         e = random_equiv_instance(seed)

@@ -468,6 +468,30 @@ def test_non_finite_tolerance_exits_two(capsys, flag, value):
     assert captured.err == "error: tolerances must be positive and finite\n"
 
 
+def test_negative_seed_exits_two(capsys):
+    # numpy's generator refuses a negative seed, which surfaced as exit 3
+    code = cli.main(["--input", str(INSTANCES / "bridge_demo.json"), "--verb", "bridge", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: seed must be a non-negative integer\n"
+
+
+@pytest.mark.parametrize("instance, verb", [
+    ("arrow_equiv.json", "equiv"),  # a yes
+    ("mercedes.json", "equiv"),  # an error report: the verb does not take a family
+])
+def test_unwritable_out_exits_two(capsys, tmp_path, instance, verb):
+    # a report that was never written must not read as a verdict
+    out = tmp_path / "missing" / "out.txt"
+    code = cli.main(["--input", str(INSTANCES / instance), "--verb", verb, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+    assert not out.parent.exists()
+
+
 def test_unknown_verb_rejected_by_parser():
     proc = run_cli("--input", str(INSTANCES / "mercedes.json"), "--verb", "spectra")
     assert proc.returncode == 2
