@@ -12,7 +12,9 @@ those rows in the keying the constructors take: ``(g, f)``, ``(b, a)``,
 
 Validation is eager: the constructors raise :class:`InvalidInstance`
 unless told otherwise, and ``validate()`` returns the full list of
-violated axiom instances as data for reporting.
+violated axiom instances as data for reporting.  Each cubic law is first
+checked on a generating set (Light's test; Clifford and Preston, 1961,
+§1.2), and in full only when that check fails, to name every instance.
 """
 
 from __future__ import annotations
@@ -88,6 +90,47 @@ def _positions(ids):
 def _in_order(found):
     """The violations of ``(key, Violation)`` pairs, sorted by key."""
     return [v for _, v in sorted(found, key=itemgetter(0))]
+
+
+def _generators(rows, source, target, units):
+    """The set of arrows picked, in the order of ``source``, unless a unit or
+    already a composite of earlier picks, in the category stored as rows
+    ``rows[g][f] = g . f``.  The composites are closed under composing with
+    a pick on the left, so every arrow is a unit, a pick, or p . y for a
+    pick p and an arrow y that entered that closure before it.
+    """
+    units = set(units)
+    picks, made = {}, set()  # picks by source, and the composites so far
+    for f in source:
+        if f in units or f in made:
+            continue
+        picks.setdefault(source[f], []).append(f)
+        todo = [f] + [v for x, v in rows[f].items() if x in made]
+        while todo:
+            y = todo.pop()
+            if y not in made:
+                made.add(y)
+                todo += [rows[p][y] for p in picks.get(target[y], ())]
+    return set(chain.from_iterable(picks.values()))
+
+
+def _sift(xs, keep):
+    """The xs in ``keep``, in order, or all of them when ``keep`` is None."""
+    return xs if keep is None else [x for x in xs if x in keep]
+
+
+def _proven(stage, premises, *gens):
+    """The failures of the law ``stage(*keeps)`` checks at the cells kept (a
+    set each, or None for all), by Light's test (A. H. Clifford and G. B.
+    Preston, *The Algebraic Theory of Semigroups* I, 1961, §1.2): given
+    ``premises``, the cells where the law holds contain the units and are
+    closed under composition (each stage's docstring proves it), so if it
+    holds at the generators ``gens`` it holds everywhere.  Otherwise the
+    law is checked in full, to name every failing instance.
+    """
+    if premises and not stage(*gens):
+        return []
+    return stage(*(None,) * len(gens))
 
 
 def _action_failures(act, groups, outers_of, composite):
@@ -226,14 +269,14 @@ def _gate(table, name, need, wanted, bounds, ends, column_rank=None):
     return bad
 
 
-def _category_laws(rows, unit, source, target, by_source, by_target, code, order):
+def _category_laws(rows, unit, source, target, by_source, by_target, code, order, gens):
     """The unit and associativity failures of a category stored as ``rows``.
 
     Arrows run from ``source`` to ``target``, ``unit`` maps each object to
-    its identity, and ``by_source`` and ``by_target`` list the arrows by
-    their ends.  Associativity is rows[h . g] = rows[h] o rows[g] on the f
-    into the source of g; its failures are sorted by ``order(h, g, f)`` read
-    at the positions of the arrows.
+    its identity, ``by_source`` and ``by_target`` list the arrows by their
+    ends, and ``gens`` generates them.  Associativity is rows[h . g] =
+    rows[h] o rows[g] on the f into the source of g; its failures are
+    sorted by ``order(h, g, f)`` read at the positions of the arrows.
     """
     bad = []
     for f in source:
@@ -241,10 +284,18 @@ def _category_laws(rows, unit, source, target, by_source, by_target, code, order
             bad.append(Violation(code + "unit-left", f))
         if rows[f][unit[source[f]]] != f:
             bad.append(Violation(code + "unit-right", f))
-    failed = _action_failures(
-        rows, ((by_target[x], gs) for x, gs in by_source.items()),
-        lambda g: by_source.get(target[g], ()), lambda h, g: rows[h][g],
-    )
+
+    def assoc(keep):
+        """Associativity at the middle arrows g kept.  Given the unit laws it
+        holds at units, and at g1 . g2 if at g1 and g2:
+        (h (g1 g2)) f = ((h g1) g2) f = (h g1)(g2 f) = h (g1 (g2 f)) = h ((g1 g2) f).
+        """
+        return _action_failures(
+            rows, ((by_target[x], _sift(gs, keep)) for x, gs in by_source.items()),
+            lambda g: by_source.get(target[g], ()), lambda h, g: rows[h][g],
+        )
+
+    failed = _proven(assoc, not bad, gens)
     at = _positions(source)
     return bad + _in_order(
         (order(at[h], at[g], at[f]), Violation(code + "assoc", f"({h}, {g}, {f})")) for h, g, f in failed
@@ -358,7 +409,8 @@ class FiniteCategory:
         bad += _gate(self.compose_table, "compose", dom, by_cod, bounds, _composing(dom, cod))
         if bad:
             return bad  # unit/assoc checks assume a total, boundary-correct table
-        return _category_laws(self.rows, self.identity, dom, cod, by_dom, by_cod, "", lambda h, g, f: (f, g, h))
+        gens = _generators(self.rows, dom, cod, self.identity.values())
+        return _category_laws(self.rows, self.identity, dom, cod, by_dom, by_cod, "", lambda h, g, f: (f, g, h), gens)
 
     @classmethod
     def from_dict(cls, data, *, validate=True):
@@ -433,7 +485,13 @@ class Finite2Category:
     a sesquicategory is a strict 2-category (R. Street, "Categorical
     structures", Handbook of Algebra 1, 1996; J. G. Stell, "Modelling term
     rewriting systems by sesqui-categories", 1994), so the middle-four
-    exchange holds as a theorem and is not checked apart.
+    exchange holds as a theorem and is not checked apart.  Each cubic law is
+    checked first at generators of the 1-skeleton and of vcomp (Light's
+    test, Clifford and Preston 1961, §1.2), once the laws its proof uses
+    hold: the unit laws for associativity and functoriality, functoriality
+    and vcomp associativity for whiskering keeping vcomp, functoriality on
+    both sides for their commuting, and whiskering keeping vcomp, the id2
+    and the unit laws for interchange.
 
     The vcomp and whiskering tables are given either as three mappings or,
     through ``tables``, as one zero-argument callable returning the three;
@@ -625,73 +683,104 @@ class Finite2Category:
         if bad:
             return bad
 
-        # The tables are now total where the laws read them, and every 1-cell
-        # and object has an identity cell, so no index list below is empty.
-        # Each law is an equation between rows.  The failures of a stage are
-        # sorted by the key named at it, the order of a loop over its
-        # instances.
-        bad += _category_laws(vrow, id2, src, tgt, cells_from, cells_to, "vcomp-", lambda c, b, a: (b, a, c))
-
+        # The tables are now total where the laws read them and every 1-cell
+        # has an identity cell, so only lists sifted to generators can be
+        # empty.  Each law is an equation between rows, checked at generators
+        # first; a stage's failures are sorted by its key, a loop's order.
         identity = self.skeleton.identity
+        gens1 = _generators(self.skeleton.rows, dom, cod, identity.values())
+        gens2 = _generators(vrow, src, tgt, id2.values())
+        bad += _category_laws(vrow, id2, src, tgt, cells_from, cells_to, "vcomp-", lambda c, b, a: (b, a, c), gens2)
+
         for a in twos:
             for side in sides:
                 if side.rows[identity[side.cod[src[a]]]][a] != a:
                     bad.append(Violation(side.name + "-unit", a))
+        units_hold = not bad
         # whiskering keeps identities; key (position in identity2, k, side)
         bad += _in_order(
             ((i, at1[k], side.right), Violation(side.name + "-id2", side.show(k, f)))
             for i, (f, a) in enumerate(id2.items()) for side in sides
             for k in side.by_dom.get(side.cod[f], ()) if side.rows[k][a] != id2[side.of(k, f)]
         )
-        # W(k1 . k2) = W(k1) o W(k2); key (a, side, k2, k1)
-        bad += _in_order(
-            ((at2[a], side.right, at1[k2], at1[k1]), Violation(side.name + "-functorial", side.show(k1, k2, a)))
-            for side in sides
-            for k1, k2, a in _action_failures(
-                side.rows, ((side.ending_at[y], ks) for y, ks in side.by_dom.items()),
-                lambda k2: side.by_dom.get(side.cod[k2], ()), side.of,
-            )
-        )
+
+        def functorial(keep):
+            """W(k1 . k2) = W(k1) o W(k2) at the inner k2 kept; key (a, side,
+            k2, k1).  Given the whisker-unit laws it holds at units, and at
+            g1 . g2 if at g1 and g2: W(k1 g1 g2) = W(k1 g1) W(g2) =
+            W(k1) W(g1) W(g2) = W(k1) W(g1 g2).
+            """
+            return [
+                ((at2[a], side.right, at1[k2], at1[k1]), Violation(side.name + "-functorial", side.show(k1, k2, a)))
+                for side in sides
+                for k1, k2, a in _action_failures(
+                    side.rows, ((side.ending_at[y], _sift(ks, keep)) for y, ks in side.by_dom.items()),
+                    lambda k2: side.by_dom.get(side.cod[k2], ()), side.of,
+                )
+            ]
+
+        bad += _in_order(_proven(functorial, units_hold, gens1))
         if bad:
             return bad
+        # every law so far holds, which is all the premises the proofs below use
 
-        # W_k o V_b = V_{W_k(b)} o W_k on the cells a into src(b), for each
-        # whiskering 1-cell k on either side; key (b, a, side, k)
-        found = []
-        for g, cells in cells_to.items():
-            at_cells = _gather(cells)
-            whiskers = [(side, k, side.rows[k], _gather(at_cells(side.rows[k])))
-                        for side in sides for k in side.by_dom.get(side.cod[g], ())]
-            for b in cells_from.get(g, ()):
-                at_bcells = _gather(at_cells(vrow[b]))
-                for side, k, wk, at_kcells in whiskers:
-                    lhs = at_bcells(wk)
-                    rhs = at_kcells(vrow[wk[b]])
-                    if lhs != rhs:
-                        found += [
-                            ((at2[b], at2[a], side.right, at1[k]),
-                             Violation(side.name + "-vcomp", side.show(k, f"{b}, {a}")))
-                            for a, x, y in zip(cells, lhs, rhs) if x != y
-                        ]
-        bad += _in_order(found)
-        # WR_j o WL_k = WL_k o WR_j on each hom-set of 2-cells; key (a, j, k)
+        def whisker_vcomp(keep1, keep2):
+            """W_k o V_b = V_{W_k(b)} o W_k on the cells a into src(b), for each
+            kept whiskering 1-cell k on either side and kept b; key (b, a,
+            side, k).  At one k it holds at identity b by the id2 and unit
+            laws, and at b1 . b2 if at b1 and b2, as vcomp is associative:
+            W(b1 b2 a) = W(b1) W(b2 a) = W(b1) W(b2) W(a) = W(b1 b2) W(a).  So
+            it holds at every b for generators k, then at units (the unit
+            law) and at k1 . k2 by functoriality: W_{k1 k2}(b a) =
+            W_{k1}(W_{k2}(b) W_{k2}(a)) = W_{k1 k2}(b) W_{k1 k2}(a).
+            """
+            found = []
+            for g, cells in cells_to.items():
+                at_cells = _gather(cells)
+                whiskers = [(side, k, side.rows[k], _gather(at_cells(side.rows[k])))
+                            for side in sides for k in _sift(side.by_dom.get(side.cod[g], ()), keep1)]
+                for b in _sift(cells_from.get(g, ()), keep2):
+                    at_bcells = _gather(at_cells(vrow[b]))
+                    for side, k, wk, at_kcells in whiskers:
+                        lhs = at_bcells(wk)
+                        rhs = at_kcells(vrow[wk[b]])
+                        if lhs != rhs:
+                            found += [
+                                ((at2[b], at2[a], side.right, at1[k]),
+                                 Violation(side.name + "-vcomp", side.show(k, f"{b}, {a}")))
+                                for a, x, y in zip(cells, lhs, rhs) if x != y
+                            ]
+            return found
+
+        bad += _in_order(_proven(whisker_vcomp, True, gens1, gens2))
         wlrow, wrrow = left.rows, right.rows
-        found = []
-        for (x, y), cells in by_hom.items():
-            at_cells = _gather(cells)
-            js = [(j, wrrow[j], _gather(at_cells(wrrow[j]))) for j in by_cod.get(x, ())]
-            for k in by_dom.get(y, ()):
-                wk = wlrow[k]
-                at_kcells = _gather(at_cells(wk))
-                for j, wj, at_jcells in js:
-                    lhs = at_kcells(wj)
-                    rhs = at_jcells(wk)
-                    if lhs != rhs:
-                        found += [
-                            ((at2[a], at1[j], at1[k]), Violation("whisker-assoc", f"({k}, {a}, {j})"))
-                            for a, u, v in zip(cells, lhs, rhs) if u != v
-                        ]
-        bad += _in_order(found)
+
+        def whisker_assoc(keep):
+            """WR_j o WL_k = WL_k o WR_j on each hom-set of 2-cells, at the j and
+            k kept; key (a, j, k).  At one j it holds at identity k by the
+            unit law, and at k1 . k2 if at k1 and k2, by left functoriality:
+            WR_j WL_{k1} WL_{k2} = WL_{k1} WR_j WL_{k2} = WL_{k1} WL_{k2} WR_j.
+            So it holds at every k for generators j, and then at every j by
+            the same argument on the right.
+            """
+            found = []
+            for (x, y), cells in by_hom.items():
+                at_cells = _gather(cells)
+                js = [(j, wrrow[j], _gather(at_cells(wrrow[j]))) for j in _sift(by_cod.get(x, ()), keep)]
+                for k in _sift(by_dom.get(y, ()), keep):
+                    wk = wlrow[k]
+                    at_kcells = _gather(at_cells(wk))
+                    for j, wj, at_jcells in js:
+                        lhs = at_kcells(wj)
+                        rhs = at_jcells(wk)
+                        if lhs != rhs:
+                            found += [
+                                ((at2[a], at1[j], at1[k]), Violation("whisker-assoc", f"({k}, {a}, {j})"))
+                                for a, u, v in zip(cells, lhs, rhs) if u != v
+                            ]
+            return found
+
+        bad += _in_order(_proven(whisker_assoc, True, gens1))
         if bad:
             return bad
 
@@ -708,15 +797,26 @@ class Finite2Category:
             b_tgt = chain.from_iterable(map(map, at_bs, repeat(tgt_rows)))
             return _pairwise(vrow, tgt_a, b_src), _pairwise(vrow, b_tgt, src_a)
 
-        found = []
-        for y, bs in starting_at.items():
-            cells = ending_at[y]
-            if any(map(ne, *orders(bs, cells))):
-                found += [
-                    ((at2[b], at2[a]), Violation("interchange-orders", f"({b}, {a})"))
-                    for (b, a), u, v in zip(product(bs, cells), *orders(bs, cells)) if u != v
-                ]
-        bad += _in_order(found)
+        def interchange(keep):
+            """The two orders agree at the b and a kept.  For b: g => g' and
+            a: f => f' they are (g' |> a)(b <| f) and (b <| f')(g |> a).  At
+            one b they agree at identity a by the id2 and unit laws, and at
+            a1 . a2 if at a1 and a2, as left whiskering keeps vcomp:
+            (g' |> a1)(g' |> a2)(b <| f) = (g' |> a1)(b <| f'')(g |> a2) =
+            (b <| f')(g |> a1)(g |> a2).  So they agree at every a for
+            generators b, and then at every b by the same argument on the right.
+            """
+            found = []
+            for y, bs in starting_at.items():
+                bs, cells = _sift(bs, keep), _sift(ending_at[y], keep)
+                if bs and cells and any(map(ne, *orders(bs, cells))):
+                    found += [
+                        ((at2[b], at2[a]), Violation("interchange-orders", f"({b}, {a})"))
+                        for (b, a), u, v in zip(product(bs, cells), *orders(bs, cells)) if u != v
+                    ]
+            return found
+
+        bad += _in_order(_proven(interchange, True, gens2))
         return bad
 
     @classmethod

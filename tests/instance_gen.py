@@ -12,8 +12,9 @@ and 24 two-cells upstairs.
 
 Also small group actions, fixed and seeded, whose delooped slices serve
 as larger equivalence instances, and the categories of maps between
-finite sets, whose locally discrete bundles have Green's J-relation as
-their equivalence, with the rank classes as its known answer.
+finite sets and the matrix monoids over GF(2), whose locally discrete
+bundles have Green's J-relation as their equivalence, with the rank
+classes as its known answer.
 """
 
 import itertools
@@ -55,8 +56,8 @@ def _thin_category(rng):
     morphisms = [(name(a, b), a, b) for a, b in sorted(rel)]
     identity = {o: name(o, o) for o in objs}
     compose = {}
-    for a, b in rel:
-        for c, d in rel:
+    for a, b in sorted(rel):
+        for c, d in sorted(rel):
             if b == c:
                 compose[(name(c, d), name(a, b))] = name(a, d)
     return FiniteCategory(objs, morphisms, identity, compose)
@@ -383,6 +384,42 @@ def transformation_monoid(n):
 def map_rank(m):
     """The image size of a map of ``finite_sets``, read off its id."""
     return len(set(m.split(":")[1]))
+
+
+def matrix_monoid(n):
+    """The n x n matrices over GF(2) under multiplication, as a one-object category.
+
+    The matrix M has id ``M<n>:`` followed by its entries row by row, one
+    digit each, and g . f is the product G F (f acts first).
+    """
+    mats = list(itertools.product((0, 1), repeat=n * n))
+
+    def name(m):
+        return f"M{n}:" + "".join(map(str, m))
+
+    def times(g, f):
+        return tuple(sum(g[i * n + k] * f[k * n + j] for k in range(n)) % 2 for i in range(n) for j in range(n))
+
+    unit = tuple(int(i == j) for i in range(n) for j in range(n))
+    return FiniteCategory(
+        ["*"], [(name(m), "*", "*") for m in mats], {"*": name(unit)},
+        {(name(g), name(f)): name(times(g, f)) for g in mats for f in mats},
+    )
+
+
+def matrix_rank(m):
+    """The rank over GF(2) of a matrix of ``matrix_monoid``, read off its id."""
+    head, digits = m.split(":")
+    n = int(head[1:])
+    rows = [int(digits[i * n:(i + 1) * n], 2) for i in range(n)]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+    return rank
 
 
 def locally_discrete_bundle(cat: FiniteCategory):

@@ -163,7 +163,7 @@ def middle_four_violations(d):
     only on tables that get past validate()'s whiskering checks.
     """
     ones, twos = d.one_cells, d.two_cells
-    vtab, wl, wr = d.vcomp_table, d.wl_table, d.wr_table
+    vtab, wl, wr = dict(d.vcomp_table), dict(d.wl_table), dict(d.wr_table)
     hval = {}
     for b in twos.values():
         for a in twos.values():
@@ -199,7 +199,7 @@ def _category_by_instances(c):
     """FiniteCategory.validate() with one table probe per associativity triple."""
     bad = []
     mor = c.morphisms
-    comp = c.compose_table
+    comp = dict(c.compose_table)
     by_dom = _index(mor.values(), lambda a: a.dom)
     by_cod = _index(mor.values(), lambda a: a.cod)
     for x in c.objects:
@@ -248,9 +248,9 @@ def validate_by_instances(d):
     if bad:
         return bad  # the 2-cell layer assumes a lawful 1-skeleton
     ones = d.skeleton.morphisms
-    comp = d.skeleton.compose_table
+    comp = dict(d.skeleton.compose_table)
     twos = d.two_cells
-    vtab, wl, wr = d.vcomp_table, d.wl_table, d.wr_table
+    vtab, wl, wr = dict(d.vcomp_table), dict(d.wl_table), dict(d.wr_table)
     by_dom = _index(ones.values(), lambda k: k.dom)
     by_cod = _index(ones.values(), lambda k: k.cod)
     cells_from = _index(twos.values(), lambda c: c.src)

@@ -1,8 +1,14 @@
+import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morpheq import (
     Finite2Category,
@@ -10,6 +16,7 @@ from morpheq import (
     FunctorData,
     GroupAction,
     MorphismFunction,
+    catkernel,
     deloop_slice,
 )
 from morpheq.errors import (
@@ -417,6 +424,38 @@ def test_row_equations_report_what_the_instance_loops_report():
         assert any(c[code] >= 2 for c in counts)
 
 
+@functools.lru_cache(maxsize=None)
+def _gated_bases():
+    """Instances whose 1-cells and 2-cells have generating sets smaller than
+    themselves, with their reroutable table entries."""
+    bases = [deloop_slice(act, bound).two_category
+             for act, bound in ((swap_action(), 1), (regular_action(3), 1), (trivial_action(2, ["p", "q"]), 1),
+                                (trivial_action(2, ["p"]), 2))]
+    bases += [_symmetric_group_cells(), _twisted_klein(2), _twisted_klein(3)]
+    return [(d, *_rerouting(d)) for d in bases]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_generator_gates_report_what_the_full_stages_report(data):
+    # each cubic stage checks its law at generators first and runs in full
+    # only on a failure there; with every stage run in full, as validate()
+    # did before the gates, a tampered instance must get the same report
+    d, lawful, movable = data.draw(st.sampled_from(_gated_bases()))
+    tables = [dict(t) for t in lawful]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.sampled_from([i for i in (0, 1, 2, 3) if movable[i]]))
+        key, to = data.draw(st.sampled_from(movable[i]))
+        tables[i][key] = data.draw(st.sampled_from([x for x in to if x != tables[i][key]]))
+    parts = list(_two_cat_parts(d))
+    parts[3] = tables[0]
+    broken = Finite2Category(*parts, *tables[1:], validate=False)
+    gated = broken.validate()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catkernel, "_proven", lambda stage, premises, *gens: stage(*(None,) * len(gens)))
+        assert gated == broken.validate()
+
+
 def test_tampered_multi_object_report_is_pinned():
     # three objects, eight 1-cells, ten 2-cells; every table entry that
     # names one 2-cell is deleted, one entry of each table is rerouted and
@@ -496,6 +535,26 @@ def test_random_thin_instances_validate_clean():
         e = random_equiv_instance(seed)
         assert e.d.validate() == []
         assert e.c.validate() == []
+
+
+def test_random_instances_do_not_depend_on_the_hash_seed():
+    # the poset-shaped categories are built from a set of pairs; their
+    # compose order, and so the order of a tampered skeleton's report, must
+    # not follow the hash order of that set
+    tests = Path(__file__).resolve().parent
+    script = (
+        "from instance_gen import random_equiv_instance\n"
+        "print([list(random_equiv_instance(s).c.compose_table) for s in range(20)])\n"
+    )
+    outs = []
+    for seed in ("0", "5"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------- functors

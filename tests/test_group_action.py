@@ -9,6 +9,7 @@ from morpheq import (
     orbit_equivalent,
     orbit_partition,
 )
+from morpheq.catkernel import _generators
 from morpheq.errors import InvalidInstance, InvalidParameter, UnknownElement
 
 from instance_gen import (
@@ -125,6 +126,22 @@ def test_slice_tables_are_lawful_across_bounds():
     assert s.two_category.validate() == []
     s = deloop_slice(regular_action(4), 1)  # 274 2-cells, 4,162 vertical composites
     assert s.two_category.validate() == []
+
+
+def test_slice_at_the_largest_chain_bound_validates_in_full():
+    # 122 1-cells and 1,556 2-cells; the schema allows max_chain_length 3
+    d = deloop_slice(swap_action(), 3).two_category
+    assert d.validate() == []
+
+
+def test_slice_one_cells_are_generated_by_the_letters():
+    # every longer word, and the overflow cell past the bound, is a composite
+    # of letters, so validate() checks the cubic laws of the 1-cells at the
+    # letters alone (41 1-cells at bound 2)
+    for bound in (0, 1, 2):
+        c = deloop_slice(swap_action(), bound).category
+        dom = {m: a.dom for m, a in c.morphisms.items()}
+        assert _generators(c.rows, dom, dom, c.identity.values()) == {"[a]", "[b]", "[c]"}
 
 
 def test_slice_cells_match_the_pairwise_enumeration():
