@@ -13,11 +13,17 @@ generalized eigenvalues of the pair restricted to the common range,
 computed by projecting onto that range and whitening by the reference
 form's positive square root.  The complex path is the general one;
 real inputs are promoted and produce real-valued answers.
+
+A family and its frame form are read-only values: their arrays cannot
+be written.  ``frame_operator`` keeps the forms of the last two
+families asked, so a question about one family or a pair (f, f~)
+builds each family's form once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,21 +48,36 @@ def _as_matrix(m, field="complex"):
     return a
 
 
+def _frozen(a):
+    """A read-only view of a, sharing its memory."""
+    v = a.view()
+    v.flags.writeable = False
+    return v
+
+
 class BesselFamily:
-    """A weighted finite vector family in R^n or C^n."""
+    """A weighted finite vector family in R^n or C^n.
+
+    A family is a value: it keeps read-only views of the arrays it is
+    given, without copying them, and the caller must not change those
+    arrays afterwards.
+    """
 
     def __init__(self, field, dim, weights, vectors):
         if field not in ("real", "complex"):
             raise InvalidValue(f"field must be 'real' or 'complex', got {field!r}")
         self.field = field
         self.dim = int(dim)
-        self.weights = np.asarray(weights, dtype=float)
+        weights = np.asarray(weights)
+        if np.iscomplexobj(weights) and np.any(np.imag(weights) != 0):
+            raise InvalidValue("weights must be real")
+        self.weights = _frozen(np.asarray(np.real(weights), dtype=float))
         raw = np.asarray(vectors)
         if field == "real" and np.iscomplexobj(raw):
             if np.any(np.imag(raw) != 0):
                 raise InvalidValue("real family with non-real vectors")
             raw = raw.real
-        self.vectors = _as_matrix(raw, field)
+        self.vectors = _frozen(_as_matrix(raw, field))
         if self.weights.ndim != 1:
             raise DimensionMismatch("weights must be a vector")
         if self.vectors.shape != (self.dim, len(self.weights)):
@@ -89,6 +110,7 @@ def standard_basis(n, field="real"):
     return BesselFamily(field, n, np.ones(n), np.eye(n))
 
 
+@lru_cache(maxsize=2)  # keyed by identity; two entries cover a pair (f, f~)
 def frame_operator(f: BesselFamily) -> "RhoForm":
     """P = sum_i mu_i f_i f_i*, returned as a quadratic form."""
     v = f.vectors
@@ -115,6 +137,8 @@ class RhoForm:
         self.eigenvalues = np.clip(w, 0.0, None)
         self.eigenvectors = u
         self.lam_max = max(lam_max, 0.0)
+        for a in (p, self.eigenvalues, u):
+            a.flags.writeable = False
 
     @property
     def dim(self):
@@ -296,10 +320,9 @@ def is_frame(f: BesselFamily, *, tol_rank=TOL_RANK) -> FrameVerdict:
 
 def onb_witness(f: BesselFamily, *, tol_rank=TOL_RANK):
     """Self-adjoint witness pair (P^-1/2, P^1/2) carrying f to the standard basis."""
-    verdict = is_frame(f, tol_rank=tol_rank)
-    if not verdict.is_frame:
-        raise NotAFrame("family has no positive lower bound")
     p = frame_operator(f)
+    if not is_frame(f, tol_rank=tol_rank).is_frame:  # reads the same cached form
+        raise NotAFrame("family has no positive lower bound")
     u_vecs = p.eigenvectors
     lam = p.eigenvalues
     inv_root = (u_vecs * (1.0 / np.sqrt(lam))) @ u_vecs.conj().T
@@ -354,10 +377,10 @@ def phase_unitary_act(f: BesselFamily, u, phases) -> BesselFamily:
         raise DimensionMismatch(f"u must be {f.dim} x {f.dim}, got {u.shape}")
     if phases.shape != (f.count,):
         raise DimensionMismatch(f"need {f.count} phases, got {phases.shape}")
-    uc = u.astype(complex)
-    if float(np.linalg.norm(uc.conj().T @ uc - np.eye(f.dim), 2)) > TOL_PSD:
+    uc, pc = u.astype(complex), phases.astype(complex)
+    if not np.all(np.isfinite(uc)) or np.linalg.norm(uc.conj().T @ uc - np.eye(f.dim), 2) > TOL_PSD:
         raise NotUnitary("u is not unitary")
-    if np.any(np.abs(np.abs(phases.astype(complex)) - 1.0) > 1e-12):
+    if not np.all(np.isfinite(pc)) or np.any(np.abs(np.abs(pc) - 1.0) > 1e-12):
         raise BadPhase("phases must have unit modulus")
     all_real = (
         f.field == "real"
@@ -365,7 +388,7 @@ def phase_unitary_act(f: BesselFamily, u, phases) -> BesselFamily:
         and np.all(np.isreal(phases))
     )
     field = "real" if all_real else "complex"
-    vecs = phases.astype(complex)[None, :] * (uc @ f.vectors)
+    vecs = pc[None, :] * (uc @ f.vectors)
     if field == "real":
         vecs = np.real(vecs)
     return BesselFamily(field, f.dim, f.weights, vecs)

@@ -1,3 +1,7 @@
+import gc
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,8 +11,10 @@ from morpheq import (
     RhoForm,
     adjoint_identity_check,
     asymp_compare,
+    bridge_equivalent,
     def_equivalent_with_witness,
     frame_operator,
+    frames,
     is_frame,
     onb_witness,
     phase_unitary_act,
@@ -59,6 +65,13 @@ def test_family_shape_checks():
         BesselFamily("real", 2, [1.0, 1.0], np.eye(2) * 1j)
     with pytest.raises(ValueError):
         BesselFamily("rational", 2, [1.0, 1.0], np.eye(2))
+    # a complex weight is an error, not a warning that drops its imaginary part
+    with pytest.raises(InvalidValue, match="weights must be real"):
+        BesselFamily("real", 1, np.array([1 + 1j]), [[1.0]])
+    with pytest.raises(InvalidValue, match="weights must be real"):
+        BesselFamily("real", 1, np.array([complex(1.0, np.nan)]), [[1.0]])
+    f = BesselFamily("real", 1, np.array([2 + 0j]), [[1.0]])
+    assert f.weights.dtype == float and f.weights[0] == 2.0
 
 
 def test_analysis_uses_second_argument_conjugation():
@@ -361,6 +374,108 @@ def test_phase_action_guards():
         phase_unitary_act(f, np.eye(3), np.ones(2))
     with pytest.raises(DimensionMismatch):
         phase_unitary_act(f, np.eye(2), np.ones(3))
+    # non-finite input fails the unitarity and modulus tests, not a later one
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        u = np.eye(2, dtype=complex)
+        u[0, 1] = bad
+        with pytest.raises(NotUnitary):
+            phase_unitary_act(f, u, np.ones(2))
+        with pytest.raises(BadPhase):
+            phase_unitary_act(f, np.eye(2), np.array([1.0, bad]))
     # a complex phase forces the complex field even for real data
     g = phase_unitary_act(f, np.eye(2), np.array([1j, 1.0]))
     assert g.field == "complex"
+
+
+# ------------------------------------------------- cached frame forms
+
+
+def gaussian_pair(rng, dim, field):
+    """Two families of 2 * dim Gaussian vectors and an invertible witness pair."""
+    def family():
+        vecs = rng.standard_normal((dim, 2 * dim))
+        if field == "complex":
+            vecs = vecs + 1j * rng.standard_normal((dim, 2 * dim))
+        return BesselFamily(field, dim, rng.uniform(0.5, 2.0, 2 * dim), vecs)
+
+    u = rng.standard_normal((dim, dim)) + 3.0 * np.sqrt(dim) * np.eye(dim)
+    return family(), family(), u, np.linalg.inv(u)
+
+
+def one_question(f, g, u, u_tilde):
+    """The calls of one comparison question about the pair (f, g)."""
+    shape_only = np.eye(f.count)
+    return (
+        is_frame(f),
+        onb_witness(f),
+        def_equivalent_with_witness(f, g, u, u_tilde),
+        bridge_equivalent(f, g, u.conj().T, shape_only, u_tilde.conj().T, shape_only),
+    )
+
+
+def test_one_question_builds_each_frame_form_once(monkeypatch):
+    f, g, u, u_tilde = gaussian_pair(np.random.default_rng(21), 4, "complex")
+    built = []
+    init = RhoForm.__init__
+
+    def spy(self, matrix):
+        built.append(sys._getframe(1).f_code.co_name)
+        init(self, matrix)
+
+    monkeypatch.setattr(RhoForm, "__init__", spy)
+    frame_operator.cache_clear()
+    one_question(f, g, u, u_tilde)
+    assert built.count("frame_operator") == 2
+    # the other forms are the four transported ones of the two comparisons
+    assert built.count("transport_form") == 4 and len(built) == 6
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_cached_forms_and_verdicts_equal_the_uncached_computation(field, monkeypatch):
+    rng = np.random.default_rng(5)
+    for dim in (4, 16, 64, 128):
+        f, g, u, u_tilde = gaussian_pair(rng, dim, field)
+        for fam in (f, g):
+            cached, fresh = frame_operator(fam), frame_operator.__wrapped__(fam)
+            for attr in ("matrix", "eigenvalues", "eigenvectors"):
+                assert np.array_equal(getattr(cached, attr), getattr(fresh, attr))
+        frame_operator.cache_clear()
+        with_cache = one_question(f, g, u, u_tilde)
+        with monkeypatch.context() as m:
+            m.setattr(frames, "frame_operator", frame_operator.__wrapped__)
+            without = one_question(f, g, u, u_tilde)
+        assert with_cache[0] == without[0]
+        for a, b in zip(with_cache[1], without[1]):
+            assert np.array_equal(a.matrix, b.matrix)
+        for dv, dw in zip(with_cache[2:], without[2:]):
+            assert dv.equivalent == dw.equivalent
+            for cv, cw in ((dv.forward, dw.forward), (dv.backward, dw.backward)):
+                assert (cv.equivalent, cv.k1, cv.k2, cv.reason) == (cw.equivalent, cw.k1, cw.k2, cw.reason)
+                assert np.array_equal(cv.x_min, cw.x_min) and np.array_equal(cv.x_max, cw.x_max)
+
+
+def test_cache_keeps_at_most_two_families_alive():
+    rng = np.random.default_rng(3)
+    f, g, h = (gaussian_pair(rng, 3, "real")[0] for _ in range(3))
+    frame_operator(f)
+    gone = weakref.ref(f)
+    del f
+    frame_operator(g)
+    gc.collect()
+    assert gone() is not None  # still one of the last two asked
+    frame_operator(h)
+    gc.collect()
+    assert gone() is None
+    assert frame_operator.cache_info().currsize == 2
+
+
+def test_family_and_form_arrays_are_read_only():
+    vecs, weights = np.eye(2, dtype=complex), np.array([1.0, 2.0])
+    f = BesselFamily("complex", 2, weights, vecs)
+    # views, not copies, and the caller's own arrays stay writeable
+    assert np.shares_memory(f.vectors, vecs) and np.shares_memory(f.weights, weights)
+    assert vecs.flags.writeable and weights.flags.writeable
+    p = frame_operator(f)
+    for a in (f.vectors, f.weights, p.matrix, p.eigenvalues, p.eigenvectors):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
