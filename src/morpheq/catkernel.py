@@ -423,11 +423,11 @@ class FiniteCategory:
         )
 
 
-def _built_on_read(name):
-    """A table attribute that the builder fills, with its two siblings, on first read."""
+def _built_on_read(name, fill):
+    """An attribute that ``fill(self)`` sets, with its siblings, on first read."""
 
     def build(self):
-        self._fill_tables(*self._tables())
+        fill(self)
         return self.__dict__[name]
 
     return cached_property(build)
@@ -493,52 +493,50 @@ class Finite2Category:
     both sides for their commuting, and whiskering keeping vcomp, the id2
     and the unit laws for interchange.
 
-    The vcomp and whiskering tables are given either as three mappings or,
-    through ``tables``, as one zero-argument callable returning the three;
-    the callable runs the first time one of them is read (``validate()``,
-    ``vcomp``, ``whisker_*``, ``hcomp`` or the table attributes).  Either
-    way they are stored as rows keyed by the acting cell, once, and
-    ``vcomp_table``, ``wl_table`` and ``wr_table`` are views of them.  The
-    cells, the skeleton and the boundary index are always built eagerly.
+    The 2-cells are given as a list or as a zero-argument callable
+    returning one, and the vcomp and whiskering tables as three mappings
+    or, through ``tables``, as one zero-argument callable returning the
+    three.  A callable runs the first time what it gives is read: the
+    cells by ``validate()``, ``cell``, ``id_two``, the table builder or
+    ``two_cells``, the tables by ``validate()``, ``vcomp``, ``whisker_*``,
+    ``hcomp`` or the table attributes; the cells' reference checks run
+    then.  The tables are stored as rows keyed by the acting cell, once,
+    and ``vcomp_table``, ``wl_table`` and ``wr_table`` are views of them.
+    The boundary index behind ``cells_between`` and ``linked_to``, the two
+    lookups of the witness search, is built on their first call.
     """
 
     def __init__(self, objects, one_cells, identity, compose, two_cells, identity2,
                  vcomp=None, whisker_left=None, whisker_right=None, *, tables=None, validate=True):
         self.skeleton = FiniteCategory(objects, one_cells, identity, compose, validate=False)
-        cells = [c if isinstance(c, Cell) else Cell(*c) for c in two_cells]
-        self.two_cells = {c.id: c for c in cells}
-        if len(self.two_cells) != len(cells):
-            raise InvalidInstance([Violation("duplicate-id", "repeated 2-cell id")])
         self.identity2 = dict(identity2)
-        self._check_refs()
+        if callable(two_cells):
+            self._cells = two_cells
+        else:
+            self._fill_cells(two_cells)
         if tables is None:
             self._fill_tables(vcomp, whisker_left, whisker_right)
         else:
             self._tables = tables
-        self._by_boundary = {}
-        for c in cells:
-            self._by_boundary.setdefault((c.src, c.tgt), []).append(c.id)
-        for key in self._by_boundary:
-            self._by_boundary[key].sort()
-        # 1-cell -> the 1-cells with a 2-cell to it and a 2-cell from it
-        self._linked = {}
-        for f, g in self._by_boundary:
-            if (g, f) in self._by_boundary:
-                self._linked.setdefault(g, set()).add(f)
         if validate:
             report = self.validate()
             if report:
                 raise InvalidInstance(report)
 
-    def _check_refs(self):
+    def _fill_cells(self, two_cells):
+        cells = [c if isinstance(c, Cell) else Cell(*c) for c in two_cells]
+        twos = {c.id: c for c in cells}
+        if len(twos) != len(cells):
+            raise InvalidInstance([Violation("duplicate-id", "repeated 2-cell id")])
         ones = self.skeleton.morphisms
-        twos = self.two_cells
-        for c in twos.values():
+        for c in cells:
             if c.src not in ones or c.tgt not in ones:
                 raise UnknownId(f"2-cell {c.id!r} has unknown boundary")
         for f, a in self.identity2.items():
             if f not in ones or a not in twos:
                 raise UnknownId(f"identity2 entry ({f!r}, {a!r}) has unknown id")
+        self.two_cells = twos
+        self._cells = None  # frees the builder and what it holds
 
     def _fill_tables(self, vcomp, whisker_left, whisker_right):
         # plain instance attributes: once set, the cached properties are
@@ -554,9 +552,34 @@ class Finite2Category:
             _check_table_refs(table, ones, twos, name + " mentions unknown 1-cell {!r}",
                               name + " mentions unknown 2-cell")
 
-    vcomp_table = _built_on_read("vcomp_table")
-    wl_table = _built_on_read("wl_table")
-    wr_table = _built_on_read("wr_table")
+    def _build_cells(self):
+        self._fill_cells(self._cells())
+
+    def _build_tables(self):
+        self._fill_tables(*self._tables())
+
+    two_cells = _built_on_read("two_cells", _build_cells)
+    vcomp_table = _built_on_read("vcomp_table", _build_tables)
+    wl_table = _built_on_read("wl_table", _build_tables)
+    wr_table = _built_on_read("wr_table", _build_tables)
+
+    @cached_property
+    def _by_boundary(self):
+        """(f, g) -> the 2-cells f => g, sorted by identifier."""
+        index = {}
+        for c in self.two_cells.values():
+            index.setdefault((c.src, c.tgt), []).append(c.id)
+        return {key: tuple(sorted(ids)) for key, ids in index.items()}
+
+    @cached_property
+    def _linked(self):
+        """g -> the 1-cells f with a 2-cell f => g and a 2-cell g => f."""
+        index = self._by_boundary
+        linked = {}
+        for f, g in index:
+            if (g, f) in index:
+                linked.setdefault(g, set()).add(f)
+        return linked
 
     # -- accessors ----------------------------------------------------
 
@@ -582,6 +605,7 @@ class Finite2Category:
         return self.skeleton.id_of(x)
 
     def id_two(self, f):
+        self.two_cells  # the cells' reference checks cover identity2
         try:
             return self.identity2[f]
         except KeyError:
@@ -591,7 +615,11 @@ class Finite2Category:
 
     def cells_between(self, f, g):
         """2-cells f => g, sorted by identifier."""
-        return tuple(self._by_boundary.get((f, g), ()))
+        return self._by_boundary.get((f, g), ())
+
+    def linked_to(self, g):
+        """The 1-cells f with a 2-cell f => g and a 2-cell g => f, as a set."""
+        return self._linked.get(g, frozenset())
 
     def vcomp(self, b, a):
         """Vertical composite b . a (b after a)."""

@@ -136,7 +136,8 @@ def _side_search(e: EquivData, m_from, m_to):
     u1 in order, the least u2 is read off the row of left =
     tau1(u1).sigma(m_from): each composite left.tau2(u2) mapped to the
     least u2 giving it, cached on e because every target reads the same
-    rows.
+    rows.  A composite qualifies when it is in ``d.linked_to(target)``, and
+    the cells returned are the least of ``d.cells_between`` each way.
     """
     c, d = e.c, e.d
     a_from, a_to = c.arrow(m_from), c.arrow(m_to)
@@ -144,8 +145,7 @@ def _side_search(e: EquivData, m_from, m_to):
     sig = e.sigma(m_from)
     tau1, tau2 = e.tau1.morphism_map, e.tau2.morphism_map
     rows = d.skeleton.rows
-    cells = d._by_boundary
-    linked = d._linked.get(target, ())
+    linked = d.linked_to(target)
     back = c.hom(a_to.dom, a_from.dom)[::-1]  # the least u2 is set last, so it wins
     for u1 in c.hom(a_from.cod, a_to.cod):
         left = rows[tau1[u1]][sig]
@@ -158,7 +158,7 @@ def _side_search(e: EquivData, m_from, m_to):
         hits = [x for x in small if x in big]
         if hits:
             x = min(hits, key=row.__getitem__)
-            return u1, row[x], cells[(x, target)][0], cells[(target, x)][0]
+            return u1, row[x], d.cells_between(x, target)[0], d.cells_between(target, x)[0]
     return None
 
 

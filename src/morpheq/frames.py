@@ -232,10 +232,12 @@ class OperatorMatrix:
 
     Tags: "any" (no constraint), "inj" / "inj-cl" (injective; every
     finite-dimensional injection has closed range), "iso" (isometry,
-    A* A = I).  The tag is verified on construction.
+    A* A = I).  The tag is verified on construction: injectivity from the
+    matrix's singular values at the relative threshold ``tol_rank``, by an
+    SVD unless the caller already knows them (``singular_values``).
     """
 
-    def __init__(self, matrix, klass="any", *, tol=TOL_PSD):
+    def __init__(self, matrix, klass="any", *, tol=TOL_PSD, tol_rank=TOL_RANK, singular_values=None):
         self.matrix = _as_matrix(matrix)
         if not np.all(np.isfinite(self.matrix)):
             raise InvalidValue("matrix must be finite")
@@ -246,8 +248,8 @@ class OperatorMatrix:
         if klass in ("inj", "inj-cl"):
             if rows < cols:
                 raise ClassViolation(f"{rows} x {cols} matrix cannot be injective")
-            s = np.linalg.svd(self.matrix, compute_uv=False)
-            if cols and (not len(s) or s[-1] <= s[0] * TOL_RANK):
+            s = np.linalg.svd(self.matrix, compute_uv=False) if singular_values is None else singular_values
+            if cols and (not len(s) or np.min(s) <= np.max(s) * tol_rank):
                 raise ClassViolation("matrix is not injective")
         elif klass == "iso":
             gram = self.matrix.conj().T @ self.matrix
@@ -319,15 +321,20 @@ def is_frame(f: BesselFamily, *, tol_rank=TOL_RANK) -> FrameVerdict:
 
 
 def onb_witness(f: BesselFamily, *, tol_rank=TOL_RANK):
-    """Self-adjoint witness pair (P^-1/2, P^1/2) carrying f to the standard basis."""
+    """Self-adjoint witness pair (P^-1/2, P^1/2) carrying f to the standard basis.
+
+    Both are tagged injective at ``tol_rank`` from the eigenvalues of P,
+    whose roots are their singular values.
+    """
     p = frame_operator(f)
     if not is_frame(f, tol_rank=tol_rank).is_frame:  # reads the same cached form
         raise NotAFrame("family has no positive lower bound")
     u_vecs = p.eigenvectors
-    lam = p.eigenvalues
-    inv_root = (u_vecs * (1.0 / np.sqrt(lam))) @ u_vecs.conj().T
-    root = (u_vecs * np.sqrt(lam)) @ u_vecs.conj().T
-    return OperatorMatrix(inv_root, "inj"), OperatorMatrix(root, "inj")
+    s = np.sqrt(p.eigenvalues)
+    return tuple(
+        OperatorMatrix((u_vecs * sv) @ u_vecs.conj().T, "inj", tol_rank=tol_rank, singular_values=sv)
+        for sv in (1.0 / s, s)
+    )
 
 
 def probe_vectors(dim, count, *, seed=0, field="complex"):

@@ -10,20 +10,24 @@ a 2-cell, which is what forces the comparison chains in any witness to
 be empty.
 
 The delooping itself is infinite; :func:`deloop_slice` builds the finite
-sub-2-category of chains of length <= max_chain_length + 1.  Its 1-cells,
-2-cells and composition rows are built with the slice; the rows of the
-vertical composition and whiskering tables, which the witness search
-never reads, are written the first time something reads them
-(``validate()``, ``vcomp``, ``whisker_*``, ``hcomp``, the transitivity
-witnesses).  To keep every table total on boundary-compatible pairs,
-concatenations that would exceed the length bound are collapsed onto a
-single absorbing 1-cell (id ``!overflow``) whose only 2-cell is its
-identity.  The absorbing cell can never bound a transporter 2-cell, so
-verdicts agree with the unbounded delooping for every bound.
+sub-2-category of chains of length <= max_chain_length + 1.  Its 1-cells
+and composition rows are built with the slice.  The witness search reads
+its 2-cells only through two lookups, the 2-cells between two chains and
+the chains linked both ways to one, and the slice answers both from the
+letters' orbits.  So the list of 2-cells and the rows of the vertical
+composition and whiskering tables are written only the first time
+something reads them (``validate()``, ``cell``, ``vcomp``,
+``whisker_*``, ``hcomp``, the witness derivations).  To keep every
+table total on boundary-compatible pairs, concatenations that would
+exceed the length bound are collapsed onto a single absorbing 1-cell (id
+``!overflow``) whose only 2-cell is its identity.  The absorbing cell can
+never bound a transporter 2-cell, so verdicts agree with the unbounded
+delooping for every bound.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -216,13 +220,58 @@ def _cell_id(src_id, tgt_id, labels):
     return f"{src_id}>{tgt_id}#{','.join(labels)}"
 
 
+class _SliceTwoCategory(Finite2Category):
+    """A slice's 2-category, answering the witness search's two lookups from
+    the letters' orbits, so a search never enumerates the 2-cells.
+
+    ``ids`` maps each word to its 1-cell id.  Both lookups are memoised:
+    classes on a slice ask them again and again.
+    """
+
+    def __init__(self, action, orbit, ids, *args, **kwargs):
+        self._action = action
+        self._orbit = orbit
+        self._ids = ids
+        self._words = {i: w for w, i in ids.items()}
+        self._between_memo = {}
+        self._linked_memo = {}
+        super().__init__(*args, **kwargs)
+
+    def cells_between(self, f, g):
+        """The transporter labellings of f onto g, as sorted 2-cell ids."""
+        got = self._between_memo.get((f, g))
+        if got is None:
+            src, tgt = self._words.get(f), self._words.get(g)
+            if f == g == OVERFLOW:
+                got = (self.identity2[f],)
+            elif src is None or tgt is None or len(src) != len(tgt):
+                got = ()
+            else:
+                got = tuple(sorted(_cell_id(f, g, labels) for labels in _labellings(self._action, src, tgt)))
+            self._between_memo[(f, g)] = got
+        return got
+
+    def linked_to(self, g):
+        """The words of g's length whose letters lie in the orbits of g's;
+        the overflow cell is linked only to itself."""
+        got = self._linked_memo.get(g)
+        if got is None:
+            word = self._words.get(g)
+            if word is None:
+                got = frozenset([g] if g == OVERFLOW else [])
+            else:
+                got = frozenset(map(self._ids.__getitem__, itertools.product(*map(self._orbit.__getitem__, word))))
+            self._linked_memo[g] = got
+        return got
+
+
 class DeloopedSlice:
     """The bounded delooping plus its identity parameter bundle.
 
     Composition is built as rows, ``{g: {f: g . f}}``, by index arithmetic;
-    the vcomp and whiskering rows are written on first read.  Every table
-    is handed to the category as a ``RowTable`` without a copy, so its
-    ``*_table`` attributes are views of these rows.
+    the 2-cells and the vcomp and whiskering rows are written on first
+    read.  Every table is handed to the category as a ``RowTable`` without
+    a copy, so its ``*_table`` attributes are views of these rows.
     """
 
     def __init__(self, action: GroupAction, max_chain_length: int):
@@ -262,28 +311,30 @@ class DeloopedSlice:
 
         unit = action.group.unit
         mul = action.group.mul_table
-        cells = []
-        id2 = {}
-        cell_ids = {}  # (src word, tgt word, labels) -> id
+        over_id2 = _cell_id(OVERFLOW, OVERFLOW, ())
+        id2 = {wid[w]: _cell_id(wid[w], wid[w], (unit,) * len(w)) for w in words}  # all-unit labels
+        id2[OVERFLOW] = over_id2
         # a 2-cell moves each letter within its orbit, so a word's targets are
         # the product of its letters' orbits; carrier order keeps word order
         orbit = {x: [y for y in action.carrier if action.transporters(x, y)] for x in action.carrier}
-        for src in words:
-            sid = wid[src]
-            for tgt in itertools.product(*map(orbit.__getitem__, src)):
-                tid = wid[tgt]
-                for labels in _labellings(action, src, tgt):
-                    cid = _cell_id(sid, tid, labels)
-                    cells.append(Cell(cid, sid, tid))
-                    cell_ids[(src, tgt, labels)] = cid
-            id2[sid] = _cell_id(sid, sid, (unit,) * len(src))  # the all-unit labelling
-        over_id2 = _cell_id(OVERFLOW, OVERFLOW, ())
-        cells.append(Cell(over_id2, OVERFLOW, OVERFLOW))
-        id2[OVERFLOW] = over_id2
+
+        @functools.cache  # cells and tables then share their id strings
+        def labelled():
+            # (src word, tgt word, labels) -> id of every 2-cell but the overflow cell's
+            return {
+                (src, tgt, labels): _cell_id(wid[src], wid[tgt], labels)
+                for src in words for tgt in itertools.product(*map(orbit.__getitem__, src))
+                for labels in _labellings(action, src, tgt)
+            }
+
+        def cells():
+            ends = [Cell(cid, wid[src], wid[tgt]) for (src, tgt, _), cid in labelled().items()]
+            return ends + [Cell(over_id2, OVERFLOW, OVERFLOW)]
 
         def tables():
             # rows keyed by the acting cell: v[b][a] = b . a, and wl[k][a] =
             # k |> a and wr[k][a] = a <| k relabel the letters of k by the unit
+            cell_ids = labelled()
             cells_to = {}
             by_length = {}
             for (src, tgt, labels), cid in cell_ids.items():
@@ -298,7 +349,7 @@ class DeloopedSlice:
 
             # cells too long to take k on go to the overflow cell; rows are
             # only read, so both sides share the overflow cell's own row
-            over_row = dict.fromkeys([c.id for c in cells], over_id2)
+            over_row = dict.fromkeys(itertools.chain(cell_ids.values(), [over_id2]), over_id2)
             wl = {}
             wr = {}
             for k in words:
@@ -312,7 +363,8 @@ class DeloopedSlice:
             wl[OVERFLOW] = wr[OVERFLOW] = over_row
             return RowTable(v), RowTable(wl), RowTable(wr, flipped=True)
 
-        self.two_category = Finite2Category(
+        self.two_category = _SliceTwoCategory(
+            action, orbit, wid,
             [obj], one_cells, {obj: wid[()]}, RowTable(rows), cells, id2,
             tables=tables, validate=False,
         )

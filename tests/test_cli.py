@@ -558,6 +558,17 @@ def test_tol_rank_reaches_the_onb_witness(capsys, tmp_path):
     assert out["onb_witness_valid"] is True
 
 
+def test_tol_rank_reaches_the_onb_witness_tags(capsys, tmp_path):
+    # P = diag(1e-22, 1): a frame at --tol-rank 1e-30, and its roots, with
+    # condition number 1e11, are injective at that tolerance too
+    doc = {"kind": "family", "field": "real", "dim": 2, "weights": [1, 1],
+           "vectors": [[1e-11, 0], [0, 1]]}
+    code, out, err = run_main(capsys, doc, "frame", tmp_path, "--tol-rank", "1e-30")
+    assert (code, err) == (0, "")
+    assert out["is_frame"] is True
+    assert out["onb_witness_valid"] is True
+
+
 def _ragged_u(doc):
     family = {k: doc[k] for k in ("field", "dim", "weights", "vectors")}
     doc["compare"] = {"family": family, "u": [[1, 0], [0]], "u_tilde": [[1, 0], [0, 1]]}

@@ -229,6 +229,11 @@ def test_operator_class_tags():
     with pytest.raises(ClassViolation):
         OperatorMatrix(np.ones((2, 3)), "inj-cl")  # wide cannot be injective
     OperatorMatrix(np.ones((3, 1)), "inj")
+    with pytest.raises(ClassViolation):
+        OperatorMatrix(np.diag([1e-11, 1.0]), "inj")  # at the default tol_rank
+    OperatorMatrix(np.diag([1e-11, 1.0]), "inj", tol_rank=1e-30)
+    with pytest.raises(ClassViolation):
+        OperatorMatrix(np.eye(2), "inj", singular_values=[1.0, 0.0])  # taken as given
     OperatorMatrix(np.zeros((2, 2)), "any")
     with pytest.raises(ValueError):
         OperatorMatrix(rot, "surj")
@@ -309,6 +314,23 @@ def test_onb_witness_scalar_for_tight_frames():
     u, u_tilde = onb_witness(mercedes())
     assert np.allclose(u.matrix, np.sqrt(2.0 / 3.0) * np.eye(2), atol=1e-12)
     assert np.allclose(u_tilde.matrix, np.sqrt(1.5) * np.eye(2), atol=1e-12)
+
+
+def test_onb_witness_reads_tol_rank_and_no_svd(monkeypatch):
+    # P = diag(1e-22, 1) is a frame only below the default tolerance; the
+    # roots' singular values 1e11, 1 and 1e-11, 1 come from P's eigenvalues
+    f = BesselFamily("real", 2, [1.0, 1.0], np.diag([1e-11, 1.0]))
+    with pytest.raises(NotAFrame):
+        onb_witness(f)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("onb_witness ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    u, u_tilde = onb_witness(f, tol_rank=1e-30)
+    assert (u.klass, u_tilde.klass) == ("inj", "inj")
+    assert np.array_equal(u.matrix, np.diag([1e11, 1.0]))
+    assert np.array_equal(u_tilde.matrix, np.diag([1e-11, 1.0]))
 
 
 def test_onb_witness_requires_a_frame():

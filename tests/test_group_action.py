@@ -1,11 +1,13 @@
 import pytest
 
 from morpheq import (
+    Finite2Category,
     FiniteGroup,
     GroupAction,
     chain_two_cells,
     deloop_slice,
     delooped_equivalent,
+    equivalence_classes,
     orbit_equivalent,
     orbit_partition,
 )
@@ -144,14 +146,19 @@ def test_slice_one_cells_are_generated_by_the_letters():
         assert _generators(c.rows, dom, dom, c.identity.values()) == {"[a]", "[b]", "[c]"}
 
 
-def test_slice_cells_match_the_pairwise_enumeration():
-    # cell ids name witnesses, and cell order sets the order of validate() reports
+def _slice_cases():
+    """The eight fixed actions at L <= 2, two at L = 3 and 20 seeded random ones."""
     cases = [(act, bound) for _, act in fixed_actions() for bound in (0, 1, 2)]
-    cases.append((swap_action(), 3))
+    cases += [(swap_action(), 3), (trivial_action(2, ["p", "q"]), 3)]
     for seed in range(20):
         act = random_action(seed)
         cases.append((act, 2 if len(act.group.elements) * len(act.carrier) <= 12 else 1))
-    for act, bound in cases:
+    return cases
+
+
+def test_slice_cells_match_the_pairwise_enumeration():
+    # cell ids name witnesses, and cell order sets the order of validate() reports
+    for act, bound in _slice_cases():
         d = deloop_slice(act, bound).two_category
         cells, id2 = slice_cells_pairwise(act, bound)
         assert [(c.id, c.src, c.tgt) for c in d.two_cells.values()] == cells
@@ -234,14 +241,29 @@ def test_delooped_verdicts_are_bound_independent_and_deterministic():
 
 def test_search_leaves_the_two_cell_tables_unbuilt():
     a = swap_action()
-    d = deloop_slice(a, 1).two_category
+    s = deloop_slice(a, 1)
+    d = s.two_category
     for x in a.carrier:
         for y in a.carrier:
             delooped_equivalent(a, x, y, 1)
-    lazy = {"vcomp_table", "wl_table", "wr_table"}
-    assert not lazy & set(vars(d))
+    equivalence_classes(s.equiv)  # every pair of 1-cells
+    built = {"two_cells", "vcomp_table", "wl_table", "wr_table"}
+    index = {"_by_boundary", "_linked"}
+    assert not (built | index) & set(vars(d))
     assert d.validate() == []
-    assert lazy <= set(vars(d))  # built once, then plain attributes
+    assert built <= set(vars(d))  # built once, then plain attributes
+    assert not index & set(vars(d))
+
+
+def test_slice_lookups_match_the_enumerated_index():
+    # the witness search reads only these two lookups, which a slice answers
+    # from orbits; Finite2Category's own answers read the enumerated 2-cells
+    for act, bound in _slice_cases():
+        d = deloop_slice(act, bound).two_category
+        for g in d.one_cells:
+            assert d.linked_to(g) == Finite2Category.linked_to(d, g), (g, bound)
+            for f in d.one_cells:
+                assert d.cells_between(f, g) == Finite2Category.cells_between(d, f, g), (f, g, bound)
 
 
 def test_slice_is_cached_per_action():
