@@ -423,16 +423,6 @@ class FiniteCategory:
         )
 
 
-def _built_on_read(name, fill):
-    """An attribute that ``fill(self)`` sets, with its siblings, on first read."""
-
-    def build(self):
-        fill(self)
-        return self.__dict__[name]
-
-    return cached_property(build)
-
-
 # a side's name, and the ends of k and of the 1-cells of a that meet in k |> a or a <| k
 _SIDES = {False: ("whisker-left", "dom", "cod"), True: ("whisker-right", "cod", "dom")}
 
@@ -493,31 +483,21 @@ class Finite2Category:
     both sides for their commuting, and whiskering keeping vcomp, the id2
     and the unit laws for interchange.
 
-    The 2-cells are given as a list or as a zero-argument callable
-    returning one, and the vcomp and whiskering tables as three mappings
-    or, through ``tables``, as one zero-argument callable returning the
-    three.  A callable runs the first time what it gives is read: the
-    cells by ``validate()``, ``cell``, ``id_two``, the table builder or
-    ``two_cells``, the tables by ``validate()``, ``vcomp``, ``whisker_*``,
-    ``hcomp`` or the table attributes; the cells' reference checks run
-    then.  The tables are stored as rows keyed by the acting cell, once,
-    and ``vcomp_table``, ``wl_table`` and ``wr_table`` are views of them.
-    The boundary index behind ``cells_between`` and ``linked_to``, the two
-    lookups of the witness search, is built on their first call.
+    The 2-cells are given as a list and the vcomp and whiskering tables as
+    three mappings; unknown ids in them, and in ``identity2``, raise
+    ``UnknownId`` at construction.  The tables are stored as rows keyed by
+    the acting cell, once, and ``vcomp_table``, ``wl_table`` and
+    ``wr_table`` are views of them.  The boundary index behind
+    ``cells_between`` and ``linked_to``, the two lookups of the witness
+    search, is built on their first call.
     """
 
     def __init__(self, objects, one_cells, identity, compose, two_cells, identity2,
-                 vcomp=None, whisker_left=None, whisker_right=None, *, tables=None, validate=True):
+                 vcomp, whisker_left, whisker_right, *, validate=True):
         self.skeleton = FiniteCategory(objects, one_cells, identity, compose, validate=False)
         self.identity2 = dict(identity2)
-        if callable(two_cells):
-            self._cells = two_cells
-        else:
-            self._fill_cells(two_cells)
-        if tables is None:
-            self._fill_tables(vcomp, whisker_left, whisker_right)
-        else:
-            self._tables = tables
+        self._fill_cells(two_cells)
+        self._fill_tables(vcomp, whisker_left, whisker_right)
         if validate:
             report = self.validate()
             if report:
@@ -536,32 +516,17 @@ class Finite2Category:
             if f not in ones or a not in twos:
                 raise UnknownId(f"identity2 entry ({f!r}, {a!r}) has unknown id")
         self.two_cells = twos
-        self._cells = None  # frees the builder and what it holds
 
     def _fill_tables(self, vcomp, whisker_left, whisker_right):
-        # plain instance attributes: once set, the cached properties are
-        # never consulted again, so a read costs an attribute lookup
         self.vcomp_table = _as_rows(vcomp)
         self.wl_table = _as_rows(whisker_left)
         self.wr_table = _as_rows(whisker_right, flipped=True)
-        self._tables = None  # frees the builder and what it holds
         ones, twos = set(self.skeleton.morphisms), set(self.two_cells)
         unknown = "vcomp table mentions unknown 2-cell {!r}"
         _check_table_refs(self.vcomp_table, twos, twos, unknown, unknown)
         for name, table in (("whisker-left", self.wl_table), ("whisker-right", self.wr_table)):
             _check_table_refs(table, ones, twos, name + " mentions unknown 1-cell {!r}",
                               name + " mentions unknown 2-cell")
-
-    def _build_cells(self):
-        self._fill_cells(self._cells())
-
-    def _build_tables(self):
-        self._fill_tables(*self._tables())
-
-    two_cells = _built_on_read("two_cells", _build_cells)
-    vcomp_table = _built_on_read("vcomp_table", _build_tables)
-    wl_table = _built_on_read("wl_table", _build_tables)
-    wr_table = _built_on_read("wr_table", _build_tables)
 
     @cached_property
     def _by_boundary(self):
@@ -605,7 +570,6 @@ class Finite2Category:
         return self.skeleton.id_of(x)
 
     def id_two(self, f):
-        self.two_cells  # the cells' reference checks cover identity2
         try:
             return self.identity2[f]
         except KeyError:

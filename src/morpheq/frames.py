@@ -48,6 +48,16 @@ def _as_matrix(m, field="complex"):
     return a
 
 
+def _in_field(a, field, what):
+    """``a`` as an array, taken as real in a real field if its imaginary part is zero."""
+    a = np.asarray(a)
+    if field == "real" and np.iscomplexobj(a):
+        if np.any(np.imag(a) != 0):
+            raise InvalidValue(f"real family with non-real {what}")
+        a = a.real
+    return a
+
+
 def _frozen(a):
     """A read-only view of a, sharing its memory."""
     v = a.view()
@@ -72,12 +82,7 @@ class BesselFamily:
         if np.iscomplexobj(weights) and np.any(np.imag(weights) != 0):
             raise InvalidValue("weights must be real")
         self.weights = _frozen(np.asarray(np.real(weights), dtype=float))
-        raw = np.asarray(vectors)
-        if field == "real" and np.iscomplexobj(raw):
-            if np.any(np.imag(raw) != 0):
-                raise InvalidValue("real family with non-real vectors")
-            raw = raw.real
-        self.vectors = _frozen(_as_matrix(raw, field))
+        self.vectors = _frozen(_as_matrix(_in_field(vectors, field, "vectors"), field))
         if self.weights.ndim != 1:
             raise DimensionMismatch("weights must be a vector")
         if self.vectors.shape != (self.dim, len(self.weights)):
@@ -237,7 +242,7 @@ class OperatorMatrix:
     SVD unless the caller already knows them (``singular_values``).
     """
 
-    def __init__(self, matrix, klass="any", *, tol=TOL_PSD, tol_rank=TOL_RANK, singular_values=None):
+    def __init__(self, matrix, klass="any", *, tol_rank=TOL_RANK, singular_values=None):
         self.matrix = _as_matrix(matrix)
         if not np.all(np.isfinite(self.matrix)):
             raise InvalidValue("matrix must be finite")
@@ -253,7 +258,7 @@ class OperatorMatrix:
                 raise ClassViolation("matrix is not injective")
         elif klass == "iso":
             gram = self.matrix.conj().T @ self.matrix
-            if float(np.linalg.norm(gram - np.eye(cols), 2)) > tol:
+            if float(np.linalg.norm(gram - np.eye(cols), 2)) > TOL_PSD:
                 raise ClassViolation("matrix is not an isometry")
 
     @property
@@ -356,7 +361,7 @@ def adjoint_identity_check(f: BesselFamily, alpha, *, probes=32, seed=0) -> floa
     one maps each probe through alpha and then analyses against f, the
     other forms the pulled-back family alpha* f first.
     """
-    alpha = _as_matrix(alpha, f.field)
+    alpha = _as_matrix(_in_field(alpha, f.field, "alpha"), f.field)
     if alpha.shape[0] != f.dim:
         raise DimensionMismatch(f"alpha must have {f.dim} rows, got {alpha.shape}")
     n_t = alpha.shape[1]

@@ -17,12 +17,12 @@ the chains linked both ways to one, and the slice answers both from the
 letters' orbits.  So the list of 2-cells and the rows of the vertical
 composition and whiskering tables are written only the first time
 something reads them (``validate()``, ``cell``, ``vcomp``,
-``whisker_*``, ``hcomp``, the witness derivations).  To keep every
-table total on boundary-compatible pairs, concatenations that would
-exceed the length bound are collapsed onto a single absorbing 1-cell (id
-``!overflow``) whose only 2-cell is its identity.  The absorbing cell can
-never bound a transporter 2-cell, so verdicts agree with the unbounded
-delooping for every bound.
+``whisker_*``, ``hcomp``, symmetry and transitivity witnesses).  To
+keep every table total on boundary-compatible pairs, concatenations that
+would exceed the length bound are collapsed onto a single absorbing
+1-cell (id ``!overflow``) whose only 2-cell is its identity.  The
+absorbing cell can never bound a transporter 2-cell, so verdicts agree
+with the unbounded delooping for every bound.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .catkernel import Cell, Finite2Category, FunctorData, MorphismFunction, RowTable, Violation
+from .catkernel import Cell, Finite2Category, FiniteCategory, FunctorData, MorphismFunction, RowTable, Violation
 from .equivalence import EquivData, are_equivalent
 from .errors import InvalidInstance, InvalidParameter, UnknownElement
 
@@ -220,22 +220,50 @@ def _cell_id(src_id, tgt_id, labels):
     return f"{src_id}>{tgt_id}#{','.join(labels)}"
 
 
+def _built_on_read(name, build):
+    """A cached attribute that ``build(self)`` sets, with its siblings, on first read."""
+
+    def read(self):
+        build(self)
+        return self.__dict__[name]
+
+    return functools.cached_property(read)
+
+
 class _SliceTwoCategory(Finite2Category):
     """A slice's 2-category, answering the witness search's two lookups from
     the letters' orbits, so a search never enumerates the 2-cells.
 
-    ``ids`` maps each word to its 1-cell id.  Both lookups are memoised:
-    classes on a slice ask them again and again.
+    ``Finite2Category``'s constructor is not run: the zero-argument
+    builders ``cells`` and ``tables`` run, through its reference checks,
+    when the 2-cells or the other tables are first read, and each is then
+    dropped, with both the enumeration they share.  ``ids`` maps each word
+    to its 1-cell id.  Both lookups are memoised: classes on a slice ask
+    them again and again.
     """
 
-    def __init__(self, action, orbit, ids, *args, **kwargs):
+    def __init__(self, action, orbit, ids, skeleton, identity2, cells, tables):
+        self.skeleton, self.identity2 = skeleton, identity2
+        self._cells, self._tables = cells, tables
         self._action = action
         self._orbit = orbit
         self._ids = ids
         self._words = {i: w for w, i in ids.items()}
         self._between_memo = {}
         self._linked_memo = {}
-        super().__init__(*args, **kwargs)
+
+    def _build_cells(self):
+        self._fill_cells(self._cells())
+        self._cells = None
+
+    def _build_tables(self):
+        self._fill_tables(*self._tables())
+        self._tables = None
+
+    two_cells = _built_on_read("two_cells", _build_cells)
+    vcomp_table = _built_on_read("vcomp_table", _build_tables)
+    wl_table = _built_on_read("wl_table", _build_tables)
+    wr_table = _built_on_read("wr_table", _build_tables)
 
     def cells_between(self, f, g):
         """The transporter labellings of f onto g, as sorted 2-cell ids."""
@@ -363,12 +391,8 @@ class DeloopedSlice:
             wl[OVERFLOW] = wr[OVERFLOW] = over_row
             return RowTable(v), RowTable(wl), RowTable(wr, flipped=True)
 
-        self.two_category = _SliceTwoCategory(
-            action, orbit, wid,
-            [obj], one_cells, {obj: wid[()]}, RowTable(rows), cells, id2,
-            tables=tables, validate=False,
-        )
-        self.category = self.two_category.skeleton
+        self.category = FiniteCategory([obj], one_cells, {obj: wid[()]}, RowTable(rows), validate=False)
+        self.two_category = _SliceTwoCategory(action, orbit, wid, self.category, id2, cells, tables)
         omap = {obj: obj}
         mmap = {m: m for m in ids}
         self.equiv = EquivData(

@@ -210,24 +210,12 @@ def test_tampered_vcomp_rejected():
         Finite2Category(*_two_cat_parts(d), vcomp, dict(d.wl_table), dict(d.wr_table))
 
 
-def test_tables_from_a_builder_are_checked_when_first_read():
+def test_unknown_two_cell_in_vcomp_table_is_rejected_at_construction():
     d = walking_pair_two_cat()
     vcomp = dict(d.vcomp_table)
     vcomp[("ab", "ba")] = "nope"
-    parts = _two_cat_parts(d)
-    built = []
-
-    def tables():
-        built.append(True)
-        return vcomp, dict(d.wl_table), dict(d.wr_table)
-
-    lazy = Finite2Category(*parts, tables=tables, validate=False)
-    assert built == []
     with pytest.raises(UnknownId):
-        lazy.whisker_left("idB", "ab")
-    assert built == [True]
-    with pytest.raises(UnknownId):
-        Finite2Category(*parts, vcomp, dict(d.wl_table), dict(d.wr_table), validate=False)
+        Finite2Category(*_two_cat_parts(d), vcomp, dict(d.wl_table), dict(d.wr_table), validate=False)
 
 
 def test_middle_four_violation_detected():

@@ -357,6 +357,14 @@ def test_adjoint_identity():
         adjoint_identity_check(mercedes(), np.eye(3))
 
 
+def test_adjoint_identity_on_a_real_family_takes_alpha_as_real():
+    f = standard_basis(2, "real")
+    for alpha in (np.array([[1, 1j], [0, 1]]), [[1, 1j], [0, 1]]):
+        with pytest.raises(InvalidValue):
+            adjoint_identity_check(f, alpha)
+    assert adjoint_identity_check(f, np.array([[1, 2 + 0j], [0, 1]])) == 0.0
+
+
 # ------------------------------------------------------------ phase action
 
 

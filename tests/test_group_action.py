@@ -7,6 +7,7 @@ from morpheq import (
     chain_two_cells,
     deloop_slice,
     delooped_equivalent,
+    derive_reflexivity,
     equivalence_classes,
     orbit_equivalent,
     orbit_partition,
@@ -247,11 +248,13 @@ def test_search_leaves_the_two_cell_tables_unbuilt():
         for y in a.carrier:
             delooped_equivalent(a, x, y, 1)
     equivalence_classes(s.equiv)  # every pair of 1-cells
+    derive_reflexivity(s.equiv, s.embed(a.carrier[0]))
     built = {"two_cells", "vcomp_table", "wl_table", "wr_table"}
     index = {"_by_boundary", "_linked"}
     assert not (built | index) & set(vars(d))
     assert d.validate() == []
     assert built <= set(vars(d))  # built once, then plain attributes
+    assert d._cells is None and d._tables is None  # the builders are dropped
     assert not index & set(vars(d))
 
 
