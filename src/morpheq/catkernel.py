@@ -856,9 +856,6 @@ class FunctorData:
             if n not in self.target.one_cells:
                 raise UnknownId(f"morphism map sends {m!r} to unknown {n!r}")
 
-    def on_object(self, x):
-        return self.object_map[x]
-
     def __call__(self, m):
         return self.morphism_map[m]
 

@@ -8,8 +8,8 @@ flag values, or an ``--out`` file that cannot be written), 3 when the
 run stopped on an unexpected exception (an internal error).
 
 Instance files carry a ``kind`` field matched against a shipped JSON
-schema; run ``morpheq --help`` for the verb list and see the schemas
-directory for the exact file formats.
+schema (the schemas directory has the exact file formats); ``_VERBS``
+names each verb once, with the kinds it accepts and the function it runs.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from importlib import resources
 
 import jsonschema
@@ -32,7 +31,7 @@ from .catkernel import (
     Violation,
 )
 from .equivalence import EquivData, are_equivalent, equivalence_classes, verify_witness
-from .errors import InvalidInstance, MorpheqError, ParseError, SchemaError
+from .errors import InvalidCell, InvalidInstance, MorpheqError, NotParallel, ParseError, SchemaError
 from .frames import (
     BesselFamily,
     TOL_PSD,
@@ -57,7 +56,6 @@ from .preord_mset import (
     check_interchange,
     compose_cells_horizontal,
     compose_cells_vertical,
-    is_two_cell,
 )
 from .seminorm_bridge import (
     SeminormRep,
@@ -66,39 +64,8 @@ from .seminorm_bridge import (
     bridge_composite_staged,
     bridge_equivalent,
 )
-from .errors import InvalidCell, NotParallel
 
 SCHEMA_VERSION = 1
-
-_VERBS = ("validate", "equiv", "classes", "orbit-check", "preord-check", "frame", "bridge")
-
-_VERB_KINDS = {
-    "validate": ("category", "two_category", "equiv_instance"),
-    "equiv": ("equiv_instance",),
-    "classes": ("equiv_instance",),
-    "orbit-check": ("group_action",),
-    "preord-check": ("preord_suite",),
-    "frame": ("family",),
-    "bridge": ("bridge",),
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    verb: str
-    input: str
-    tol_rank: float = TOL_RANK
-    tol_psd: float = TOL_PSD
-    seed: int = 0
-    format: str = "text"
-    out: str | None = None
-
-    def __post_init__(self):
-        for tol in (self.tol_rank, self.tol_psd):
-            if not math.isfinite(tol) or tol <= 0:
-                raise ValueError("tolerances must be positive and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
 
 
 # ---------------------------------------------------------------- loading
@@ -196,19 +163,6 @@ def _build_equiv(doc, *, validate=True):
 # ---------------------------------------------------------------- reports
 
 
-def _py(v):
-    """Coerce report leaves to plain JSON-serializable Python values."""
-    if isinstance(v, dict):
-        return {k: _py(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_py(x) for x in v]
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.bool_):
-        return bool(v)
-    return v
-
-
 def _text_items(value, key):
     if isinstance(value, dict):
         if not value:
@@ -225,7 +179,6 @@ def _text_items(value, key):
 
 
 def _render(report, fmt):
-    report = _py(report)
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     return "".join(f"{k} = {v}\n" for k, v in _text_items(report, ""))
@@ -238,10 +191,10 @@ def _violations(report):
 # ---------------------------------------------------------------- verbs
 
 
-def _run_validate(doc, kind, cfg):
-    if kind == "category":
+def _run_validate(doc, args):
+    if doc["kind"] == "category":
         found = FiniteCategory.from_dict(doc, validate=False).validate()
-    elif kind == "two_category":
+    elif doc["kind"] == "two_category":
         found = Finite2Category.from_dict(doc, validate=False).validate()
     else:
         e = _build_equiv(doc, validate=False)
@@ -253,7 +206,7 @@ def _run_validate(doc, kind, cfg):
     return (0 if ok else 1), {"valid": ok, "violations": _violations(found)}
 
 
-def _run_equiv(doc, cfg):
+def _run_equiv(doc, args):
     if "pair" not in doc:
         raise SchemaError("equiv needs a 'pair' of morphism ids")
     e = _build_equiv(doc)
@@ -271,13 +224,13 @@ def _run_equiv(doc, cfg):
     return (0 if ok else 1), {"pair": [m, m_tilde], "equivalent": ok, "witness": wdump}
 
 
-def _run_classes(doc, cfg):
+def _run_classes(doc, args):
     e = _build_equiv(doc)
     blocks = equivalence_classes(e)
     return 0, {"count": len(blocks), "classes": [list(b) for b in blocks]}
 
 
-def _run_orbit_check(doc, cfg):
+def _run_orbit_check(doc, args):
     action = GroupAction.from_dict(doc)
     bound = doc.get("max_chain_length", 1)
     pairs = []
@@ -299,7 +252,13 @@ def _run_orbit_check(doc, cfg):
     return (0 if all_agree else 1), report
 
 
-def _run_preord_check(doc, cfg):
+def _run_preord_check(doc, args):
+    for field in ("objects", "maps", "cells"):
+        seen = set()
+        for entry in doc[field]:
+            if entry["name"] in seen:
+                raise SchemaError(f"the name {entry['name']!r} is repeated in {field}")
+            seen.add(entry["name"])
     objects = {}
     object_reports = {}
     for od in doc["objects"]:
@@ -334,17 +293,16 @@ def _run_preord_check(doc, cfg):
         if cd["src"] not in maps or cd["tgt"] not in maps:
             raise SchemaError(f"cell {cd['name']!r} references an unknown map")
         try:
-            valid = is_two_cell(cd["scalar"], maps[cd["src"]], maps[cd["tgt"]])
-        except NotParallel:
-            valid = False
-        cell_reports[cd["name"]] = valid
-        if valid:
             cells[cd["name"]] = CentralCell(cd["scalar"], maps[cd["src"]], maps[cd["tgt"]])
+        except (NotParallel, InvalidCell):
+            pass
+        cell_reports[cd["name"]] = cd["name"] in cells
     report["cells"] = cell_reports
     all_ok = all(cell_reports.values())
 
     # composites of declared valid cells stay valid, and the two evaluation
-    # orders of every square of composable cells agree
+    # orders of every square of composable cells agree; a square with a
+    # composite that is not a cell fails
     names = sorted(cells)
     composite_failures = []
     vpairs = []
@@ -368,7 +326,11 @@ def _run_preord_check(doc, cfg):
         for c, d in vpairs:
             if cells[a].src.cod is cells[c].src.dom:
                 interchange_checked += 1
-                if not check_interchange(cells[a], cells[b], cells[c], cells[d]):
+                try:
+                    agree = check_interchange(cells[a], cells[b], cells[c], cells[d])
+                except InvalidCell:
+                    agree = False
+                if not agree:
                     interchange_failures.append([a, b, c, d])
     report["composite_failures"] = composite_failures
     report["interchange_checked"] = interchange_checked
@@ -378,11 +340,11 @@ def _run_preord_check(doc, cfg):
     return (0 if all_ok else 1), report
 
 
-def _run_frame(doc, cfg):
+def _run_frame(doc, args):
     fam = _family(doc)
-    verdict = is_frame(fam, tol_rank=cfg.tol_rank)
+    verdict = is_frame(fam, tol_rank=args.tol_rank)
     p = frame_operator(fam)
-    tight = verdict.upper > 0 and (verdict.upper - verdict.lower) <= cfg.tol_psd * verdict.upper
+    tight = verdict.upper > 0 and (verdict.upper - verdict.lower) <= args.tol_psd * verdict.upper
     report = {
         "dim": fam.dim,
         "count": fam.count,
@@ -393,17 +355,17 @@ def _run_frame(doc, cfg):
     }
     ok = verdict.is_frame
     if verdict.is_frame:
-        u, u_tilde = onb_witness(fam, tol_rank=cfg.tol_rank)
+        u, u_tilde = onb_witness(fam, tol_rank=args.tol_rank)
         white = transport_form(u, p)
         dev = float(np.linalg.norm(white.matrix - np.eye(fam.dim), 2))
         # relative backward error: for u = P^(-1/2), |u|^2 |P| = upper / lower
-        report["onb_witness_valid"] = dev <= cfg.tol_psd * verdict.upper / verdict.lower
+        report["onb_witness_valid"] = dev <= args.tol_psd * verdict.upper / verdict.lower
         ok = ok and report["onb_witness_valid"]
     if "compare" in doc:
         other = _family(doc["compare"]["family"])
         u = _matrix(doc["compare"]["u"])
         u_tilde = _matrix(doc["compare"]["u_tilde"])
-        dv = def_equivalent_with_witness(fam, other, u, u_tilde, tol_rank=cfg.tol_rank)
+        dv = def_equivalent_with_witness(fam, other, u, u_tilde, tol_rank=args.tol_rank)
         report["compare"] = {
             "equivalent": dv.equivalent,
             "forward": _compare_dump(dv.forward),
@@ -423,12 +385,12 @@ def _compare_dump(v):
     return out
 
 
-def _run_bridge(doc, cfg):
+def _run_bridge(doc, args):
     f = _family(doc["f"])
     f_tilde = _family(doc["f_tilde"])
     ops = {k: _matrix(doc[k]) for k in ("u1", "u2", "v1", "v2")}
     verdict = bridge_equivalent(
-        f, f_tilde, ops["u1"], ops["u2"], ops["v1"], ops["v2"], tol_rank=cfg.tol_rank
+        f, f_tilde, ops["u1"], ops["u2"], ops["v1"], ops["v2"], tol_rank=args.tol_rank
     )
     if "seminorm" in doc:
         s = SeminormRep(doc["seminorm"]["scale"], _matrix(doc["seminorm"]["op"]))
@@ -437,7 +399,7 @@ def _run_bridge(doc, cfg):
     closed = bridge_composite(f, ops["u1"], ops["u2"], s)
     staged = bridge_composite_staged(f, ops["u1"], ops["u2"], s)
     dev = 0.0
-    for x in probe_vectors(f_tilde.dim, doc.get("probes", 16), seed=cfg.seed):
+    for x in probe_vectors(f_tilde.dim, doc.get("probes", 16), seed=args.seed):
         a, b = closed(x), staged(x)
         dev = max(dev, abs(a - b) / max(a, b, 1.0))
     report = {
@@ -445,7 +407,7 @@ def _run_bridge(doc, cfg):
         "forward": _compare_dump(verdict.forward),
         "backward": _compare_dump(verdict.backward),
         "cells": list(verdict.cells) if verdict.cells else None,
-        "seminorm_dominated": s.dominated_within(cfg.tol_psd),
+        "seminorm_dominated": s.dominated_within(args.tol_psd),
         "staged_closed_dev": dev,
         # true by construction; schema_version 1 and the cli-verbs benchmark read the key
         "matches_direct_test": True,
@@ -456,26 +418,24 @@ def _run_bridge(doc, cfg):
 # ---------------------------------------------------------------- driver
 
 
-def _dispatch(cfg: RunConfig):
-    doc = _load(cfg.input)
+_VERBS = {
+    "validate": (("category", "two_category", "equiv_instance"), _run_validate),
+    "equiv": (("equiv_instance",), _run_equiv),
+    "classes": (("equiv_instance",), _run_classes),
+    "orbit-check": (("group_action",), _run_orbit_check),
+    "preord-check": (("preord_suite",), _run_preord_check),
+    "frame": (("family",), _run_frame),
+    "bridge": (("bridge",), _run_bridge),
+}
+
+
+def _dispatch(args):
+    doc = _load(args.input)
     kind = _check_schema(doc)
-    if kind not in _VERB_KINDS[cfg.verb]:
-        raise SchemaError(
-            f"verb {cfg.verb!r} expects kind in {list(_VERB_KINDS[cfg.verb])}, got {kind!r}"
-        )
-    if cfg.verb == "validate":
-        return _run_validate(doc, kind, cfg)
-    if cfg.verb == "equiv":
-        return _run_equiv(doc, cfg)
-    if cfg.verb == "classes":
-        return _run_classes(doc, cfg)
-    if cfg.verb == "orbit-check":
-        return _run_orbit_check(doc, cfg)
-    if cfg.verb == "preord-check":
-        return _run_preord_check(doc, cfg)
-    if cfg.verb == "frame":
-        return _run_frame(doc, cfg)
-    return _run_bridge(doc, cfg)
+    kinds, run = _VERBS[args.verb]
+    if kind not in kinds:
+        raise SchemaError(f"verb {args.verb!r} expects kind in {list(kinds)}, got {kind!r}")
+    return run(doc, args)
 
 
 def build_parser():
@@ -497,29 +457,29 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = RunConfig(args.verb, args.input, args.tol_rank, args.tol_psd,
-                        args.seed, args.format, args.out)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    if not all(math.isfinite(tol) and tol > 0 for tol in (args.tol_rank, args.tol_psd)):
+        sys.stderr.write("error: tolerances must be positive and finite\n")
         return 2
-    base = {"schema_version": SCHEMA_VERSION, "verb": cfg.verb}
+    if args.seed < 0:
+        sys.stderr.write("error: seed must be a non-negative integer\n")
+        return 2
+    base = {"schema_version": SCHEMA_VERSION, "verb": args.verb}
     try:
-        code, body = _dispatch(cfg)
+        code, body = _dispatch(args)
     except MorpheqError as exc:
         code, body = 2, {"error": {"type": type(exc).__name__, "message": str(exc)}}
     except Exception as exc:  # a crash must not read as the answer "no"
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 3
-    text = _render({**base, **body}, cfg.format)
-    if not cfg.out:
+    text = _render({**base, **body}, args.format)
+    if not args.out:
         sys.stdout.write(text)
         return code
     try:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:  # nor may a report that was never written
-        sys.stderr.write(f"error: cannot write {cfg.out}: {exc.strerror or exc}\n")
+        sys.stderr.write(f"error: cannot write {args.out}: {exc.strerror or exc}\n")
         return 2
     return code
 

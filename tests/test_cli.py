@@ -179,6 +179,23 @@ def test_shipped_reports_match_the_golden_files(capsys, name, verb, fmt):
         assert _same_leaf(g, w), (key, g, w)
 
 
+def _plain(value):
+    if type(value) is dict:
+        return all(type(k) is str and _plain(v) for k, v in value.items())
+    if type(value) is list:
+        return all(_plain(v) for v in value)
+    return type(value) in (str, int, float, bool, type(None))
+
+
+@pytest.mark.parametrize("name, verb", SHIPPED)
+def test_reports_hold_only_plain_values(name, verb):
+    # reports are rendered as they are: a numpy scalar or a tuple in one
+    # would change its bytes or fail to render
+    args = cli.build_parser().parse_args(["--input", str(INSTANCES / name), "--verb", verb])
+    _, body = cli._dispatch(args)
+    assert _plain(body), body
+
+
 def test_validate_report_does_not_depend_on_hash_seed(tmp_path):
     # every verb on its shipped instance, plus two broken documents whose
     # violations come from hashed containers: compose gaps of a category
@@ -414,6 +431,28 @@ def test_wrong_kind_for_verb_exits_two():
     assert out["error"]["type"] == "SchemaError"
 
 
+@pytest.mark.parametrize("verb, kinds, name, kind", [
+    ("validate", ["category", "two_category", "equiv_instance"], "mercedes.json", "family"),
+    ("equiv", ["equiv_instance"], "mercedes.json", "family"),
+    ("classes", ["equiv_instance"], "z2_orbit.json", "group_action"),
+    ("orbit-check", ["group_action"], "preord_demo.json", "preord_suite"),
+    ("preord-check", ["preord_suite"], "bridge_demo.json", "bridge"),
+    ("frame", ["family"], "arrow_equiv.json", "equiv_instance"),
+    ("bridge", ["bridge"], "terminal_two_category.json", "two_category"),
+])
+def test_each_verb_rejects_other_kinds(capsys, verb, kinds, name, kind):
+    code = cli.main(["--input", str(INSTANCES / name), "--verb", verb, "--format", "json"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "SchemaError",
+        "message": f"verb {verb!r} expects kind in {kinds}, got {kind!r}",
+    }
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--input", str(INSTANCES / name), "--verb", verb.upper()])
+    assert exc.value.code == 2
+    assert f"invalid choice: {verb.upper()!r}" in capsys.readouterr().err
+
+
 def test_broken_carrier_is_an_input_error_for_equiv(tmp_path):
     doc = json.loads((INSTANCES / "arrow_equiv.json").read_text())
     doc["c"]["compose"] = [t for t in doc["c"]["compose"] if t[:2] != ["idB", "m"]]
@@ -437,10 +476,10 @@ def test_reserved_carrier_name_is_an_input_error_for_orbit_check(tmp_path):
 
 
 def test_unexpected_exception_exits_three(monkeypatch, capsys):
-    def crash(doc, cfg):
+    def crash(*args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "_run_equiv", crash)
+    monkeypatch.setattr(cli, "are_equivalent", crash)
     code = cli.main(["--input", str(INSTANCES / "arrow_equiv.json"), "--verb", "equiv"])
     assert code == 3
     captured = capsys.readouterr()
@@ -615,6 +654,42 @@ def test_bad_value_exits_two(capsys, tmp_path, name, verb, tamper):
     code, out, _ = run_main(capsys, doc, verb, tmp_path)
     assert code == 2
     assert out["error"]["type"] == "InvalidValue"
+
+
+def test_a_composite_that_is_not_a_cell_is_a_no(capsys, tmp_path):
+    # p collapses Y, so 2: f => g is a cell but its whiskering by p is not,
+    # and neither is the left-hand side of the square (alpha, one_g, one_p, one_p)
+    doc = {
+        "kind": "preord_suite",
+        "objects": [{"name": "X", "carrier": ["1"]}, {"name": "Y", "carrier": ["1", "2"]},
+                    {"name": "Z", "carrier": ["1", "2", "4"]}],
+        "maps": [{"name": "f", "dom": "X", "cod": "Y", "table": {"1": "2"}},
+                 {"name": "g", "dom": "X", "cod": "Y", "table": {"1": "1"}},
+                 {"name": "p", "dom": "Y", "cod": "Z", "table": {"1": "1", "2": "1"}}],
+        "cells": [{"name": "alpha", "scalar": "2", "src": "f", "tgt": "g"},
+                  {"name": "one_g", "scalar": "1", "src": "g", "tgt": "g"},
+                  {"name": "one_p", "scalar": "1", "src": "p", "tgt": "p"}],
+    }
+    code, out, err = run_main(capsys, doc, "preord-check", tmp_path)
+    assert (code, err) == (1, "")
+    assert out["cells"] == {"alpha": True, "one_g": True, "one_p": True}
+    assert {"kind": "horizontal", "cells": ["alpha", "one_p"]} in out["composite_failures"]
+    assert ["alpha", "one_g", "one_p", "one_p"] in out["interchange_failures"]
+    assert out["all_ok"] is False
+
+
+@pytest.mark.parametrize("field", ["objects", "maps", "cells"])
+def test_a_repeated_suite_name_exits_two(capsys, tmp_path, field):
+    # the report is keyed by name, so a second entry of the same name would
+    # overwrite the first's line there while the checks kept using the first
+    doc = json.loads((INSTANCES / "preord_demo.json").read_text())
+    doc[field].append({**doc[field][0], **({"scalar": "1000"} if field == "cells" else {})})
+    code, out, _ = run_main(capsys, doc, "preord-check", tmp_path)
+    assert code == 2
+    assert out["error"] == {
+        "type": "SchemaError",
+        "message": f"the name {doc[field][0]['name']!r} is repeated in {field}",
+    }
 
 
 def _mutate(rng, doc):
