@@ -18,6 +18,9 @@ lexicographic order and the first witness found is returned.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 
 from .catkernel import FiniteCategory, Finite2Category, FunctorData, MorphismFunction
@@ -247,22 +250,80 @@ def derive_witness(e: EquivData, mode: str, *args) -> Witness:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _members(bits):
+    """The positions of the set bits of ``bits``, least first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _union(bitsets):
+    """The OR of some Python-int bitsets."""
+    return functools.reduce(operator.or_, bitsets, 0)
+
+
 def equivalence_classes(e: EquivData):
     """Partition of all morphisms of c: sorted blocks, listed by least member.
 
-    Each morphism, in sorted order, is searched only against the first
-    member of each class so far; it joins the first class that answers
-    yes, else starts a new one.  This is exact on a lawful bundle, where
-    the relation is reflexive, symmetric and transitive (the derive_*
-    witnesses), and are_equivalent(e, m, mt) runs the same two side
-    searches as are_equivalent(e, mt, m).
+    One sweep, with no pair search.  Morphism i of the sorted list is bit
+    i of a Python int.  Each morphism m gets its reach, the set of mt for
+    which ``_side_search(e, m, mt)`` finds a u-side, built in three layers:
+
+    - ``mask(x)``: the mt whose sigma lies in ``d.linked_to(x)``;
+    - ``row(left, At, dom m)``, keyed like the witness search's rows: the
+      union of ``mask(left . tau2(u2))`` over u2: At -> dom m;
+    - the reach: for each hom-set At -> Bt, its members within the union
+      of the rows of the distinct lefts ``tau1(u1) . sigma(m)`` over
+      u1: cod m -> Bt.
+
+    A block is the morphisms that reach its least member and that it
+    reaches, the two sides ``are_equivalent`` asks.  This is exact on a
+    lawful bundle, where the relation is reflexive, symmetric and
+    transitive (the derive_* witnesses).  Masks, rows and reaches last
+    for one call; nothing is kept on ``e``.
     """
-    classes = []
-    for m in sorted(e.c.morphisms):
-        for block in classes:
-            if are_equivalent(e, block[0], m)[0]:
-                block.append(m)
-                break
-        else:
-            classes.append([m])
-    return classes
+    c, d = e.c, e.d
+    sigma, tau1, tau2 = e.sigma.morphism_map, e.tau1.morphism_map, e.tau2.morphism_map
+    rows = d.skeleton.rows
+    items = sorted(c.morphisms)
+    by_sigma, homs_into = {}, {}  # homs_into[Bt][At]: the morphisms At -> Bt
+    for i, m in enumerate(items):
+        a = c.morphisms[m]
+        by_sigma[sigma[m]] = by_sigma.get(sigma[m], 0) | 1 << i
+        into = homs_into.setdefault(a.cod, {})
+        into[a.dom] = into.get(a.dom, 0) | 1 << i
+
+    @functools.cache
+    def mask(x):
+        return _union(map(by_sigma.get, d.linked_to(x), itertools.repeat(0)))
+
+    @functools.cache
+    def row(left, at, a):
+        lrow = rows[left]
+        return _union(map(mask, {lrow[tau2[u2]] for u2 in c.hom(at, a)}))
+
+    reach = []
+    for m in items:
+        a = c.morphisms[m]
+        got = 0
+        for bt, into in homs_into.items():
+            lefts = {rows[tau1[u1]][sigma[m]] for u1 in c.hom(a.cod, bt)}
+            for at, bits in into.items():
+                rowed = 0
+                for left in lefts:
+                    rowed |= row(left, at, a.dom)
+                got |= bits & rowed
+        reach.append(got)
+
+    blocks = []
+    placed = 0
+    for i in range(len(items)):
+        if not placed >> i & 1:
+            block = 1 << i
+            for j in _members(reach[i] & ~placed & ~block):
+                if reach[j] >> i & 1:
+                    block |= 1 << j
+            placed |= block
+            blocks.append([items[j] for j in _members(block)])
+    return blocks

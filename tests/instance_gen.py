@@ -14,7 +14,9 @@ Also small group actions, fixed and seeded, whose delooped slices serve
 as larger equivalence instances, and the categories of maps between
 finite sets and the matrix monoids over GF(2), whose locally discrete
 bundles have Green's J-relation as their equivalence, with the rank
-classes as its known answer.
+classes as its known answer; with one functor made constant, the
+one-sided R- and L-relations, with the image and kernel (column and row
+space) classes as theirs.
 """
 
 import itertools
@@ -383,7 +385,18 @@ def transformation_monoid(n):
 
 def map_rank(m):
     """The image size of a map of ``finite_sets``, read off its id."""
-    return len(set(m.split(":")[1]))
+    return len(map_image(m))
+
+
+def map_image(m):
+    """The image of a map of ``finite_sets``, as a set of digits."""
+    return frozenset(m.split(":")[1])
+
+
+def map_kernel(m):
+    """The kernel of a map of ``finite_sets``: each point's least point of equal image."""
+    images = m.split(":")[1]
+    return tuple(map(images.index, images))
 
 
 def matrix_monoid(n):
@@ -422,6 +435,28 @@ def matrix_rank(m):
     return rank
 
 
+def _span(vectors):
+    """Every sum over GF(2) of some of ``vectors``, each an int of bits."""
+    span = {0}
+    for v in vectors:
+        span |= {s ^ v for s in span}
+    return frozenset(span)
+
+
+def matrix_column_space(m):
+    """The column space over GF(2) of a matrix of ``matrix_monoid``."""
+    head, digits = m.split(":")
+    n = int(head[1:])
+    return _span(int(digits[j::n], 2) for j in range(n))
+
+
+def matrix_row_space(m):
+    """The row space over GF(2) of a matrix of ``matrix_monoid``."""
+    head, digits = m.split(":")
+    n = int(head[1:])
+    return _span(int(digits[i * n:(i + 1) * n], 2) for i in range(n))
+
+
 def locally_discrete_bundle(cat: FiniteCategory):
     """The bundle (cat, d, id, id, id) whose d has only identity 2-cells.
 
@@ -446,3 +481,21 @@ def locally_discrete_bundle(cat: FiniteCategory):
     )
     sigma = MorphismFunction(cat, d, {o: o for o in cat.objects}, {m: m for m in cat.morphisms})
     return EquivData(cat, d, sigma, _identity_functor(cat, d), _identity_functor(cat, d))
+
+
+def one_sided_bundle(cat: FiniteCategory, side):
+    """``locally_discrete_bundle(cat)`` with the functor named ``side``
+    ("tau1" or "tau2") swapped for the constant functor at the identity.
+
+    ``cat`` has one object.  With tau1 constant a witness says exactly
+    m . u2 = mt and mt . v2 = m, Green's R-relation of the monoid under
+    g . f; with tau2 constant, u1 . m = mt and v1 . mt = m, its
+    L-relation.  In T_n these are the maps of equal image and of equal
+    kernel, in M_n(GF(2)) the matrices of equal column space and of
+    equal row space (Howie, Fundamentals of Semigroup Theory, 1995).
+    """
+    e = locally_discrete_bundle(cat)
+    (obj,) = cat.objects
+    const = FunctorData(cat, e.d, {obj: obj}, dict.fromkeys(cat.morphisms, cat.id_of(obj)))
+    tau1, tau2 = {"tau1": (const, e.tau2), "tau2": (e.tau1, const)}[side]
+    return EquivData(cat, e.d, e.sigma, tau1, tau2)

@@ -20,10 +20,16 @@ from morpheq.errors import InvalidInstance, InvalidPremise
 
 from instance_gen import (
     finite_sets,
+    fixed_actions,
     locally_discrete_bundle,
+    map_image,
+    map_kernel,
     map_rank,
+    matrix_column_space,
     matrix_monoid,
     matrix_rank,
+    matrix_row_space,
+    one_sided_bundle,
     random_equiv_instance,
     regular_action,
     swap_action,
@@ -249,10 +255,13 @@ def test_relation_laws_spot_check():
 
 
 def test_classes_match_all_pairs_oracle():
-    bundles = [random_equiv_instance(seed) for seed in range(30)]
-    swap = swap_action()
-    bundles += [deloop_slice(swap, 1).equiv, deloop_slice(swap, 2).equiv,
-                deloop_slice(regular_action(3), 2).equiv]
+    bundles = [random_equiv_instance(seed) for seed in range(100)]
+    # the oracle takes about 3 s and 16 s on these two at chain bound 2
+    slow_at_2 = {"c4-plus-fixed-point", "c2-three-pairs"}
+    for name, action in fixed_actions():
+        bounds = (0, 1) if name in slow_at_2 else (0, 1, 2)
+        bundles += [deloop_slice(action, bound).equiv for bound in bounds]
+    bundles.append(locally_discrete_bundle(finite_sets((1, 2, 3))))  # several objects, partial rows
     for e in bundles:
         assert equivalence_classes(e) == equivalence_classes_all_pairs(e)
 
@@ -275,17 +284,19 @@ def test_indexed_search_matches_the_scan_on_every_ordered_pair():
     assert cross_boundary_hits > 0
 
 
-def test_classes_search_each_morphism_against_one_member_per_class(monkeypatch):
+def test_classes_make_no_pair_search(monkeypatch):
     e = deloop_slice(regular_action(3), 2).equiv
+    want = equivalence_classes_all_pairs(e)
+    side_search = equivalence._side_search
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return are_equivalent(*args)
+        return side_search(*args)
 
-    monkeypatch.setattr(equivalence, "are_equivalent", counted)
-    blocks = equivalence_classes(e)
-    assert len(calls) <= len(e.c.morphisms) * len(blocks)  # 41 * 5
+    monkeypatch.setattr(equivalence, "_side_search", counted)
+    assert equivalence_classes(e) == want
+    assert calls == []
 
 
 def test_classes_are_a_partition():
@@ -382,3 +393,45 @@ def test_green_j_classes_are_the_rank_classes(name, cat):
         assert ok == (rank(m) == rank(mt))
         if ok:
             assert verify_witness(e, m, mt, w)
+
+
+# the keys of Green's R- and L-classes: with tau1 constant a witness is
+# m . u2 = mt both ways, with tau2 constant u1 . m = mt both ways
+ONE_SIDED_KEYS = {"T": (map_image, map_kernel), "M": (matrix_column_space, matrix_row_space)}
+
+
+def _partition(items, key):
+    by_key = {}
+    for m in sorted(items):
+        by_key.setdefault(key(m), []).append(m)
+    return sorted(by_key.values())
+
+
+@pytest.mark.parametrize("name, cat", [
+    *((f"T{n}", transformation_monoid(n)) for n in (1, 2, 3, 4)),
+    *((f"M{n}(GF(2))", matrix_monoid(n)) for n in (1, 2)),
+])
+def test_one_sided_classes_are_greens_r_and_l_classes(name, cat):
+    # equal image and equal kernel in T_n, equal column space and equal
+    # row space in M_n(GF(2)) (Howie, Fundamentals of Semigroup Theory, 1995)
+    for side, key in zip(("tau1", "tau2"), ONE_SIDED_KEYS[name[0]]):
+        e = one_sided_bundle(cat, side)  # validated, so the laws are checked too
+        assert equivalence_classes(e) == _partition(cat.morphisms, key), side
+
+
+@pytest.mark.parametrize("name, cat", [("T3", transformation_monoid(3)), ("M2(GF(2))", matrix_monoid(2))])
+def test_one_sided_search_matches_the_oracle_and_meets_in_the_h_classes(name, cat):
+    r_key, l_key = ONE_SIDED_KEYS[name[0]]
+    bundles = [one_sided_bundle(cat, side) for side in ("tau1", "tau2")]
+    for e in bundles:
+        assert equivalence_classes(e) == equivalence_classes_all_pairs(e)
+    for m in cat.morphisms:
+        for mt in cat.morphisms:
+            both = True
+            for e in bundles:
+                ok, w = are_equivalent(e, m, mt)
+                if ok:
+                    assert verify_witness(e, m, mt, w)
+                both = both and ok
+            # R and L together are Green's H-relation
+            assert both == (r_key(m) == r_key(mt) and l_key(m) == l_key(mt)), (m, mt)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from morpheq import (
@@ -21,6 +23,7 @@ from instance_gen import (
     random_action,
     regular_action,
     swap_action,
+    three_pairs_c2,
     trivial_action,
 )
 from oracles import slice_cells_pairwise
@@ -256,6 +259,21 @@ def test_search_leaves_the_two_cell_tables_unbuilt():
     assert built <= set(vars(d))  # built once, then plain attributes
     assert d._cells is None and d._tables is None  # the builders are dropped
     assert not index & set(vars(d))
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+def test_slice_classes_are_the_words_of_one_orbit_pattern(bound):
+    # words of one length are equivalent iff their letters lie in the same
+    # orbit position by position; the overflow cell is a class of its own
+    a = three_pairs_c2()
+    orbit_of = {x: i for i, block in enumerate(orbit_partition(a)) for x in block}
+    by_pattern = {}
+    for n in range(bound + 2):
+        for word in itertools.product(a.carrier, repeat=n):
+            pattern = tuple(orbit_of[x] for x in word)
+            by_pattern.setdefault(pattern, []).append("[" + ",".join(word) + "]")
+    want = sorted([sorted(block) for block in by_pattern.values()] + [["!overflow"]])
+    assert equivalence_classes(deloop_slice(a, bound).equiv) == want
 
 
 def test_slice_lookups_match_the_enumerated_index():
