@@ -9,6 +9,12 @@ iff they lie in the same orbit.  Chains of different lengths never bound
 a 2-cell, which is what forces the comparison chains in any witness to
 be empty.
 
+Groups and actions are stored as rows, ``rows[g][h] = g h`` and
+``rows[g][x] = g . x``, as every table of :mod:`morpheq.catkernel` is,
+and their associativity and compatibility laws are both checked by the
+kernel's row equation (h g) x = h (g x).  A repeated element or carrier
+name is rejected at construction.
+
 The delooping itself is infinite; :func:`deloop_slice` builds the finite
 sub-2-category of chains of length <= max_chain_length + 1.  Its 1-cells
 and composition rows are built with the slice.  The witness search reads
@@ -29,9 +35,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .catkernel import Cell, Finite2Category, FiniteCategory, FunctorData, MorphismFunction, RowTable, Violation
+from .catkernel import _action_failures, _as_rows, _in_order, _pairwise, _positions
 from .equivalence import EquivData, are_equivalent
 from .errors import InvalidInstance, InvalidParameter, UnknownElement
 
@@ -39,55 +45,78 @@ OVERFLOW = "!overflow"
 _RESERVED = set("[],>#!")
 
 
+def _distinct(names, what):
+    """``names`` as a tuple, unless one is repeated."""
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        raise InvalidInstance([Violation("duplicate-id", f"repeated {what}")])
+    return names
+
+
+def _total(rows, heads, xs, values, code):
+    """A ``code`` violation for each (g, x) of ``heads`` by ``xs`` whose entry
+    ``rows[g][x]`` is missing or not in ``values``, in that order."""
+    empty = {}
+    return [
+        Violation(code, f"({g}, {x})")
+        for g in heads for row in (rows.get(g, empty),) for x in xs
+        if (v := row.get(x)) is None or v not in values
+    ]
+
+
+def _compatible(act, elements, xs, mul, code):
+    """A ``code`` violation for each (h, g, x) with (h g) x != h (g x), where
+    ``act[g][x]`` is g acting on x and ``mul[h][g]`` the product h g, sorted
+    by the positions of h, g and x."""
+    if not xs:
+        return []
+    at, ax = _positions(elements), _positions(xs)
+    failed = _action_failures(act, [(list(xs), elements)], lambda g: elements, lambda h, g: mul[h][g])
+    return _in_order(((at[h], at[g], ax[x]), Violation(code, f"({h}, {g}, {x})")) for h, g, x in failed)
+
+
 class FiniteGroup:
-    """A finite group as an element list and a multiplication table."""
+    """A finite group as an element list and a multiplication table, stored as
+    rows ``rows[g][h] = g h``; ``mul_table`` is their ``(g, h)``-keyed view."""
 
     def __init__(self, elements, mul, unit, *, validate=True):
-        self.elements = tuple(elements)
-        self.mul_table = dict(mul)
+        self.elements = _distinct(elements, "group element")
+        self.mul_table = _as_rows(mul)
+        self.rows = self.mul_table.rows
         self.unit = unit
         if validate:
             report = self.validate()
             if report:
                 raise InvalidInstance(report)
         self.inverse_of = {}
-        eset = set(self.elements)
+        empty = {}
         for g in self.elements:
+            row = self.rows.get(g, empty)
             for h in self.elements:
-                if self.mul_table.get((g, h)) == self.unit and self.mul_table.get((h, g)) == self.unit:
+                if row.get(h) == unit and self.rows.get(h, empty).get(g) == unit:
                     self.inverse_of[g] = h
                     break
-        if validate and set(self.inverse_of) != eset:
+        if validate and len(self.inverse_of) != len(self.elements):
             raise InvalidInstance([Violation("group-inverse", "some element has no inverse")])
 
     def mul(self, g, h):
         try:
-            return self.mul_table[(g, h)]
+            return self.rows[g][h]
         except KeyError:
             raise UnknownElement(f"({g!r}, {h!r}) not in multiplication table") from None
 
     def validate(self):
-        bad = []
-        eset = set(self.elements)
-        if self.unit not in eset:
-            return [Violation("group-unit", f"unit {self.unit!r} not an element")]
-        for g in self.elements:
-            for h in self.elements:
-                v = self.mul_table.get((g, h))
-                if v is None or v not in eset:
-                    bad.append(Violation("group-closure", f"({g}, {h})"))
+        els, rows, unit = self.elements, self.rows, self.unit
+        eset = set(els)
+        if unit not in eset:
+            return [Violation("group-unit", f"unit {unit!r} not an element")]
+        bad = _total(rows, els, els, eset, "group-closure")
         if bad:
             return bad
-        for g in self.elements:
-            if self.mul_table[(self.unit, g)] != g or self.mul_table[(g, self.unit)] != g:
+        for g in els:
+            if rows[unit][g] != g or rows[g][unit] != g:
                 bad.append(Violation("group-unit", g))
-        for g in self.elements:
-            for h in self.elements:
-                gh = self.mul_table[(g, h)]
-                for k in self.elements:
-                    if self.mul_table[(gh, k)] != self.mul_table[(g, self.mul_table[(h, k)])]:
-                        bad.append(Violation("group-assoc", f"({g}, {h}, {k})"))
-        return bad
+        return bad + _compatible(rows, els, els, rows, "group-assoc")
 
     @classmethod
     def cyclic(cls, n):
@@ -101,55 +130,48 @@ class FiniteGroup:
 
 
 class GroupAction:
-    """A left action of a finite group on a finite carrier, as a table."""
+    """A left action of a finite group on a finite carrier, stored as rows
+    ``rows[g][x] = g . x``; ``act_table`` is their ``(g, x)``-keyed view."""
 
     def __init__(self, group: FiniteGroup, carrier, act, *, validate=True):
         self.group = group
-        self.carrier = tuple(carrier)
-        self.act_table = dict(act)
+        self.carrier = _distinct(carrier, "carrier element")
+        self.act_table = _as_rows(act)
+        self.rows = self.act_table.rows
         if validate:
             report = self.validate()
             if report:
                 raise InvalidInstance(report)
-        self._transporters = None
         self._slices = {}
 
     def act(self, g, x):
         try:
-            return self.act_table[(g, x)]
+            return self.rows[g][x]
         except KeyError:
             raise UnknownElement(f"({g!r}, {x!r}) not in action table") from None
 
     def validate(self):
-        bad = []
-        cset = set(self.carrier)
-        for g in self.group.elements:
-            for x in self.carrier:
-                v = self.act_table.get((g, x))
-                if v is None or v not in cset:
-                    bad.append(Violation("action-totality", f"({g}, {x})"))
+        els, xs, rows = self.group.elements, self.carrier, self.rows
+        bad = _total(rows, els, xs, set(xs), "action-totality")
         if bad:
             return bad
-        for x in self.carrier:
-            if self.act_table[(self.group.unit, x)] != x:
-                bad.append(Violation("action-unit", x))
+        unit_row = rows[self.group.unit]
+        bad = [Violation("action-unit", x) for x in xs if unit_row[x] != x]
+        return bad + _compatible(rows, els, xs, self.group.rows, "action-compat")
+
+    @functools.cached_property
+    def _transporters(self):
+        """(x, y) -> the group elements sending x to y, in element order."""
+        table = {}
         for g in self.group.elements:
-            for h in self.group.elements:
-                gh = self.group.mul_table[(g, h)]
-                for x in self.carrier:
-                    if self.act_table[(g, self.act_table[(h, x)])] != self.act_table[(gh, x)]:
-                        bad.append(Violation("action-compat", f"({g}, {h}, {x})"))
-        return bad
+            row = self.rows[g]
+            for x in self.carrier:
+                table.setdefault((x, row[x]), []).append(g)
+        return {key: tuple(gs) for key, gs in table.items()}
 
     def transporters(self, x, y):
         """Group elements sending x to y, in element order."""
-        if self._transporters is None:
-            table = {}
-            for g in self.group.elements:
-                for x0 in self.carrier:
-                    table.setdefault((x0, self.act_table[(g, x0)]), []).append(g)
-            self._transporters = table
-        return tuple(self._transporters.get((x, y), ()))
+        return self._transporters.get((x, y), ())
 
     @classmethod
     def from_dict(cls, data, *, validate=True):
@@ -178,38 +200,17 @@ def orbit_partition(a: GroupAction):
     for x in a.carrier:
         if x in seen:
             continue
-        orbit = {a.act_table[(g, x)] for g in a.group.elements}
+        orbit = {a.rows[g][x] for g in a.group.elements}
         seen |= orbit
         blocks.append(sorted(orbit))
     blocks.sort(key=lambda b: b[0])
     return blocks
 
 
-@dataclass(frozen=True)
-class WordTwoCell:
-    """A pointwise relabelling of one chain into another."""
-
-    src: tuple
-    tgt: tuple
-    labels: tuple
-
-
 def _labellings(a: GroupAction, src, tgt):
     """The pointwise transporter labellings of ``src`` onto ``tgt``, two chains
     of one length, in the group's element order position by position."""
     return itertools.product(*map(a.transporters, src, tgt))
-
-
-def chain_two_cells(a: GroupAction, src, tgt):
-    """All 2-cells between two chains: pointwise transporter labellings.
-
-    Chains of different lengths bound no 2-cell at all.  The result is
-    ordered by the group's element order position by position.
-    """
-    src, tgt = tuple(src), tuple(tgt)
-    if len(src) != len(tgt):
-        return []
-    return [WordTwoCell(src, tgt, labels) for labels in _labellings(a, src, tgt)]
 
 
 def _word_id(word):
@@ -238,8 +239,12 @@ class _SliceTwoCategory(Finite2Category):
     builders ``cells`` and ``tables`` run, through its reference checks,
     when the 2-cells or the other tables are first read, and each is then
     dropped, with both the enumeration they share.  ``ids`` maps each word
-    to its 1-cell id.  Both lookups are memoised: classes on a slice ask
-    them again and again.
+    to its 1-cell id.  Both lookups are memoised because the pair search
+    repeats them: deciding every letter pair of fresh slices asks each
+    ``linked_to`` key about 6 times and each ``cells_between`` key about
+    4 times (1,184 calls over 181 keys and 1,604 over 401 in one
+    deloop-orbits pass, seed 1).  The classes sweep asks ``linked_to`` once per
+    1-cell and never ``cells_between``.
     """
 
     def __init__(self, action, orbit, ids, skeleton, identity2, cells, tables):
@@ -338,7 +343,7 @@ class DeloopedSlice:
         rows[OVERFLOW] = overflow_row
 
         unit = action.group.unit
-        mul = action.group.mul_table
+        mul = action.group.rows
         over_id2 = _cell_id(OVERFLOW, OVERFLOW, ())
         id2 = {wid[w]: _cell_id(wid[w], wid[w], (unit,) * len(w)) for w in words}  # all-unit labels
         id2[OVERFLOW] = over_id2
@@ -369,7 +374,7 @@ class DeloopedSlice:
                 cells_to.setdefault(tgt, []).append((src, labels, cid))
                 by_length.setdefault(len(src), []).append((src, tgt, labels, cid))
             v = {
-                bid: {aid: cell_ids[(src, tgt, tuple(map(mul.__getitem__, zip(l2, l1))))]
+                bid: {aid: cell_ids[(src, tgt, tuple(_pairwise(mul, l2, l1)))]
                       for src, l1, aid in cells_to[mid]}
                 for (mid, tgt, l2), bid in cell_ids.items()
             }
@@ -395,27 +400,15 @@ class DeloopedSlice:
         self.two_category = _SliceTwoCategory(action, orbit, wid, self.category, id2, cells, tables)
         omap = {obj: obj}
         mmap = {m: m for m in ids}
-        self.equiv = EquivData(
-            self.category,
-            self.two_category,
-            MorphismFunction(self.category, self.two_category, omap, mmap, validate=False),
-            FunctorData(self.category, self.two_category, omap, mmap, validate=False),
-            FunctorData(self.category, self.two_category, omap, mmap, validate=False),
-            validate=False,
-        )
+        sigma = MorphismFunction(self.category, self.two_category, omap, mmap, validate=False)
+        tau = FunctorData(self.category, self.two_category, omap, mmap, validate=False)  # tau1 and tau2
+        self.equiv = EquivData(self.category, self.two_category, sigma, tau, tau, validate=False)
 
     def embed(self, x):
         """The 1-cell carrying the single-letter chain (x,)."""
         if x not in self.action.carrier:
             raise UnknownElement(f"{x!r} not in carrier")
         return _word_id((x,))
-
-    def letter_of(self, morphism_id):
-        """Inverse of embed where defined, else None."""
-        for x in self.action.carrier:
-            if _word_id((x,)) == morphism_id:
-                return x
-        return None
 
 
 def deloop_slice(a: GroupAction, max_chain_length: int) -> DeloopedSlice:

@@ -65,27 +65,25 @@ def _thin_category(rng):
     return FiniteCategory(objs, morphisms, identity, compose)
 
 
-def _cap_monoid(rng):
+def _cap_monoid(r):
     """Single object; powers of one generator, addition truncated at r."""
-    r = rng.randint(1, 7)
     morphisms = [(f"t{a}", "*", "*") for a in range(r + 1)]
     compose = {
         (f"t{a}", f"t{b}"): f"t{min(a + b, r)}"
         for a in range(r + 1)
         for b in range(r + 1)
     }
-    return FiniteCategory(["*"], morphisms, {"*": "t0"}, compose), r
+    return FiniteCategory(["*"], morphisms, {"*": "t0"}, compose)
 
 
-def _cyclic(rng):
-    k = rng.randint(2, 8)
+def _cyclic(k):
     morphisms = [(f"g{a}", "*", "*") for a in range(k)]
     compose = {
         (f"g{a}", f"g{b}"): f"g{(a + b) % k}"
         for a in range(k)
         for b in range(k)
     }
-    return FiniteCategory(["*"], morphisms, {"*": "g0"}, compose), k
+    return FiniteCategory(["*"], morphisms, {"*": "g0"}, compose)
 
 
 def _parallel_pair(rng):
@@ -225,9 +223,11 @@ def random_equiv_instance(seed):
     if family == "thin":
         cat = _thin_category(rng)
     elif family == "cap":
-        cat, extra = _cap_monoid(rng)
+        extra = rng.randint(1, 7)
+        cat = _cap_monoid(extra)
     elif family == "cyc":
-        cat, extra = _cyclic(rng)
+        extra = rng.randint(2, 8)
+        cat = _cyclic(extra)
     else:
         cat = _parallel_pair(rng)
     d = _mount_thin_two_layer(cat, rng)
@@ -239,6 +239,29 @@ def random_equiv_instance(seed):
     elif family == "cyc" and rng.random() < 0.5:
         tau2 = _power_functor(cat, d, rng.randint(0, 3), extra, "g")
     return EquivData(cat, d, sigma, tau1, tau2)
+
+
+def random_param_bundle(seed):
+    """One validated random instance on a cap or cyc monoid whose tau1 and
+    tau2 are both power functors other than the identity; deterministic in
+    the seed.
+
+    t^a -> t^min(c a, r) with c in {2, 3} on a cap monoid with r >= 2, or
+    g^a -> g^(c a mod k) with c in {0, 2, 3} on a cyclic group with k >= 3:
+    at r = 1, or at k = 2 and c = 3, the power would be the identity.
+    """
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        r = rng.randint(2, 7)
+        cat = _cap_monoid(r)
+        d = _mount_thin_two_layer(cat, rng)
+        tau1, tau2 = (_power_functor(cat, d, rng.choice([2, 3]), r + 1, "t", cap=r) for _ in range(2))
+    else:
+        k = rng.randint(3, 8)
+        cat = _cyclic(k)
+        d = _mount_thin_two_layer(cat, rng)
+        tau1, tau2 = (_power_functor(cat, d, rng.choice([0, 2, 3]), k, "g") for _ in range(2))
+    return EquivData(cat, d, _random_sigma(cat, d, rng), tau1, tau2)
 
 
 def swap_action():

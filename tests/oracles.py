@@ -1,8 +1,10 @@
 """Independent slow-path oracles the fast implementations are tested against."""
 
+import itertools
+
 import numpy as np
 
-from morpheq import Violation, Witness, are_equivalent, chain_two_cells
+from morpheq import Violation, Witness, are_equivalent
 
 
 def direct_weighted_norm(weights, vectors, x):
@@ -85,7 +87,8 @@ def slice_cells_pairwise(action, max_chain_length):
 
     Words up to length max_chain_length + 1 are listed by length, then
     lexicographically in carrier order; every (src, tgt) pair of equal
-    length is tried with chain_two_cells, most of them bounding nothing.
+    length is tried with every pointwise transporter labelling, most of
+    them bounding nothing.
     The absorbing overflow cell comes last.  Returns the cells as
     (id, src, tgt) triples in order, and the identity2 mapping.
     """
@@ -100,14 +103,66 @@ def slice_cells_pairwise(action, max_chain_length):
     for ws in by_len:
         for src in ws:
             for tgt in ws:
-                for two in chain_two_cells(action, src, tgt):
-                    cid = f"{wid(src)}>{wid(tgt)}#{','.join(two.labels)}"
+                for labels in itertools.product(*map(action.transporters, src, tgt)):
+                    cid = f"{wid(src)}>{wid(tgt)}#{','.join(labels)}"
                     cells.append((cid, wid(src), wid(tgt)))
-                    if src == tgt and all(g == unit for g in two.labels):
+                    if src == tgt and all(g == unit for g in labels):
                         id2[wid(src)] = cid
     cells.append(("!overflow>!overflow#", "!overflow", "!overflow"))
     id2["!overflow"] = "!overflow>!overflow#"
     return cells, id2
+
+
+def group_report_loops(group):
+    """``FiniteGroup.validate()`` by hand loops over the pair-keyed table:
+    closure, then the unit law, then associativity triple by triple."""
+    bad = []
+    mul = group.mul_table
+    eset = set(group.elements)
+    if group.unit not in eset:
+        return [Violation("group-unit", f"unit {group.unit!r} not an element")]
+    for g in group.elements:
+        for h in group.elements:
+            v = mul.get((g, h))
+            if v is None or v not in eset:
+                bad.append(Violation("group-closure", f"({g}, {h})"))
+    if bad:
+        return bad
+    for g in group.elements:
+        if mul[(group.unit, g)] != g or mul[(g, group.unit)] != g:
+            bad.append(Violation("group-unit", g))
+    for g in group.elements:
+        for h in group.elements:
+            gh = mul[(g, h)]
+            for k in group.elements:
+                if mul[(gh, k)] != mul[(g, mul[(h, k)])]:
+                    bad.append(Violation("group-assoc", f"({g}, {h}, {k})"))
+    return bad
+
+
+def action_report_loops(action):
+    """``GroupAction.validate()`` by hand loops over the pair-keyed tables:
+    totality, then the unit law, then compatibility triple by triple."""
+    bad = []
+    act = action.act_table
+    cset = set(action.carrier)
+    for g in action.group.elements:
+        for x in action.carrier:
+            v = act.get((g, x))
+            if v is None or v not in cset:
+                bad.append(Violation("action-totality", f"({g}, {x})"))
+    if bad:
+        return bad
+    for x in action.carrier:
+        if act[(action.group.unit, x)] != x:
+            bad.append(Violation("action-unit", x))
+    for g in action.group.elements:
+        for h in action.group.elements:
+            gh = action.group.mul_table[(g, h)]
+            for x in action.carrier:
+                if act[(g, act[(h, x)])] != act[(gh, x)]:
+                    bad.append(Violation("action-compat", f"({g}, {h}, {x})"))
+    return bad
 
 
 def side_search_scan(e, m_from, m_to):

@@ -469,6 +469,21 @@ def test_reserved_carrier_name_is_an_input_error_for_orbit_check(tmp_path):
     assert out["error"]["type"] == "InvalidParameter"
 
 
+@pytest.mark.parametrize("what", ["group element", "carrier element"])
+def test_repeated_name_is_an_input_error_for_orbit_check(capsys, tmp_path, what):
+    doc = json.loads((INSTANCES / "z2_orbit.json").read_text())
+    names = doc["group"]["elements"] if what == "group element" else doc["carrier"]
+    names.append(names[-1])
+    p = tmp_path / "repeated_orbit.json"
+    p.write_text(json.dumps(doc))
+    code = cli.main(["--input", str(p), "--verb", "orbit-check", "--format", "json"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "InvalidInstance",
+        "message": f"1 violation(s): duplicate-id: repeated {what}",
+    }
+
+
 def test_unexpected_exception_exits_three(monkeypatch, capsys):
     def crash(*args):
         raise RuntimeError("boom")

@@ -31,6 +31,7 @@ from instance_gen import (
     matrix_row_space,
     one_sided_bundle,
     random_equiv_instance,
+    random_param_bundle,
     regular_action,
     swap_action,
     transformation_monoid,
@@ -256,6 +257,7 @@ def test_relation_laws_spot_check():
 
 def test_classes_match_all_pairs_oracle():
     bundles = [random_equiv_instance(seed) for seed in range(100)]
+    bundles += [random_param_bundle(seed) for seed in range(50)]  # tau1, tau2 not identities
     # the oracle takes about 3 s and 16 s on these two at chain bound 2
     slow_at_2 = {"c4-plus-fixed-point", "c2-three-pairs"}
     for name, action in fixed_actions():
@@ -268,6 +270,7 @@ def test_classes_match_all_pairs_oracle():
 
 def test_indexed_search_matches_the_scan_on_every_ordered_pair():
     bundles = [random_equiv_instance(seed) for seed in range(100)]
+    bundles += [random_param_bundle(seed) for seed in range(50)]  # tau1, tau2 not identities
     for action in (swap_action(), regular_action(3)):
         bundles += [deloop_slice(action, bound).equiv for bound in (0, 1, 2)]
     cross_boundary_hits = 0

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,7 +7,7 @@ from morpheq import (
     Finite2Category,
     FiniteGroup,
     GroupAction,
-    chain_two_cells,
+    Violation,
     deloop_slice,
     delooped_equivalent,
     derive_reflexivity,
@@ -26,7 +27,7 @@ from instance_gen import (
     three_pairs_c2,
     trivial_action,
 )
-from oracles import slice_cells_pairwise
+from oracles import action_report_loops, group_report_loops, slice_cells_pairwise
 
 
 # ------------------------------------------------------------------ groups
@@ -73,6 +74,85 @@ def test_partial_action_table_reported():
     assert {v.code for v in broken.validate()} == {"action-totality"}
 
 
+@pytest.mark.parametrize("validate", [True, False])
+def test_repeated_names_rejected(validate):
+    # positions key the law reports and 1-cell ids key the slice, so a
+    # repeated name is refused however the tables are checked
+    with pytest.raises(InvalidInstance) as exc:
+        FiniteGroup(["g0", "g0"], {("g0", "g0"): "g0"}, "g0", validate=validate)
+    assert exc.value.violations == [Violation("duplicate-id", "repeated group element")]
+    act = {("g0", "a"): "a", ("g1", "a"): "a"}
+    with pytest.raises(InvalidInstance) as exc:
+        GroupAction(FiniteGroup.cyclic(2), ["a", "a"], act, validate=validate)
+    assert exc.value.violations == [Violation("duplicate-id", "repeated carrier element")]
+
+
+def _symmetric_group(n):
+    """S_n as permutations of 0..n-1, (p q)(i) = p(q(i)), with its action on the points."""
+    perms = list(itertools.permutations(range(n)))
+    name = {p: "s" + "".join(map(str, p)) for p in perms}
+    mul = {(name[p], name[q]): name[tuple(p[i] for i in q)] for p in perms for q in perms}
+    act = {(name[p], f"x{i}"): f"x{p[i]}" for p in perms for i in range(n)}
+    return [name[p] for p in perms], mul, name[tuple(range(n))], [f"x{i}" for i in range(n)], act
+
+
+def _lawful_tables(rng):
+    """(elements, mul, unit, carrier, act) of a lawful action, as plain dicts."""
+    pick = rng.randrange(4)
+    if pick == 0:
+        return _symmetric_group(3)
+    if pick == 1:
+        a = regular_action(rng.randint(1, 5))
+    elif pick == 2:
+        a = random_action(rng.randrange(1000))
+    else:
+        a = trivial_action(rng.randint(1, 4), ["p", "q"])
+    g = a.group
+    return list(g.elements), dict(g.mul_table), g.unit, list(a.carrier), dict(a.act_table)
+
+
+def _tamper(rng, table, values, unit, fault):
+    """Break ``table`` in place: drop an entry, write a value outside
+    ``values``, move a unit entry, or move any entry within ``values``."""
+    if fault == "missing":
+        del table[rng.choice(list(table))]
+    elif fault == "outside":
+        table[rng.choice(list(table))] = "zz"
+    elif fault == "unit-law":
+        key = rng.choice([k for k in table if unit in k])
+        table[key] = rng.choice(values)
+    elif fault == "law":
+        for _ in range(rng.randint(1, 2)):
+            table[rng.choice(list(table))] = rng.choice(values)
+
+
+def test_group_and_action_reports_match_the_loop_oracle():
+    # codes, details and order all equal the hand loops' on 1,500 seeded
+    # tables, five in six of them tampered; an action is tampered over a
+    # lawful group or over a group whose closed table breaks its laws
+    seen = set()
+    for seed in range(1500):
+        rng = random.Random(seed)
+        els, mul, unit, carrier, act = _lawful_tables(rng)
+        fault = rng.choice(["none", "missing", "outside", "unit", "unit-law", "law"])
+        if seed % 2 == 0:
+            if fault == "unit":
+                unit = "zz"
+            _tamper(rng, mul, els, unit, fault)
+            g = FiniteGroup(els, mul, unit, validate=False)
+            got = g.validate()
+            assert got == group_report_loops(g), seed
+        else:
+            if fault == "unit":  # a group of broken laws, still closed
+                _tamper(rng, mul, els, unit, "law")
+            _tamper(rng, act, carrier, unit, fault)
+            a = GroupAction(FiniteGroup(els, mul, unit, validate=False), carrier, act, validate=False)
+            got = a.validate()
+            assert got == action_report_loops(a), seed
+        seen |= {v.code for v in got}
+    assert seen == {"group-unit", "group-closure", "group-assoc", "action-totality", "action-unit", "action-compat"}
+
+
 # ------------------------------------------------------------------ orbits
 
 
@@ -98,20 +178,16 @@ def test_transporters_follow_element_order():
 
 
 def test_chain_cells_are_pointwise_transports():
-    a = swap_action()
-    cells = chain_two_cells(a, ("a", "c"), ("b", "c"))
-    assert [c.labels for c in cells] == [("g1", "g0"), ("g1", "g1")]
-    assert chain_two_cells(a, ("a",), ("a", "a")) == []  # length mismatch
-    assert chain_two_cells(a, ("a", "c"), ("c", "a")) == []  # empty pool
-    assert [c.labels for c in chain_two_cells(a, (), ())] == [()]
-
-
-def test_chain_cell_label_order_is_lexicographic_in_element_order():
-    t = trivial_action(2, ["p"])
-    cells = chain_two_cells(t, ("p", "p"), ("p", "p"))
-    assert [c.labels for c in cells] == [
-        ("g0", "g0"), ("g0", "g1"), ("g1", "g0"), ("g1", "g1"),
-    ]
+    # the 2-cells between two chains of a slice relabel them letter by letter
+    d = deloop_slice(swap_action(), 1).two_category
+    assert d.cells_between("[a,c]", "[b,c]") == ("[a,c]>[b,c]#g1,g0", "[a,c]>[b,c]#g1,g1")
+    assert d.cells_between("[a]", "[a,a]") == ()  # length mismatch
+    assert d.cells_between("[a,c]", "[c,a]") == ()  # empty pool
+    assert d.cells_between("[]", "[]") == ("[]>[]#",)
+    # every labelling of each letter by its transporters, one cell each
+    t = deloop_slice(trivial_action(2, ["p"]), 1).two_category
+    labels = [("g0", "g0"), ("g0", "g1"), ("g1", "g0"), ("g1", "g1")]
+    assert t.cells_between("[p,p]", "[p,p]") == tuple("[p,p]>[p,p]#" + ",".join(ls) for ls in labels)
 
 
 # ------------------------------------------------------------ the delooping
@@ -186,8 +262,7 @@ def test_slice_composition_overflows_past_the_bound():
 def test_embed_letter_round_trip():
     s = deloop_slice(swap_action(), 1)
     for x in "abc":
-        assert s.letter_of(s.embed(x)) == x
-    assert s.letter_of("[a,b]") is None
+        assert s.embed(x) == f"[{x}]"
     with pytest.raises(UnknownElement):
         s.embed("d")
 
