@@ -184,6 +184,9 @@ def test_chain_cells_are_pointwise_transports():
     assert d.cells_between("[a]", "[a,a]") == ()  # length mismatch
     assert d.cells_between("[a,c]", "[c,a]") == ()  # empty pool
     assert d.cells_between("[]", "[]") == ("[]>[]#",)
+
+
+def test_chain_cell_label_order_is_lexicographic_in_element_order():
     # every labelling of each letter by its transporters, one cell each
     t = deloop_slice(trivial_action(2, ["p"]), 1).two_category
     labels = [("g0", "g0"), ("g0", "g1"), ("g1", "g0"), ("g1", "g1")]
