@@ -28,7 +28,6 @@ from .equivalence import (
     derive_reflexivity,
     derive_symmetry,
     derive_transitivity,
-    derive_witness,
     equivalence_classes,
     verify_witness,
 )
@@ -62,7 +61,6 @@ from .frames import (
     FrameVerdict,
     OperatorMatrix,
     RhoForm,
-    adjoint_identity_check,
     asymp_compare,
     def_equivalent_with_witness,
     frame_operator,
@@ -83,9 +81,7 @@ from .seminorm_bridge import (
     bridge_composite_staged,
     bridge_equivalent,
     cell_holds,
-    eval_seminorm,
     leq_seminorm,
-    non_functoriality_gap,
     weighted_analysis_rep,
 )
 from . import errors
@@ -117,7 +113,6 @@ __all__ = [
     "VerifyResult",
     "Violation",
     "Witness",
-    "adjoint_identity_check",
     "ambient_norm",
     "apply_param",
     "are_equivalent",
@@ -136,17 +131,14 @@ __all__ = [
     "derive_reflexivity",
     "derive_symmetry",
     "derive_transitivity",
-    "derive_witness",
     "equivalence_classes",
     "errors",
-    "eval_seminorm",
     "frame_operator",
     "identity_cell",
     "identity_map",
     "is_frame",
     "is_two_cell",
     "leq_seminorm",
-    "non_functoriality_gap",
     "onb_witness",
     "orbit_equivalent",
     "orbit_partition",

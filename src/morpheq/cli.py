@@ -15,6 +15,7 @@ names each verb once, with the kinds it accepts and the function it runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -215,12 +216,7 @@ def _run_equiv(doc, args):
     wdump = None
     if ok:
         check = verify_witness(e, m, m_tilde, witness)
-        wdump = {
-            "u1": witness.u1, "u2": witness.u2, "v1": witness.v1, "v2": witness.v2,
-            "phi": witness.phi, "phi_tilde": witness.phi_tilde,
-            "psi": witness.psi, "psi_tilde": witness.psi_tilde,
-            "verified": bool(check),
-        }
+        wdump = {**dataclasses.asdict(witness), "verified": bool(check)}
     return (0 if ok else 1), {"pair": [m, m_tilde], "equivalent": ok, "witness": wdump}
 
 

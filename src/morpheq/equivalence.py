@@ -239,17 +239,6 @@ def derive_transitivity(e: EquivData, m, m_bar, m_barbar, w1: Witness, w2: Witne
     return Witness(u1, u2, v1, v2, phi, phi_tilde, psi, psi_tilde)
 
 
-def derive_witness(e: EquivData, mode: str, *args) -> Witness:
-    """Dispatch on mode: "refl" (m), "sym" (m, mt, w), "trans" (m, mb, mbb, w1, w2)."""
-    if mode == "refl":
-        return derive_reflexivity(e, *args)
-    if mode == "sym":
-        return derive_symmetry(e, *args)
-    if mode == "trans":
-        return derive_transitivity(e, *args)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def _members(bits):
     """The positions of the set bits of ``bits``, least first."""
     while bits:

@@ -354,29 +354,6 @@ def probe_vectors(dim, count, *, seed=0, field="complex"):
     return pts
 
 
-def adjoint_identity_check(f: BesselFamily, alpha, *, probes=32, seed=0) -> float:
-    """Max relative deviation of analysis-after-alpha vs adjoint-pulled family.
-
-    The two sides are computed along different floating-point routes:
-    one maps each probe through alpha and then analyses against f, the
-    other forms the pulled-back family alpha* f first.
-    """
-    alpha = _as_matrix(_in_field(alpha, f.field, "alpha"), f.field)
-    if alpha.shape[0] != f.dim:
-        raise DimensionMismatch(f"alpha must have {f.dim} rows, got {alpha.shape}")
-    n_t = alpha.shape[1]
-    pulled = BesselFamily(f.field, n_t, f.weights, alpha.conj().T @ f.vectors)
-    worst = 0.0
-    for z in probe_vectors(n_t, probes, seed=seed, field=f.field):
-        one = f.analysis(alpha @ z)
-        two = pulled.analysis(z)
-        denom = max(f.l2mu_norm(one), f.l2mu_norm(two))
-        if denom == 0.0:
-            continue
-        worst = max(worst, f.l2mu_norm(one - two) / denom)
-    return worst
-
-
 def phase_unitary_act(f: BesselFamily, u, phases) -> BesselFamily:
     """The transported family with vectors phase_i . u f_i.
 

@@ -13,7 +13,8 @@ Groups and actions are stored as rows, ``rows[g][h] = g h`` and
 ``rows[g][x] = g . x``, as every table of :mod:`morpheq.catkernel` is,
 and their associativity and compatibility laws are both checked by the
 kernel's row equation (h g) x = h (g x).  A repeated element or carrier
-name is rejected at construction.
+name is rejected at construction.  Each action indexes its orbits once;
+for a monoid the index holds mutual-reachability classes.
 
 The delooping itself is infinite; :func:`deloop_slice` builds the finite
 sub-2-category of chains of length <= max_chain_length + 1.  Its 1-cells
@@ -64,6 +65,15 @@ def _total(rows, heads, xs, values, code):
     ]
 
 
+def _extra(table, heads, xs, code):
+    """A ``code`` violation for each entry of ``table`` off the sets ``heads``
+    by ``xs``, in table order.  Whole rows are tested first; only a failing
+    test walks the table."""
+    if table.rows.keys() <= heads and all(map(xs.issuperset, table.rows.values())):
+        return []
+    return [Violation(code, "({}, {})".format(*key)) for key in table if key[0] not in heads or key[1] not in xs]
+
+
 def _compatible(act, elements, xs, mul, code):
     """A ``code`` violation for each (h, g, x) with (h g) x != h (g x), where
     ``act[g][x]`` is g acting on x and ``mul[h][g]`` the product h g, sorted
@@ -88,16 +98,6 @@ class FiniteGroup:
             report = self.validate()
             if report:
                 raise InvalidInstance(report)
-        self.inverse_of = {}
-        empty = {}
-        for g in self.elements:
-            row = self.rows.get(g, empty)
-            for h in self.elements:
-                if row.get(h) == unit and self.rows.get(h, empty).get(g) == unit:
-                    self.inverse_of[g] = h
-                    break
-        if validate and len(self.inverse_of) != len(self.elements):
-            raise InvalidInstance([Violation("group-inverse", "some element has no inverse")])
 
     def mul(self, g, h):
         try:
@@ -106,17 +106,25 @@ class FiniteGroup:
             raise UnknownElement(f"({g!r}, {h!r}) not in multiplication table") from None
 
     def validate(self):
+        """Closure and extra entries, then the unit law and associativity,
+        then, for a lawful monoid, inverses.  In a finite monoid an element
+        with a right inverse is invertible (Howie, *Fundamentals of Semigroup
+        Theory*, 1995, ch. 1), so one side is searched."""
         els, rows, unit = self.elements, self.rows, self.unit
         eset = set(els)
         if unit not in eset:
             return [Violation("group-unit", f"unit {unit!r} not an element")]
-        bad = _total(rows, els, els, eset, "group-closure")
+        bad = _total(rows, els, els, eset, "group-closure") + _extra(self.mul_table, eset, eset, "group-extra")
         if bad:
             return bad
         for g in els:
             if rows[unit][g] != g or rows[g][unit] != g:
                 bad.append(Violation("group-unit", g))
-        return bad + _compatible(rows, els, els, rows, "group-assoc")
+        bad += _compatible(rows, els, els, rows, "group-assoc")
+        # with no extra entries, a row's values are its element columns
+        if not bad and not all(unit in rows[g].values() for g in els):
+            bad.append(Violation("group-inverse", "some element has no inverse"))
+        return bad
 
     @classmethod
     def cyclic(cls, n):
@@ -151,13 +159,16 @@ class GroupAction:
             raise UnknownElement(f"({g!r}, {x!r}) not in action table") from None
 
     def validate(self):
-        els, xs, rows = self.group.elements, self.carrier, self.rows
-        bad = _total(rows, els, xs, set(xs), "action-totality")
+        group, xs, rows = self.group, self.carrier, self.rows
+        els, eset, cset = group.elements, set(group.elements), set(xs)
+        if group.unit not in eset:
+            return group.validate()  # its group-unit fault: the unit law reads the unit's row
+        bad = _total(rows, els, xs, cset, "action-totality") + _extra(self.act_table, eset, cset, "action-extra")
         if bad:
             return bad
-        unit_row = rows[self.group.unit]
+        unit_row = rows[group.unit]
         bad = [Violation("action-unit", x) for x in xs if unit_row[x] != x]
-        return bad + _compatible(rows, els, xs, self.group.rows, "action-compat")
+        return bad + _compatible(rows, els, xs, group.rows, "action-compat")
 
     @functools.cached_property
     def _transporters(self):
@@ -172,6 +183,14 @@ class GroupAction:
     def transporters(self, x, y):
         """Group elements sending x to y, in element order."""
         return self._transporters.get((x, y), ())
+
+    @functools.cached_property
+    def _orbits(self):
+        """x -> the carrier elements y with transporters x -> y and y -> x, in
+        carrier order: x's orbit for a group, its mutual-reachability class
+        for a monoid."""
+        reach = self._transporters
+        return {x: tuple(y for y in self.carrier if (x, y) in reach and (y, x) in reach) for x in self.carrier}
 
     @classmethod
     def from_dict(cls, data, *, validate=True):
@@ -195,16 +214,7 @@ def orbit_equivalent(a: GroupAction, x, y):
 
 def orbit_partition(a: GroupAction):
     """Orbits as sorted blocks, sorted by least member."""
-    seen = set()
-    blocks = []
-    for x in a.carrier:
-        if x in seen:
-            continue
-        orbit = {a.rows[g][x] for g in a.group.elements}
-        seen |= orbit
-        blocks.append(sorted(orbit))
-    blocks.sort(key=lambda b: b[0])
-    return blocks
+    return sorted(map(sorted, set(a._orbits.values())))
 
 
 def _labellings(a: GroupAction, src, tgt):
@@ -349,7 +359,7 @@ class DeloopedSlice:
         id2[OVERFLOW] = over_id2
         # a 2-cell moves each letter within its orbit, so a word's targets are
         # the product of its letters' orbits; carrier order keeps word order
-        orbit = {x: [y for y in action.carrier if action.transporters(x, y)] for x in action.carrier}
+        orbit = action._orbits
 
         @functools.cache  # cells and tables then share their id strings
         def labelled():

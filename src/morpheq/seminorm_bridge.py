@@ -10,8 +10,7 @@ under the three parameter maps used throughout:
 
 All maps run contravariantly: a morphism m from H1 to H2 carries
 seminorms on H2 to seminorms on H1.  tau1 and tau2 respect composition;
-sigma deliberately does not, and ``non_functoriality_gap`` measures the
-pointwise discrepancy.
+sigma deliberately does not.
 
 Weighted coefficient spaces are presented in coordinates where the
 inner product is the standard one, so the analysis operator of a
@@ -72,11 +71,6 @@ class SeminormRep:
         """Whether the seminorm is bounded by the ambient norm up to a relative ``slack``."""
         return self.sup_unit_sphere() <= 1.0 + slack
 
-    @property
-    def dominated(self):
-        """Whether the seminorm is bounded by the ambient norm, up to ``TOL_PSD``."""
-        return self.dominated_within(TOL_PSD)
-
     def gram(self):
         """scale^2 * op* op — the quadratic form the seminorm squares to."""
         a = self.matrix
@@ -92,10 +86,6 @@ class SeminormRep:
 
 def ambient_norm(dim) -> SeminormRep:
     return SeminormRep(1.0, np.eye(dim))
-
-
-def eval_seminorm(s: SeminormRep, x) -> float:
-    return s(x)
 
 
 def leq_seminorm(s: SeminormRep, t: SeminormRep, *, tol=TOL_PSD) -> bool:
@@ -141,26 +131,6 @@ def apply_param(which, m, s: SeminormRep) -> SeminormRep:
     if which == "tau1":
         return SeminormRep(s.scale, s.matrix @ mo.matrix)
     return SeminormRep(s.sup_unit_sphere(), np.eye(cols))
-
-
-def non_functoriality_gap(m, m_bar, s: SeminormRep, probes) -> float:
-    """Max pointwise gap between staged and composed sigma along m then m_bar.
-
-    The staged route applies sigma twice; the composed route applies it
-    once to the composite morphism.  tau1/tau2 would give gap zero here;
-    sigma generally does not.
-    """
-    mo, mb = _as_operator(m), _as_operator(m_bar)
-    if mb.matrix.shape[1] != mo.matrix.shape[0]:
-        raise DimensionMismatch(
-            f"cannot compose {mb.matrix.shape} after {mo.matrix.shape}"
-        )
-    staged = apply_param("sigma", mo, apply_param("sigma", mb, s))
-    composed = apply_param("sigma", mb.matrix @ mo.matrix, s)
-    gap = 0.0
-    for x in probes:
-        gap = max(gap, abs(staged(x) - composed(x)))
-    return gap
 
 
 def weighted_analysis_rep(f: BesselFamily) -> SeminormRep:

@@ -4,7 +4,9 @@ import itertools
 
 import numpy as np
 
-from morpheq import Violation, Witness, are_equivalent
+from morpheq import BesselFamily, Violation, Witness, apply_param, are_equivalent, probe_vectors
+from morpheq.errors import DimensionMismatch
+from morpheq.frames import _as_matrix, _as_operator, _in_field
 
 
 def direct_weighted_norm(weights, vectors, x):
@@ -13,6 +15,49 @@ def direct_weighted_norm(weights, vectors, x):
     for mu, f in zip(weights, np.asarray(vectors).T):
         total += float(mu) * abs(np.vdot(f, x)) ** 2
     return float(np.sqrt(total))
+
+
+def adjoint_identity_check(f: BesselFamily, alpha, *, probes=32, seed=0) -> float:
+    """Max relative deviation of analysis-after-alpha vs adjoint-pulled family.
+
+    The two sides are computed along different floating-point routes:
+    one maps each probe through alpha and then analyses against f, the
+    other forms the pulled-back family alpha* f first.
+    """
+    alpha = _as_matrix(_in_field(alpha, f.field, "alpha"), f.field)
+    if alpha.shape[0] != f.dim:
+        raise DimensionMismatch(f"alpha must have {f.dim} rows, got {alpha.shape}")
+    n_t = alpha.shape[1]
+    pulled = BesselFamily(f.field, n_t, f.weights, alpha.conj().T @ f.vectors)
+    worst = 0.0
+    for z in probe_vectors(n_t, probes, seed=seed, field=f.field):
+        one = f.analysis(alpha @ z)
+        two = pulled.analysis(z)
+        denom = max(f.l2mu_norm(one), f.l2mu_norm(two))
+        if denom == 0.0:
+            continue
+        worst = max(worst, f.l2mu_norm(one - two) / denom)
+    return worst
+
+
+def non_functoriality_gap(m, m_bar, s, probes) -> float:
+    """Max pointwise gap between staged and composed sigma along m then m_bar.
+
+    The staged route applies sigma twice; the composed route applies it
+    once to the composite morphism.  tau1/tau2 would give gap zero here;
+    sigma generally does not.
+    """
+    mo, mb = _as_operator(m), _as_operator(m_bar)
+    if mb.matrix.shape[1] != mo.matrix.shape[0]:
+        raise DimensionMismatch(
+            f"cannot compose {mb.matrix.shape} after {mo.matrix.shape}"
+        )
+    staged = apply_param("sigma", mo, apply_param("sigma", mb, s))
+    composed = apply_param("sigma", mb.matrix @ mo.matrix, s)
+    gap = 0.0
+    for x in probes:
+        gap = max(gap, abs(staged(x) - composed(x)))
+    return gap
 
 
 def mc_compare(a_matrix, b_matrix, samples=1000, seed=0):
@@ -115,7 +160,8 @@ def slice_cells_pairwise(action, max_chain_length):
 
 def group_report_loops(group):
     """``FiniteGroup.validate()`` by hand loops over the pair-keyed table:
-    closure, then the unit law, then associativity triple by triple."""
+    closure, then extra entries in table order, then the unit law, then
+    associativity triple by triple, then a two-sided inverse search."""
     bad = []
     mul = group.mul_table
     eset = set(group.elements)
@@ -126,6 +172,9 @@ def group_report_loops(group):
             v = mul.get((g, h))
             if v is None or v not in eset:
                 bad.append(Violation("group-closure", f"({g}, {h})"))
+    for g, h in mul:
+        if g not in eset or h not in eset:
+            bad.append(Violation("group-extra", f"({g}, {h})"))
     if bad:
         return bad
     for g in group.elements:
@@ -137,20 +186,32 @@ def group_report_loops(group):
             for k in group.elements:
                 if mul[(gh, k)] != mul[(g, mul[(h, k)])]:
                     bad.append(Violation("group-assoc", f"({g}, {h}, {k})"))
-    return bad
+    if bad:
+        return bad
+    for g in group.elements:
+        if not any(mul[(g, h)] == group.unit == mul[(h, g)] for h in group.elements):
+            return [Violation("group-inverse", "some element has no inverse")]
+    return []
 
 
 def action_report_loops(action):
     """``GroupAction.validate()`` by hand loops over the pair-keyed tables:
-    totality, then the unit law, then compatibility triple by triple."""
+    the group's unit, totality, then extra entries in table order, then the
+    unit law, then compatibility triple by triple."""
     bad = []
     act = action.act_table
     cset = set(action.carrier)
+    unit = action.group.unit
+    if unit not in action.group.elements:
+        return [Violation("group-unit", f"unit {unit!r} not an element")]
     for g in action.group.elements:
         for x in action.carrier:
             v = act.get((g, x))
             if v is None or v not in cset:
                 bad.append(Violation("action-totality", f"({g}, {x})"))
+    for g, x in act:
+        if g not in action.group.elements or x not in cset:
+            bad.append(Violation("action-extra", f"({g}, {x})"))
     if bad:
         return bad
     for x in action.carrier:

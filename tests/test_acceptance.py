@@ -19,7 +19,6 @@ from morpheq import (
     CentralCell,
     RhoForm,
     SeminormRep,
-    adjoint_identity_check,
     ambient_norm,
     apply_param,
     are_equivalent,
@@ -32,12 +31,12 @@ from morpheq import (
     compose_cells_vertical,
     def_equivalent_with_witness,
     delooped_equivalent,
-    derive_witness,
+    derive_symmetry,
+    derive_transitivity,
     frame_operator,
     identity_cell,
     is_frame,
     is_two_cell,
-    non_functoriality_gap,
     onb_witness,
     orbit_equivalent,
     orbit_partition,
@@ -53,7 +52,7 @@ from morpheq import (
 from morpheq.errors import NotAFrame
 
 from instance_gen import fixed_actions, random_equiv_instance
-from oracles import direct_weighted_norm, mc_compare
+from oracles import adjoint_identity_check, direct_weighted_norm, mc_compare, non_functoriality_gap
 
 
 def _verdict(num, failures, detail):
@@ -142,7 +141,7 @@ def test_criterion_02_derived_witnesses_verify_and_match_the_formulas():
 
         for (a, b), w in wit.items():
             n_sym += 1
-            ws = derive_witness(e, "sym", a, b, w)
+            ws = derive_symmetry(e, a, b, w)
             if not verify_witness(e, b, a, ws):
                 failures.append(f"seed {seed}: symmetry witness fails on ({a!r}, {b!r})")
 
@@ -151,7 +150,7 @@ def test_criterion_02_derived_witnesses_verify_and_match_the_formulas():
                 if b2 != b:
                     continue
                 n_trans += 1
-                wt = derive_witness(e, "trans", a, b, c3, w1, w2)
+                wt = derive_transitivity(e, a, b, c3, w1, w2)
                 got = verify_witness(e, a, c3, wt)
                 if not got:
                     failures.append(

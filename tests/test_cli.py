@@ -484,6 +484,22 @@ def test_repeated_name_is_an_input_error_for_orbit_check(capsys, tmp_path, what)
     }
 
 
+@pytest.mark.parametrize("table, entry, code", [
+    ("mul", ["g", "zz", "e"], "group-extra"),
+    ("act", ["zz", "a", "a"], "action-extra"),
+])
+def test_extra_table_entry_is_an_input_error_for_orbit_check(capsys, tmp_path, table, entry, code):
+    doc = json.loads((INSTANCES / "z2_orbit.json").read_text())
+    (doc["group"] if table == "mul" else doc)[table].append(entry)
+    p = tmp_path / "extra_orbit.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["--input", str(p), "--verb", "orbit-check", "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "InvalidInstance",
+        "message": f"1 violation(s): {code}: ({entry[0]}, {entry[1]})",
+    }
+
+
 def test_unexpected_exception_exits_three(monkeypatch, capsys):
     def crash(*args):
         raise RuntimeError("boom")
@@ -837,3 +853,18 @@ def test_benchmark_self_test_passes():
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
                           capture_output=True, text=True, env=env, cwd=ROOT)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_traced_benchmark_run_reports_every_layer():
+    # the traced run wraps library names and times the CLI's imports; a
+    # renamed or dropped name, or a changed import, makes it fail
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "deloop-orbits",
+                           "--seed", "1", "--seconds", "0.5", "--trace", "1"],
+                          capture_output=True, text=True, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    layers = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert {m["name"] for m in layers} <= set(result["metrics"])

@@ -11,7 +11,6 @@ from morpheq import (
     derive_reflexivity,
     derive_symmetry,
     derive_transitivity,
-    derive_witness,
     equivalence_classes,
     verify_witness,
 )
@@ -210,17 +209,6 @@ def test_transitivity_composes_and_verifies():
                     assert w.v1 == e.c.compose(w1.v1, w2.v1)
                     assert w.v2 == e.c.compose(w2.v2, w1.v2)
     assert hits >= 10
-
-
-def test_derive_witness_dispatch():
-    e = walking_pair()
-    _, w = are_equivalent(e, "m", "mt")
-    assert derive_witness(e, "refl", "m") == derive_reflexivity(e, "m")
-    assert derive_witness(e, "sym", "m", "mt", w) == derive_symmetry(e, "m", "mt", w)
-    assert derive_witness(e, "trans", "m", "mt", "m", w, derive_symmetry(e, "m", "mt", w)) \
-        == derive_transitivity(e, "m", "mt", "m", w, derive_symmetry(e, "m", "mt", w))
-    with pytest.raises(ValueError):
-        derive_witness(e, "cotrans", "m")
 
 
 def test_bad_premises_are_rejected():

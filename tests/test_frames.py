@@ -9,7 +9,6 @@ from morpheq import (
     BesselFamily,
     OperatorMatrix,
     RhoForm,
-    adjoint_identity_check,
     asymp_compare,
     bridge_equivalent,
     def_equivalent_with_witness,
@@ -31,7 +30,7 @@ from morpheq.errors import (
     NotUnitary,
 )
 
-from oracles import direct_weighted_norm, mc_compare
+from oracles import adjoint_identity_check, direct_weighted_norm, mc_compare
 
 
 def mercedes():

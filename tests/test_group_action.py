@@ -14,6 +14,7 @@ from morpheq import (
     equivalence_classes,
     orbit_equivalent,
     orbit_partition,
+    verify_witness,
 )
 from morpheq.catkernel import _generators
 from morpheq.errors import InvalidInstance, InvalidParameter, UnknownElement
@@ -37,7 +38,6 @@ def test_cyclic_group_is_lawful():
     g = FiniteGroup.cyclic(4)
     assert g.validate() == []
     assert g.mul("g1", "g3") == "g0"
-    assert g.inverse_of["g3"] == "g1"
 
 
 def test_broken_multiplication_reported():
@@ -52,9 +52,19 @@ def test_broken_multiplication_reported():
 def test_monoid_without_inverses_rejected():
     els = ["e", "z"]
     mul = {("e", "e"): "e", ("e", "z"): "z", ("z", "e"): "z", ("z", "z"): "z"}
+    inverse = [Violation("group-inverse", "some element has no inverse")]
     with pytest.raises(InvalidInstance) as exc:
         FiniteGroup(els, mul, "e")
-    assert any(v.code == "group-inverse" for v in exc.value.violations)
+    assert exc.value.violations == inverse
+    assert FiniteGroup(els, mul, "e", validate=False).validate() == inverse
+
+
+def test_action_over_a_group_without_its_unit_reports_the_unit():
+    # the action's unit law reads the unit's row, which is not there
+    group = FiniteGroup(["e"], {("e", "e"): "e"}, "zz", validate=False)
+    with pytest.raises(InvalidInstance) as exc:
+        GroupAction(group, ["a"], {("e", "a"): "a"})
+    assert exc.value.violations == [Violation("group-unit", "unit 'zz' not an element")]
 
 
 def test_unknown_lookups_raise():
@@ -112,10 +122,15 @@ def _lawful_tables(rng):
 
 
 def _tamper(rng, table, values, unit, fault):
-    """Break ``table`` in place: drop an entry, write a value outside
-    ``values``, move a unit entry, or move any entry within ``values``."""
+    """Break ``table`` in place: drop an entry, add entries keyed off the
+    table, write a value outside ``values``, move a unit entry, or move any
+    entry within ``values``."""
     if fault == "missing":
         del table[rng.choice(list(table))]
+    elif fault == "extra":
+        for _ in range(rng.randint(1, 2)):
+            g, x = rng.choice(list(table))
+            table[rng.choice([(g, "zz"), ("zz", x)])] = rng.choice(values)
     elif fault == "outside":
         table[rng.choice(list(table))] = "zz"
     elif fault == "unit-law":
@@ -128,13 +143,15 @@ def _tamper(rng, table, values, unit, fault):
 
 def test_group_and_action_reports_match_the_loop_oracle():
     # codes, details and order all equal the hand loops' on 1,500 seeded
-    # tables, five in six of them tampered; an action is tampered over a
-    # lawful group or over a group whose closed table breaks its laws
+    # tables, six in seven of them tampered; an action is tampered over a
+    # lawful group or over a group whose closed table breaks its laws.  A
+    # tampered group can be a lawful monoid, whose missing inverses the
+    # oracle finds by a two-sided search
     seen = set()
     for seed in range(1500):
         rng = random.Random(seed)
         els, mul, unit, carrier, act = _lawful_tables(rng)
-        fault = rng.choice(["none", "missing", "outside", "unit", "unit-law", "law"])
+        fault = rng.choice(["none", "missing", "extra", "outside", "unit", "unit-law", "law"])
         if seed % 2 == 0:
             if fault == "unit":
                 unit = "zz"
@@ -150,7 +167,10 @@ def test_group_and_action_reports_match_the_loop_oracle():
             got = a.validate()
             assert got == action_report_loops(a), seed
         seen |= {v.code for v in got}
-    assert seen == {"group-unit", "group-closure", "group-assoc", "action-totality", "action-unit", "action-compat"}
+    assert seen == {
+        "group-unit", "group-closure", "group-extra", "group-assoc", "group-inverse",
+        "action-totality", "action-extra", "action-unit", "action-compat",
+    }
 
 
 # ------------------------------------------------------------------ orbits
@@ -363,6 +383,56 @@ def test_slice_lookups_match_the_enumerated_index():
             assert d.linked_to(g) == Finite2Category.linked_to(d, g), (g, bound)
             for f in d.one_cells:
                 assert d.cells_between(f, g) == Finite2Category.cells_between(d, f, g), (f, g, bound)
+
+
+def _transformation_monoid_action(rng):
+    """A seeded monoid of maps of 2-3 points, closed from 1-2 random maps and
+    the identity, acting on the points; (p q) x = p(q(x))."""
+    n = rng.choice([2, 3])
+    unit = tuple(range(n))
+    gens = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(rng.randint(1, 2))]
+    maps, todo = set(), [unit]
+    while todo:  # every word in the generators, as g . p for a generator g
+        p = todo.pop()
+        if p not in maps:
+            maps.add(p)
+            todo += [tuple(g[i] for i in p) for g in gens]
+    els = sorted(maps)
+    name = {p: "t" + "".join(map(str, p)) for p in els}
+    mul = {(name[p], name[q]): name[tuple(p[i] for i in q)] for p in els for q in els}
+    act = {(name[p], f"x{i}"): f"x{p[i]}" for p in els for i in range(n)}
+    group = FiniteGroup([name[p] for p in els], mul, name[unit], validate=False)
+    return GroupAction(group, [f"x{i}" for i in range(n)], act, validate=False)
+
+
+def test_slice_decides_mutual_reachability_of_monoid_actions():
+    # the slice links letters that reach each other; for a monoid that is
+    # less than the forward orbit, and every yes still carries a witness
+    yes = no = 0
+    for seed in range(60):
+        a = _transformation_monoid_action(random.Random(seed))
+        forward = {x: {a.act(m, x) for m in a.group.elements} for x in a.carrier}
+        for bound in (0, 1):
+            s = deloop_slice(a, bound)
+            for x in a.carrier:
+                for y in a.carrier:
+                    ok, w = delooped_equivalent(a, x, y, bound)
+                    assert ok is (y in forward[x] and x in forward[y]), (seed, x, y, bound)
+                    if ok:
+                        assert verify_witness(s.equiv, s.embed(x), s.embed(y), w), (seed, x, y, bound)
+                    yes, no = yes + ok, no + (not ok)
+    assert yes and no
+
+
+def test_monoid_with_a_one_way_letter_is_decided():
+    # c sends both points to a: a reaches nothing, b reaches a one way only
+    group = FiniteGroup(["e", "c"], {("e", "e"): "e", ("e", "c"): "c", ("c", "e"): "c", ("c", "c"): "c"},
+                        "e", validate=False)
+    act = {("e", "a"): "a", ("e", "b"): "b", ("c", "a"): "a", ("c", "b"): "a"}
+    a = GroupAction(group, ["a", "b"], act)
+    got = {(x, y): delooped_equivalent(a, x, y, 1)[0] for x in "ab" for y in "ab"}
+    assert got == {("a", "a"): True, ("a", "b"): False, ("b", "a"): False, ("b", "b"): True}
+    assert orbit_partition(a) == [["a"], ["b"]]
 
 
 def test_slice_is_cached_per_action():
