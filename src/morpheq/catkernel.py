@@ -327,11 +327,8 @@ class FiniteCategory:
         self.compose_table = _as_rows(compose)
         self.rows = self.compose_table.rows
         self._check_refs()
-        self._hom = {}
-        for a in self.morphisms.values():
-            self._hom.setdefault((a.dom, a.cod), []).append(a.id)
-        for key in self._hom:
-            self._hom[key].sort()
+        hom = _index(self.morphisms.values(), lambda a: (a.dom, a.cod))
+        self._hom = {key: tuple(sorted(a.id for a in arrows)) for key, arrows in hom.items()}
         if validate:
             report = self.validate()
             if report:
@@ -373,7 +370,7 @@ class FiniteCategory:
 
     def hom(self, a, b):
         """Morphisms a -> b, sorted by identifier."""
-        return tuple(self._hom.get((a, b), ()))
+        return self._hom.get((a, b), ())
 
     def compose(self, g, f):
         """The composite g . f (g after f)."""
@@ -496,14 +493,15 @@ class Finite2Category:
                  vcomp, whisker_left, whisker_right, *, validate=True):
         self.skeleton = FiniteCategory(objects, one_cells, identity, compose, validate=False)
         self.identity2 = dict(identity2)
-        self._fill_cells(two_cells)
-        self._fill_tables(vcomp, whisker_left, whisker_right)
+        self.two_cells = self._checked_cells(two_cells)
+        self.vcomp_table, self.wl_table, self.wr_table = self._checked_tables(vcomp, whisker_left, whisker_right)
         if validate:
             report = self.validate()
             if report:
                 raise InvalidInstance(report)
 
-    def _fill_cells(self, two_cells):
+    def _checked_cells(self, two_cells):
+        """The 2-cells by id, checked for repeated ids and unknown boundary and ``identity2`` ids."""
         cells = [c if isinstance(c, Cell) else Cell(*c) for c in two_cells]
         twos = {c.id: c for c in cells}
         if len(twos) != len(cells):
@@ -515,18 +513,18 @@ class Finite2Category:
         for f, a in self.identity2.items():
             if f not in ones or a not in twos:
                 raise UnknownId(f"identity2 entry ({f!r}, {a!r}) has unknown id")
-        self.two_cells = twos
+        return twos
 
-    def _fill_tables(self, vcomp, whisker_left, whisker_right):
-        self.vcomp_table = _as_rows(vcomp)
-        self.wl_table = _as_rows(whisker_left)
-        self.wr_table = _as_rows(whisker_right, flipped=True)
+    def _checked_tables(self, vcomp, whisker_left, whisker_right):
+        """The vcomp and whiskering tables as ``RowTable``s, checked for unknown ids."""
+        tables = _as_rows(vcomp), _as_rows(whisker_left), _as_rows(whisker_right, flipped=True)
         ones, twos = set(self.skeleton.morphisms), set(self.two_cells)
         unknown = "vcomp table mentions unknown 2-cell {!r}"
-        _check_table_refs(self.vcomp_table, twos, twos, unknown, unknown)
-        for name, table in (("whisker-left", self.wl_table), ("whisker-right", self.wr_table)):
+        _check_table_refs(tables[0], twos, twos, unknown, unknown)
+        for name, table in zip(("whisker-left", "whisker-right"), tables[1:]):
             _check_table_refs(table, ones, twos, name + " mentions unknown 1-cell {!r}",
                               name + " mentions unknown 2-cell")
+        return tables
 
     @cached_property
     def _by_boundary(self):
@@ -543,8 +541,8 @@ class Finite2Category:
         linked = {}
         for f, g in index:
             if (g, f) in index:
-                linked.setdefault(g, set()).add(f)
-        return linked
+                linked.setdefault(g, []).append(f)
+        return {g: frozenset(fs) for g, fs in linked.items()}
 
     # -- accessors ----------------------------------------------------
 
@@ -582,7 +580,7 @@ class Finite2Category:
         return self._by_boundary.get((f, g), ())
 
     def linked_to(self, g):
-        """The 1-cells f with a 2-cell f => g and a 2-cell g => f, as a set."""
+        """The 1-cells f with a 2-cell f => g and a 2-cell g => f, as a frozenset."""
         return self._linked.get(g, frozenset())
 
     def vcomp(self, b, a):

@@ -18,13 +18,13 @@ for a monoid the index holds mutual-reachability classes.
 
 The delooping itself is infinite; :func:`deloop_slice` builds the finite
 sub-2-category of chains of length <= max_chain_length + 1.  Its 1-cells
-and composition rows are built with the slice.  The witness search reads
-its 2-cells only through two lookups, the 2-cells between two chains and
-the chains linked both ways to one, and the slice answers both from the
-letters' orbits.  So the list of 2-cells and the rows of the vertical
-composition and whiskering tables are written only the first time
-something reads them (``validate()``, ``cell``, ``vcomp``,
-``whisker_*``, ``hcomp``, symmetry and transitivity witnesses).  To
+and composition rows are built with the slice; its 2-cells are defined
+once, by its 2-category.  The witness search reads them only through two
+lookups, the 2-cells between two chains and the chains linked both ways
+to one, answered from the letters' orbits.  So the identity 2-cells, the
+list of 2-cells and the vertical composition and whiskering rows are
+written the first time something reads them (``validate()``, ``cell``,
+``vcomp``, ``whisker_*``, ``hcomp``, symmetry and transitivity).  To
 keep every table total on boundary-compatible pairs, concatenations that
 would exceed the length bound are collapsed onto a single absorbing
 1-cell (id ``!overflow``) whose only 2-cell is its identity.  The
@@ -40,7 +40,7 @@ import itertools
 from .catkernel import Cell, Finite2Category, FiniteCategory, FunctorData, MorphismFunction, RowTable, Violation
 from .catkernel import _action_failures, _as_rows, _in_order, _pairwise, _positions
 from .equivalence import EquivData, are_equivalent
-from .errors import InvalidInstance, InvalidParameter, UnknownElement
+from .errors import InvalidInstance, InvalidParameter, UnknownElement, UnknownId
 
 OVERFLOW = "!overflow"
 _RESERVED = set("[],>#!")
@@ -231,66 +231,111 @@ def _cell_id(src_id, tgt_id, labels):
     return f"{src_id}>{tgt_id}#{','.join(labels)}"
 
 
-def _built_on_read(name, build):
-    """A cached attribute that ``build(self)`` sets, with its siblings, on first read."""
-
-    def read(self):
-        build(self)
-        return self.__dict__[name]
-
-    return functools.cached_property(read)
+_OVERFLOW_ID2 = _cell_id(OVERFLOW, OVERFLOW, ())
 
 
 class _SliceTwoCategory(Finite2Category):
-    """A slice's 2-category, answering the witness search's two lookups from
-    the letters' orbits, so a search never enumerates the 2-cells.
+    """A slice's 2-category, the one definition of its 2-cells: a word f
+    relabelled onto a word g letter by letter by transporters, where g's
+    letters lie in the orbits of f's.
 
-    ``Finite2Category``'s constructor is not run: the zero-argument
-    builders ``cells`` and ``tables`` run, through its reference checks,
-    when the 2-cells or the other tables are first read, and each is then
-    dropped, with both the enumeration they share.  ``ids`` maps each word
-    to its 1-cell id.  Both lookups are memoised because the pair search
-    repeats them: deciding every letter pair of fresh slices asks each
-    ``linked_to`` key about 6 times and each ``cells_between`` key about
-    4 times (1,184 calls over 181 keys and 1,604 over 401 in one
-    deloop-orbits pass, seed 1).  The classes sweep asks ``linked_to`` once per
-    1-cell and never ``cells_between``.
+    ``Finite2Category``'s constructor is not run; ``ids`` maps each word, by
+    length, to its 1-cell id.  The witness search reads the 2-cells only
+    through ``cells_between`` and ``linked_to``, answered from the orbits,
+    and reflexivity through ``id_two``; ``identity2``, the 2-cells and the
+    tables are built, through the kernel's reference checks, when first
+    read.  Both lookups are memoised because the pair search repeats them:
+    deciding every letter pair of fresh slices asks each ``linked_to`` key
+    about 6 times and each ``cells_between`` key about 4 times (1,184 calls
+    over 181 keys and 1,604 over 401 in one deloop-orbits pass, seed 1);
+    the classes sweep asks only ``linked_to``, once per 1-cell.
     """
 
-    def __init__(self, action, orbit, ids, skeleton, identity2, cells, tables):
-        self.skeleton, self.identity2 = skeleton, identity2
-        self._cells, self._tables = cells, tables
-        self._action = action
-        self._orbit = orbit
-        self._ids = ids
+    def __init__(self, action, ids, skeleton):
+        self.skeleton, self._action, self._ids = skeleton, action, ids
         self._words = {i: w for w, i in ids.items()}
-        self._between_memo = {}
-        self._linked_memo = {}
+        self._between_memo, self._linked_memo = {}, {}
 
-    def _build_cells(self):
-        self._fill_cells(self._cells())
-        self._cells = None
+    @functools.cached_property
+    def _labelled(self):
+        """(src word, tgt word, labels) -> id of every 2-cell but the overflow
+        cell's; the 2-cells and the tables share these id strings."""
+        action, wid, orbit = self._action, self._ids, self._action._orbits
+        return {
+            (src, tgt, labels): _cell_id(wid[src], wid[tgt], labels)
+            for src in wid for tgt in itertools.product(*map(orbit.__getitem__, src))
+            for labels in _labellings(action, src, tgt)
+        }
 
-    def _build_tables(self):
-        self._fill_tables(*self._tables())
-        self._tables = None
+    @functools.cached_property
+    def identity2(self):
+        return {f: self.id_two(f) for f in self.skeleton.morphisms}
 
-    two_cells = _built_on_read("two_cells", _build_cells)
-    vcomp_table = _built_on_read("vcomp_table", _build_tables)
-    wl_table = _built_on_read("wl_table", _build_tables)
-    wr_table = _built_on_read("wr_table", _build_tables)
+    @functools.cached_property
+    def two_cells(self):
+        wid = self._ids
+        cells = [Cell(cid, wid[src], wid[tgt]) for (src, tgt, _), cid in self._labelled.items()]
+        return self._checked_cells(cells + [Cell(_OVERFLOW_ID2, OVERFLOW, OVERFLOW)])
+
+    @functools.cached_property
+    def _tables(self):
+        """The checked vcomp and whiskering tables, as rows keyed by the acting
+        cell: v[b][a] = b . a, and wl[k][a] = k |> a and wr[k][a] = a <| k
+        relabel the letters of k by the unit."""
+        cell_ids, over = self._labelled, _OVERFLOW_ID2
+        mul, unit = self._action.group.rows, self._action.group.unit
+        cells_to, by_length = {}, {}
+        for (src, tgt, labels), cid in cell_ids.items():
+            cells_to.setdefault(tgt, []).append((src, labels, cid))
+            by_length.setdefault(len(src), []).append((src, tgt, labels, cid))
+        v = {
+            bid: {aid: cell_ids[(src, tgt, tuple(_pairwise(mul, l2, l1)))] for src, l1, aid in cells_to[mid]}
+            for (mid, tgt, l2), bid in cell_ids.items()
+        }
+        v[over] = {over: over}
+
+        # cells too long to take k on go to the overflow cell; rows are
+        # only read, so both sides share the overflow cell's own row
+        over_row = dict.fromkeys(itertools.chain(cell_ids.values(), [over]), over)
+        bound = len(next(reversed(self._ids)))  # the last word is one of the longest
+        wl, wr = {}, {}
+        for k, kid in self._ids.items():
+            pad = (unit,) * len(k)
+            left = wl[kid] = over_row.copy()
+            right = wr[kid] = over_row.copy()
+            for n in range(bound + 1 - len(k)):
+                for src, tgt, labels, cid in by_length[n]:
+                    left[cid] = cell_ids[(k + src, k + tgt, pad + labels)]
+                    right[cid] = cell_ids[(src + k, tgt + k, labels + pad)]
+        wl[OVERFLOW] = wr[OVERFLOW] = over_row
+        tables = self._checked_tables(RowTable(v), RowTable(wl), RowTable(wr, flipped=True))
+        del self._labelled  # its other reader, the 2-cell list, is built by the check
+        return tables
+
+    vcomp_table = functools.cached_property(lambda self: self._tables[0])
+    wl_table = functools.cached_property(lambda self: self._tables[1])
+    wr_table = functools.cached_property(lambda self: self._tables[2])
+
+    def id_two(self, f):
+        """f relabelled by the unit letter by letter (no letters for the overflow cell)."""
+        word = self._words.get(f)
+        if word is None:
+            if f != OVERFLOW:
+                raise UnknownId(f"unknown 1-cell {f!r}")
+            return _OVERFLOW_ID2
+        return _cell_id(f, f, (self._action.group.unit,) * len(word))
 
     def cells_between(self, f, g):
-        """The transporter labellings of f onto g, as sorted 2-cell ids."""
+        """The transporter labellings of f onto g linked to f, as sorted 2-cell ids."""
         got = self._between_memo.get((f, g))
         if got is None:
-            src, tgt = self._words.get(f), self._words.get(g)
-            if f == g == OVERFLOW:
-                got = (self.identity2[f],)
-            elif src is None or tgt is None or len(src) != len(tgt):
+            if g not in self.linked_to(f):
                 got = ()
+            elif f == OVERFLOW:
+                got = (_OVERFLOW_ID2,)
             else:
-                got = tuple(sorted(_cell_id(f, g, labels) for labels in _labellings(self._action, src, tgt)))
+                labellings = _labellings(self._action, self._words[f], self._words[g])
+                got = tuple(sorted(_cell_id(f, g, labels) for labels in labellings))
             self._between_memo[(f, g)] = got
         return got
 
@@ -303,7 +348,8 @@ class _SliceTwoCategory(Finite2Category):
             if word is None:
                 got = frozenset([g] if g == OVERFLOW else [])
             else:
-                got = frozenset(map(self._ids.__getitem__, itertools.product(*map(self._orbit.__getitem__, word))))
+                orbit = self._action._orbits
+                got = frozenset(map(self._ids.__getitem__, itertools.product(*map(orbit.__getitem__, word))))
             self._linked_memo[g] = got
         return got
 
@@ -311,10 +357,10 @@ class _SliceTwoCategory(Finite2Category):
 class DeloopedSlice:
     """The bounded delooping plus its identity parameter bundle.
 
-    Composition is built as rows, ``{g: {f: g . f}}``, by index arithmetic;
-    the 2-cells and the vcomp and whiskering rows are written on first
-    read.  Every table is handed to the category as a ``RowTable`` without
-    a copy, so its ``*_table`` attributes are views of these rows.
+    Composition is built as rows, ``{g: {f: g . f}}``, by index arithmetic,
+    and handed to the category as a ``RowTable`` without a copy; the
+    2-category builds its identities, 2-cells and other tables on first
+    read.
     """
 
     def __init__(self, action: GroupAction, max_chain_length: int):
@@ -352,62 +398,8 @@ class DeloopedSlice:
                     row.update(zip(fs, id_blocks[a + b][i * len(fs):(i + 1) * len(fs)]))
         rows[OVERFLOW] = overflow_row
 
-        unit = action.group.unit
-        mul = action.group.rows
-        over_id2 = _cell_id(OVERFLOW, OVERFLOW, ())
-        id2 = {wid[w]: _cell_id(wid[w], wid[w], (unit,) * len(w)) for w in words}  # all-unit labels
-        id2[OVERFLOW] = over_id2
-        # a 2-cell moves each letter within its orbit, so a word's targets are
-        # the product of its letters' orbits; carrier order keeps word order
-        orbit = action._orbits
-
-        @functools.cache  # cells and tables then share their id strings
-        def labelled():
-            # (src word, tgt word, labels) -> id of every 2-cell but the overflow cell's
-            return {
-                (src, tgt, labels): _cell_id(wid[src], wid[tgt], labels)
-                for src in words for tgt in itertools.product(*map(orbit.__getitem__, src))
-                for labels in _labellings(action, src, tgt)
-            }
-
-        def cells():
-            ends = [Cell(cid, wid[src], wid[tgt]) for (src, tgt, _), cid in labelled().items()]
-            return ends + [Cell(over_id2, OVERFLOW, OVERFLOW)]
-
-        def tables():
-            # rows keyed by the acting cell: v[b][a] = b . a, and wl[k][a] =
-            # k |> a and wr[k][a] = a <| k relabel the letters of k by the unit
-            cell_ids = labelled()
-            cells_to = {}
-            by_length = {}
-            for (src, tgt, labels), cid in cell_ids.items():
-                cells_to.setdefault(tgt, []).append((src, labels, cid))
-                by_length.setdefault(len(src), []).append((src, tgt, labels, cid))
-            v = {
-                bid: {aid: cell_ids[(src, tgt, tuple(_pairwise(mul, l2, l1)))]
-                      for src, l1, aid in cells_to[mid]}
-                for (mid, tgt, l2), bid in cell_ids.items()
-            }
-            v[over_id2] = {over_id2: over_id2}
-
-            # cells too long to take k on go to the overflow cell; rows are
-            # only read, so both sides share the overflow cell's own row
-            over_row = dict.fromkeys(itertools.chain(cell_ids.values(), [over_id2]), over_id2)
-            wl = {}
-            wr = {}
-            for k in words:
-                pad = (unit,) * len(k)
-                left = wl[wid[k]] = over_row.copy()
-                right = wr[wid[k]] = over_row.copy()
-                for n in range(bound + 1 - len(k)):
-                    for src, tgt, labels, cid in by_length[n]:
-                        left[cid] = cell_ids[(k + src, k + tgt, pad + labels)]
-                        right[cid] = cell_ids[(src + k, tgt + k, labels + pad)]
-            wl[OVERFLOW] = wr[OVERFLOW] = over_row
-            return RowTable(v), RowTable(wl), RowTable(wr, flipped=True)
-
         self.category = FiniteCategory([obj], one_cells, {obj: wid[()]}, RowTable(rows), validate=False)
-        self.two_category = _SliceTwoCategory(action, orbit, wid, self.category, id2, cells, tables)
+        self.two_category = _SliceTwoCategory(action, wid, self.category)
         omap = {obj: obj}
         mmap = {m: m for m in ids}
         sigma = MorphismFunction(self.category, self.two_category, omap, mmap, validate=False)
@@ -435,5 +427,4 @@ def delooped_equivalent(a: GroupAction, x, y, max_chain_length: int):
     bound no 2-cell, so any witness must use empty comparison chains.
     """
     s = deloop_slice(a, max_chain_length)
-    ok, witness = are_equivalent(s.equiv, s.embed(x), s.embed(y))
-    return ok, witness
+    return are_equivalent(s.equiv, s.embed(x), s.embed(y))

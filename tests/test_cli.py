@@ -855,12 +855,14 @@ def test_benchmark_self_test_passes():
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
-def test_traced_benchmark_run_reports_every_layer():
+@pytest.mark.parametrize("workload", ["deloop-orbits", "tables-classes"])
+def test_traced_benchmark_run_reports_every_layer(workload):
     # the traced run wraps library names and times the CLI's imports; a
-    # renamed or dropped name, or a changed import, makes it fail
+    # renamed or dropped name, or a changed import, makes it fail.
+    # tables-classes also wraps Finite2Category.__init__ and reads its tables
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "deloop-orbits",
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
                            "--seed", "1", "--seconds", "0.5", "--trace", "1"],
                           capture_output=True, text=True, env=env, cwd=ROOT)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

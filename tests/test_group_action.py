@@ -350,12 +350,14 @@ def test_search_leaves_the_two_cell_tables_unbuilt():
             delooped_equivalent(a, x, y, 1)
     equivalence_classes(s.equiv)  # every pair of 1-cells
     derive_reflexivity(s.equiv, s.embed(a.carrier[0]))
-    built = {"two_cells", "vcomp_table", "wl_table", "wr_table"}
+    built = {"identity2", "two_cells", "vcomp_table", "wl_table", "wr_table"}
     index = {"_by_boundary", "_linked"}
     assert not (built | index) & set(vars(d))
     assert d.validate() == []
     assert built <= set(vars(d))  # built once, then plain attributes
-    assert d._cells is None and d._tables is None  # the builders are dropped
+    held = {name: vars(d)[name] for name in built}
+    assert d.validate() == []
+    assert all(vars(d)[name] is table for name, table in held.items())  # not rebuilt
     assert not index & set(vars(d))
 
 
@@ -376,8 +378,11 @@ def test_slice_classes_are_the_words_of_one_orbit_pattern(bound):
 
 def test_slice_lookups_match_the_enumerated_index():
     # the witness search reads only these two lookups, which a slice answers
-    # from orbits; Finite2Category's own answers read the enumerated 2-cells
-    for act, bound in _slice_cases():
+    # from orbits; Finite2Category's own answers read the enumerated 2-cells.
+    # A monoid's transporters run one way between letters of two classes,
+    # and link nothing
+    monoids = [(_transformation_monoid_action(random.Random(seed)), bound) for seed in range(20) for bound in (0, 1)]
+    for act, bound in _slice_cases() + monoids:
         d = deloop_slice(act, bound).two_category
         for g in d.one_cells:
             assert d.linked_to(g) == Finite2Category.linked_to(d, g), (g, bound)
