@@ -15,6 +15,8 @@ unless told otherwise, and ``validate()`` returns the full list of
 violated axiom instances as data for reporting.  Each cubic law is first
 checked on a generating set (Light's test; Clifford and Preston, 1961,
 §1.2), and in full only when that check fails, to name every instance.
+The rules the package's other checks share (raising on a report,
+repeated ids, table totality) are defined here once.
 """
 
 from __future__ import annotations
@@ -60,6 +62,31 @@ class Cell:
     id: str
     src: str
     tgt: str
+
+
+def _raise_on(report):
+    """Raise :class:`InvalidInstance` naming the violations of ``report``, unless it is empty."""
+    if report:
+        raise InvalidInstance(report)
+
+
+def _distinct(names, what):
+    """``names`` as a tuple, unless one is repeated."""
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        raise InvalidInstance([Violation("duplicate-id", f"repeated {what}")])
+    return names
+
+
+def _total(rows, heads, xs, values, code):
+    """A ``code`` violation for each (g, x) of ``heads`` by ``xs`` whose entry
+    ``rows[g][x]`` is missing or not in ``values``, in that order."""
+    empty = {}
+    return [
+        Violation(code, f"({g}, {x})")
+        for g in heads for row in (rows.get(g, empty),) for x in xs
+        if (v := row.get(x)) is None or v not in values
+    ]
 
 
 def _index(items, key):
@@ -320,19 +347,13 @@ class FiniteCategory:
     def __init__(self, objects, morphisms, identity, compose, *, validate=True):
         self.objects = tuple(objects)
         arrows = [a if isinstance(a, Arrow) else Arrow(*a) for a in morphisms]
-        self.morphisms = {a.id: a for a in arrows}
-        if len(self.morphisms) != len(arrows):
-            raise InvalidInstance([Violation("duplicate-id", "repeated morphism id")])
+        self.morphisms = dict(zip(_distinct((a.id for a in arrows), "morphism id"), arrows))
         self.identity = dict(identity)
         self.compose_table = _as_rows(compose)
         self.rows = self.compose_table.rows
         self._check_refs()
-        hom = _index(self.morphisms.values(), lambda a: (a.dom, a.cod))
-        self._hom = {key: tuple(sorted(a.id for a in arrows)) for key, arrows in hom.items()}
         if validate:
-            report = self.validate()
-            if report:
-                raise InvalidInstance(report)
+            _raise_on(self.validate())
 
     def _check_refs(self):
         objs = set(self.objects)
@@ -367,6 +388,12 @@ class FiniteCategory:
             return self.identity[x]
         except KeyError:
             raise UnknownId(f"unknown object {x!r}") from None
+
+    @cached_property
+    def _hom(self):
+        """(a, b) -> the morphisms a -> b, sorted by identifier."""
+        hom = _index(self.morphisms.values(), lambda a: (a.dom, a.cod))
+        return {key: tuple(sorted(a.id for a in arrows)) for key, arrows in hom.items()}
 
     def hom(self, a, b):
         """Morphisms a -> b, sorted by identifier."""
@@ -496,16 +523,12 @@ class Finite2Category:
         self.two_cells = self._checked_cells(two_cells)
         self.vcomp_table, self.wl_table, self.wr_table = self._checked_tables(vcomp, whisker_left, whisker_right)
         if validate:
-            report = self.validate()
-            if report:
-                raise InvalidInstance(report)
+            _raise_on(self.validate())
 
     def _checked_cells(self, two_cells):
         """The 2-cells by id, checked for repeated ids and unknown boundary and ``identity2`` ids."""
         cells = [c if isinstance(c, Cell) else Cell(*c) for c in two_cells]
-        twos = {c.id: c for c in cells}
-        if len(twos) != len(cells):
-            raise InvalidInstance([Violation("duplicate-id", "repeated 2-cell id")])
+        twos = dict(zip(_distinct((c.id for c in cells), "2-cell id"), cells))
         ones = self.skeleton.morphisms
         for c in cells:
             if c.src not in ones or c.tgt not in ones:
@@ -835,9 +858,7 @@ class FunctorData:
         self.morphism_map = dict(morphism_map)
         self._check_refs()
         if validate:
-            report = self.validate()
-            if report:
-                raise InvalidInstance(report)
+            _raise_on(self.validate())
 
     def _check_refs(self):
         objs = set(self.target.objects)

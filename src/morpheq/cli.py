@@ -30,9 +30,10 @@ from .catkernel import (
     FunctorData,
     MorphismFunction,
     Violation,
+    _raise_on,
 )
 from .equivalence import EquivData, are_equivalent, equivalence_classes, verify_witness
-from .errors import InvalidCell, InvalidInstance, MorpheqError, NotParallel, ParseError, SchemaError
+from .errors import InvalidCell, MorpheqError, NotParallel, ParseError, SchemaError
 from .frames import (
     BesselFamily,
     TOL_PSD,
@@ -152,9 +153,7 @@ def _build_equiv(doc, *, validate=True):
     d = _read_table(Finite2Category, doc, "d")
     if validate:
         for table in (c, d):
-            report = table.validate()
-            if report:
-                raise InvalidInstance(report)
+            _raise_on(table.validate())
     sigma = MorphismFunction(c, d, doc["sigma"]["objects"], doc["sigma"]["morphisms"], validate=False)
     tau1 = FunctorData(c, d, doc["tau1"]["objects"], doc["tau1"]["morphisms"], validate=False)
     tau2 = FunctorData(c, d, doc["tau2"]["objects"], doc["tau2"]["morphisms"], validate=False)

@@ -23,9 +23,8 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .catkernel import FiniteCategory, Finite2Category, FunctorData, MorphismFunction
-from .errors import InvalidInstance, InvalidPremise, NotComposable
-from .catkernel import Violation
+from .catkernel import FiniteCategory, Finite2Category, FunctorData, MorphismFunction, Violation, _raise_on
+from .errors import InvalidPremise, NotComposable
 
 
 @dataclass(frozen=True)
@@ -63,9 +62,7 @@ class EquivData:
         self.tau2 = tau2
         self._rows = {}  # the witness search's cache, see _side_search
         if validate:
-            bad = self.violations()
-            if bad:
-                raise InvalidInstance(bad)
+            _raise_on(self.violations())
 
     def violations(self):
         """Every violated parameter condition (empty iff lawful).

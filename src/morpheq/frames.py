@@ -91,7 +91,7 @@ class BesselFamily:
             )
         if not np.all(np.isfinite(self.weights)) or np.any(self.weights <= 0):
             raise InvalidValue("weights must be finite and strictly positive")
-        if not np.all(np.isfinite(self.vectors.view(float))):
+        if not np.all(np.isfinite(self.vectors)):  # a complex entry is finite when both parts are
             raise InvalidValue("vectors must be finite")
 
     @property

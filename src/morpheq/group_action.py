@@ -38,31 +38,12 @@ import functools
 import itertools
 
 from .catkernel import Cell, Finite2Category, FiniteCategory, FunctorData, MorphismFunction, RowTable, Violation
-from .catkernel import _action_failures, _as_rows, _in_order, _pairwise, _positions
+from .catkernel import _action_failures, _as_rows, _distinct, _in_order, _pairwise, _positions, _raise_on, _total
 from .equivalence import EquivData, are_equivalent
-from .errors import InvalidInstance, InvalidParameter, UnknownElement, UnknownId
+from .errors import InvalidParameter, UnknownElement, UnknownId
 
 OVERFLOW = "!overflow"
 _RESERVED = set("[],>#!")
-
-
-def _distinct(names, what):
-    """``names`` as a tuple, unless one is repeated."""
-    names = tuple(names)
-    if len(set(names)) != len(names):
-        raise InvalidInstance([Violation("duplicate-id", f"repeated {what}")])
-    return names
-
-
-def _total(rows, heads, xs, values, code):
-    """A ``code`` violation for each (g, x) of ``heads`` by ``xs`` whose entry
-    ``rows[g][x]`` is missing or not in ``values``, in that order."""
-    empty = {}
-    return [
-        Violation(code, f"({g}, {x})")
-        for g in heads for row in (rows.get(g, empty),) for x in xs
-        if (v := row.get(x)) is None or v not in values
-    ]
 
 
 def _extra(table, heads, xs, code):
@@ -95,9 +76,7 @@ class FiniteGroup:
         self.rows = self.mul_table.rows
         self.unit = unit
         if validate:
-            report = self.validate()
-            if report:
-                raise InvalidInstance(report)
+            _raise_on(self.validate())
 
     def mul(self, g, h):
         try:
@@ -147,9 +126,7 @@ class GroupAction:
         self.act_table = _as_rows(act)
         self.rows = self.act_table.rows
         if validate:
-            report = self.validate()
-            if report:
-                raise InvalidInstance(report)
+            _raise_on(self.validate())
         self._slices = {}
 
     def act(self, g, x):

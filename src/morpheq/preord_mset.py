@@ -25,10 +25,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .catkernel import Violation, _index
+from .catkernel import Violation, _index, _raise_on, _total
 from .errors import (
     InvalidCell,
-    InvalidInstance,
     InvalidValue,
     NotComposable,
     NotParallel,
@@ -68,9 +67,7 @@ class PreordObject:
         self.generators = tuple(as_fraction(g) for g in generators)
         self.act_table = None if act is None else {(as_fraction(g), x): y for (g, x), y in act.items()}
         if validate:
-            report = self.validate()
-            if report:
-                raise InvalidInstance(report)
+            _raise_on(self.validate())
 
     def _elem(self, x):
         return as_fraction(x) if self.numeric else x
@@ -173,9 +170,7 @@ class MonotoneMap:
         self.cod = cod
         self.table = {dom._elem(k): cod._elem(v) for k, v in table.items()}
         if validate:
-            report = self.validate()
-            if report:
-                raise InvalidInstance(report)
+            _raise_on(self.validate())
 
     def __call__(self, x):
         try:
@@ -184,13 +179,9 @@ class MonotoneMap:
             raise UnknownElement(f"{x!r} not in domain of {self.name!r}") from None
 
     def validate(self):
-        bad = []
         dom, cod = self.dom, self.cod
-        cset = set(cod.carrier)
-        for x in dom.carrier:
-            v = self.table.get(x)
-            if v is None or v not in cset:
-                bad.append(Violation("map-totality", f"({self.name}, {x})"))
+        # the table as one row keyed by the map's name
+        bad = _total({self.name: self.table}, (self.name,), dom.carrier, set(cod.carrier), "map-totality")
         if bad:
             return bad
         for (a, b) in dom.leq_pairs:
@@ -294,16 +285,14 @@ def compose_cells_horizontal(d: CentralCell, c: CentralCell) -> CentralCell:
 def check_interchange(c: CentralCell, c2: CentralCell, d: CentralCell, d2: CentralCell) -> bool:
     """Middle-four exchange for c2.c (vertical) beside d2.d (vertical).
 
-    Returns True when both evaluation orders produce the same scalar and
-    that scalar passes the cell inequality for the composite boundary;
-    scalar equality is exact by commutativity of rational multiplication.
+    Builds (d2.d) * (c2.c), then the two horizontal composites d2 * c2 and
+    d * c of the other order, and returns True; each raises InvalidCell
+    unless it is a cell.  The vertical composite of those two is not
+    built: its scalar is the same product of the four scalars (rational
+    multiplication is exact and commutative) and its maps compose the same
+    tables, so it is the first composite again.
     """
-    left = compose_cells_horizontal(compose_cells_vertical(d2, d), compose_cells_vertical(c2, c))
-    right = compose_cells_vertical(
-        compose_cells_horizontal(d2, c2), compose_cells_horizontal(d, c)
-    )
-    return (
-        left.value == right.value
-        and left.src.equals(right.src)
-        and left.tgt.equals(right.tgt)
-    )
+    compose_cells_horizontal(compose_cells_vertical(d2, d), compose_cells_vertical(c2, c))
+    compose_cells_horizontal(d2, c2)
+    compose_cells_horizontal(d, c)
+    return True

@@ -16,6 +16,7 @@ from morpheq import (
     FunctorData,
     GroupAction,
     MorphismFunction,
+    Violation,
     catkernel,
     deloop_slice,
 )
@@ -26,7 +27,14 @@ from morpheq.errors import (
     UnknownId,
 )
 
-from instance_gen import random_equiv_instance, regular_action, swap_action, trivial_action
+from instance_gen import (
+    locally_discrete_bundle,
+    random_equiv_instance,
+    regular_action,
+    swap_action,
+    transformation_monoid,
+    trivial_action,
+)
 from oracles import middle_four_violations, validate_by_instances
 
 
@@ -145,13 +153,24 @@ def test_validate_reports_broken_unit_and_assoc():
 
 
 def test_duplicate_morphism_id_rejected():
-    with pytest.raises(InvalidInstance):
+    with pytest.raises(InvalidInstance) as exc:
         FiniteCategory(["A"], [("x", "A", "A"), ("x", "A", "A")], {"A": "x"},
                        {("x", "x"): "x"})
+    assert exc.value.violations == [Violation("duplicate-id", "repeated morphism id")]
+
+
+def test_duplicate_two_cell_id_rejected():
+    d = walking_pair_two_cat()
+    objects, ones, identity, compose, cells, id2 = _two_cat_parts(d)
+    with pytest.raises(InvalidInstance) as exc:
+        Finite2Category(objects, ones, identity, compose, cells + [("ab", "mt", "m")], id2,
+                        dict(d.vcomp_table), dict(d.wl_table), dict(d.wr_table))
+    assert exc.value.violations == [Violation("duplicate-id", "repeated 2-cell id")]
 
 
 def test_hom_sets_sorted():
     c = chain3()
+    assert "_hom" not in vars(c)  # built on the first hom() call, which validate() does not make
     assert c.hom("A", "B") == ("f",)
     assert c.hom("A", "C") == ("gf",)
     assert c.hom("C", "A") == ()
@@ -543,6 +562,86 @@ def test_random_instances_do_not_depend_on_the_hash_seed():
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def _misplaced_identity(validate):
+    c = chain3()
+    return FiniteCategory(c.objects, [(a.id, a.dom, a.cod) for a in c.morphisms.values()],
+                          {**c.identity, "A": "f"}, dict(c.compose_table), validate=validate)
+
+
+def _walking_pair_with(validate, cells=(), **id2):
+    d = walking_pair_two_cat()
+    objects, ones, identity, compose, twos, identity2 = _two_cat_parts(d)
+    return Finite2Category(objects, ones, identity, compose, twos + list(cells), {**identity2, **id2},
+                           dict(d.vcomp_table), dict(d.wl_table), dict(d.wr_table), validate=validate)
+
+
+def _non_parallel_cell(validate):
+    return _walking_pair_with(validate, cells=[("x", "m", "idA")])
+
+
+def _misplaced_id2(validate):
+    return _walking_pair_with(validate, m="ab")
+
+
+def _unit_to_an_idempotent(validate):
+    # T_1's identity goes to the constant map of T_2, which keeps every
+    # composite (it is idempotent) but is not T_2's identity
+    d = locally_discrete_bundle(transformation_monoid(2)).d
+    return FunctorData(transformation_monoid(1), d, {"S1": "S2"}, {"S1>S1:0": "S2>S2:00"}, validate=validate)
+
+
+@pytest.mark.parametrize("build, report", [
+    (_misplaced_identity, [("identity-boundary", "id of A is f: A->B")]),
+    (_non_parallel_cell, [("cell-parallel", "x")]),
+    (_misplaced_id2, [("id2-boundary", "id2(m) = ab")]),
+    (_unit_to_an_idempotent, [("functor-identity", "S1")]),
+])
+def test_a_broken_structure_is_reported_and_rejected(build, report):
+    assert [(v.code, v.detail) for v in build(False).validate()] == report
+    with pytest.raises(InvalidInstance) as exc:
+        build(True)
+    assert [(v.code, v.detail) for v in exc.value.violations] == report
+
+
+# ------------------------------------------------ lookups on unvalidated tables
+
+
+def test_lookups_name_a_missing_entry_of_a_composable_pair():
+    c = chain3()
+    compose = dict(c.compose_table)
+    del compose[("g", "f")]
+    cat = FiniteCategory(c.objects, [(a.id, a.dom, a.cod) for a in c.morphisms.values()],
+                         c.identity, compose, validate=False)
+    d = walking_pair_two_cat()
+    tables = [dict(d.vcomp_table), dict(d.wl_table), dict(d.wr_table)]
+    for table, key in zip(tables, [("ba", "ab"), ("idB", "ab"), ("ab", "idA")]):
+        del table[key]
+    broken = Finite2Category(*_two_cat_parts(d), *tables, validate=False)
+    for lookup, missing in [
+        (lambda: cat.compose("g", "f"), ("compose-missing", "(g, f)")),
+        (lambda: broken.vcomp("ba", "ab"), ("vcomp-missing", "(ba, ab)")),
+        (lambda: broken.whisker_left("idB", "ab"), ("whisker-left-missing", "(idB, ab)")),
+        (lambda: broken.whisker_right("ab", "idA"), ("whisker-right-missing", "(ab, idA)")),  # keyed (a, k)
+    ]:
+        with pytest.raises(InvalidInstance) as exc:
+            lookup()
+        assert [(v.code, v.detail) for v in exc.value.violations] == [missing]
+
+
+def test_whiskering_rejects_mismatched_ends():
+    d = walking_pair_two_cat()
+    with pytest.raises(NotComposable):
+        d.whisker_left("m", "ab")  # ab ends at B, m starts at A
+    with pytest.raises(NotComposable):
+        d.whisker_right("ab", "m")  # ab starts at A, m ends at B
+
+
+def test_hcomp_of_cells_whose_orders_disagree_raises():
+    d = _symmetric_group_cells()
+    with pytest.raises(InterchangeViolation):
+        d.hcomp("s102", "s021")  # two transpositions, which do not commute
 
 
 # ---------------------------------------------------------------- functors

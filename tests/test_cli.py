@@ -651,6 +651,43 @@ def test_ragged_matrix_exits_two(capsys, tmp_path, tamper):
     assert out["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize("u, code", [([[1, 0], [0, 1]], 0), ([[1, 0], [0, 0]], 1)])
+def test_frame_compares_two_families_through_the_given_witnesses(capsys, tmp_path, u, code):
+    # mercedes against itself: the identity carries each form onto the
+    # other; a rank-one u loses a direction forward
+    doc = json.loads((INSTANCES / "mercedes.json").read_text())
+    family = {k: doc[k] for k in ("field", "dim", "weights", "vectors")}
+    doc["compare"] = {"family": family, "u": u, "u_tilde": [[1, 0], [0, 1]]}
+    got, out, err = run_main(capsys, doc, "frame", tmp_path)
+    assert (got, err) == (code, "")
+    assert out["compare"]["equivalent"] is (code == 0)
+    assert out["compare"]["backward"]["equivalent"] is True
+    if code:
+        assert out["compare"]["forward"] == {"equivalent": False, "reason": "kernel mismatch: ranks differ"}
+
+
+def test_bridge_without_a_seminorm_uses_the_ambient_norm(capsys, tmp_path):
+    doc = json.loads((INSTANCES / "bridge_demo.json").read_text())
+    del doc["seminorm"]
+    code, out, err = run_main(capsys, doc, "bridge", tmp_path)
+    assert (code, err) == (0, "")
+    assert out["seminorm_dominated"] is True
+    assert out["staged_closed_dev"] <= 1e-12
+
+
+@pytest.mark.parametrize("field, code", [("complex", 0), ("real", 2)])
+def test_a_re_im_pair_is_one_complex_entry(capsys, tmp_path, field, code):
+    # (0, 3 + 4i) has squared norm 25, so the upper frame bound is 25; a
+    # real family may not hold it
+    doc = {"kind": "family", "field": field, "dim": 2, "weights": [1, 1], "vectors": [[1, 0], [0, [3, 4]]]}
+    got, out, err = run_main(capsys, doc, "frame", tmp_path)
+    assert (got, err) == (code, "")
+    if code:
+        assert out["error"] == {"type": "ParseError", "message": "real instance contains non-real entries"}
+    else:
+        assert (out["lower_bound"], out["upper_bound"]) == pytest.approx((1, 25))
+
+
 def _scalar(value):
     def tamper(doc):
         doc["cells"][0]["scalar"] = value
@@ -701,6 +738,31 @@ def test_a_composite_that_is_not_a_cell_is_a_no(capsys, tmp_path):
     assert {"kind": "horizontal", "cells": ["alpha", "one_p"]} in out["composite_failures"]
     assert ["alpha", "one_g", "one_p", "one_p"] in out["interchange_failures"]
     assert out["all_ok"] is False
+
+
+def test_a_square_with_one_horizontal_composite_that_is_not_a_cell_is_a_no(capsys, tmp_path):
+    # p collapses Y.  In both squares (d2 . d) * (c2 . c) = 1/2: p.f => p.g
+    # is a cell; in the first d * c = 2: p.f => p.g is not, in the second
+    # d2 * c2 is not
+    doc = {
+        "kind": "preord_suite",
+        "objects": [{"name": "X", "carrier": ["1"]}, {"name": "Y", "carrier": ["1", "2"]},
+                    {"name": "Z", "carrier": ["1", "2", "4"]}],
+        "maps": [{"name": "f", "dom": "X", "cod": "Y", "table": {"1": "2"}},
+                 {"name": "g", "dom": "X", "cod": "Y", "table": {"1": "1"}},
+                 {"name": "p", "dom": "Y", "cod": "Z", "table": {"1": "1", "2": "1"}}],
+        "cells": [{"name": "alpha", "scalar": "2", "src": "f", "tgt": "g"},
+                  {"name": "half_f", "scalar": "1/2", "src": "f", "tgt": "f"},
+                  {"name": "half_g", "scalar": "1/2", "src": "g", "tgt": "g"},
+                  {"name": "half_p", "scalar": "1/2", "src": "p", "tgt": "p"},
+                  {"name": "one_p", "scalar": "1", "src": "p", "tgt": "p"}],
+    }
+    code, out, err = run_main(capsys, doc, "preord-check", tmp_path)
+    assert (code, err) == (1, "")
+    assert all(out["cells"].values())
+    assert ["alpha", "half_g", "one_p", "half_p"] in out["interchange_failures"]
+    assert ["half_f", "alpha", "half_p", "one_p"] in out["interchange_failures"]
+    assert ["half_f", "alpha", "one_p", "half_p"] not in out["interchange_failures"]
 
 
 @pytest.mark.parametrize("field", ["objects", "maps", "cells"])
@@ -855,11 +917,13 @@ def test_benchmark_self_test_passes():
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
-@pytest.mark.parametrize("workload", ["deloop-orbits", "tables-classes"])
+@pytest.mark.parametrize("workload", ["deloop-orbits", "tables-classes", "frames-compare", "cli-verbs"])
 def test_traced_benchmark_run_reports_every_layer(workload):
     # the traced run wraps library names and times the CLI's imports; a
     # renamed or dropped name, or a changed import, makes it fail.
-    # tables-classes also wraps Finite2Category.__init__ and reads its tables
+    # tables-classes also wraps Finite2Category.__init__ and reads its
+    # tables; frames-compare wraps the numeric layers and cli-verbs the
+    # preorder checks and the constructors its in-process runs call
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,

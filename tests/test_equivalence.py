@@ -15,7 +15,7 @@ from morpheq import (
     verify_witness,
 )
 from morpheq import equivalence
-from morpheq.errors import InvalidInstance, InvalidPremise
+from morpheq.errors import InvalidInstance, InvalidPremise, NotComposable
 
 from instance_gen import (
     finite_sets,
@@ -353,6 +353,15 @@ def test_violations_match_what_the_constructor_raises():
             EquivData(c, d, *parts)
         assert EquivData(c, d, *parts, validate=False).violations() == exc.value.violations
     assert EquivData(c, d, e.sigma, e.tau1, e.tau2, validate=False).violations() == []
+
+
+def test_composite_rejects_comparison_morphisms_off_the_ends_of_m():
+    e = walking_pair()
+    assert e.composite("idB", "m", "idA") == "m"
+    with pytest.raises(NotComposable):
+        e.composite("idA", "m", "idA")  # u1 must start at cod(m) = B
+    with pytest.raises(NotComposable):
+        e.composite("idB", "m", "idB")  # u2 must end at dom(m) = A
 
 
 @pytest.mark.parametrize("name, cat", [

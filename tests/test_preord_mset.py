@@ -126,6 +126,52 @@ def test_non_monotone_map_rejected():
     assert any(v.code == "map-monotone" for v in exc.value.violations)
 
 
+LOW_HIGH = [("lo", "lo"), ("hi", "hi"), ("lo", "hi")]
+
+
+def _order_off_the_carrier(validate):
+    return PreordObject("W", ["lo", "hi"], leq=[("lo", "lo"), ("hi", "hi"), ("lo", "zz")], act={},
+                        validate=validate)
+
+
+def _action_off_the_carrier(validate):
+    return PreordObject("W", ["lo", "hi"], leq=LOW_HIGH, generators=(2,),
+                        act={(2, "lo"): "zz", (2, "hi"): "hi"}, validate=validate)
+
+
+def _swaps_that_do_not_commute(validate):
+    # 2 swaps a and b, 3 swaps b and c
+    act = {(2, "a"): "b", (2, "b"): "a", (2, "c"): "c", (3, "a"): "a", (3, "b"): "c", (3, "c"): "b"}
+    return PreordObject("W", ["a", "b", "c"], leq=[(x, x) for x in "abc"], generators=(2, 3), act=act,
+                        validate=validate)
+
+
+def _partial_map(validate):
+    # 2 goes outside Y and 4 goes nowhere
+    return MonotoneMap("f", window("X", [1, 2, 4]), window("Y", [1, 2]), {1: 1, 2: 4}, validate=validate)
+
+
+def _map_off_the_action(validate):
+    w = PreordObject("W", ["lo", "hi"], leq=LOW_HIGH, generators=(2,), act={(2, "lo"): "hi", (2, "hi"): "hi"})
+    return MonotoneMap("f", w, w, {"lo": "lo", "hi": "lo"}, validate=validate)
+
+
+@pytest.mark.parametrize("build, report", [
+    (_order_off_the_carrier, [("order-carrier", "(lo, zz)")]),
+    (_action_off_the_carrier, [("action-carrier", "(2, lo)"), ("action-monotone", "(2, lo, lo)"),
+                               ("action-monotone", "(2, lo, hi)")]),
+    (_swaps_that_do_not_commute,
+     [("action-commute", f"({g}, {h}, {x})") for g, h in ((2, 3), (3, 2)) for x in "abc"]),
+    (_partial_map, [("map-totality", "(f, 2)"), ("map-totality", "(f, 4)")]),
+    (_map_off_the_action, [("map-equivariant", "(f, 2, lo)"), ("map-equivariant", "(f, 2, hi)")]),
+])
+def test_broken_carriers_and_maps_are_reported_and_rejected(build, report):
+    assert [(v.code, v.detail) for v in build(False).validate()] == report
+    with pytest.raises(InvalidInstance) as exc:
+        build(True)
+    assert [(v.code, v.detail) for v in exc.value.violations] == report
+
+
 def test_compose_maps_requires_matching_middle():
     x = window("X", [1, 2])
     y = window("Y", [1, 2, 4])
@@ -246,6 +292,32 @@ def test_interchange_example_values():
         compose_cells_vertical(d2, d), compose_cells_vertical(c2, c)
     )
     assert both.value == 210
+
+
+def collapsing_square(scalar_c, scalar_c2, scalar_d, scalar_d2, f_to_f=False):
+    """A square over X -> Y -> Z whose map p collapses Y; c: f => g (or
+    f => f), c2: g => g (or f => g), and d, d2: p => p."""
+    x, y, z = window("X", [1]), window("Y", [1, 2]), window("Z", [1, 2, 4])
+    f = MonotoneMap("f", x, y, {1: 2})
+    g = MonotoneMap("g", x, y, {1: 1})
+    p = MonotoneMap("p", y, z, {1: 1, 2: 1})
+    mid = f if f_to_f else g
+    return (CentralCell(scalar_c, f, mid), CentralCell(scalar_c2, mid, g),
+            CentralCell(scalar_d, p, p), CentralCell(scalar_d2, p, p))
+
+
+@pytest.mark.parametrize("square", [
+    collapsing_square(2, "1/2", 1, "1/2"),  # d * c = 2: p.f => p.g is no cell
+    collapsing_square("1/2", 2, "1/2", 1, f_to_f=True),  # d2 * c2 = 2: p.f => p.g is no cell
+])
+def test_interchange_builds_both_horizontal_composites_of_the_second_order(square):
+    # (d2 . d) * (c2 . c) = 1/2: p.f => p.g is a cell, one of d2 * c2 and
+    # d * c is not
+    c, c2, d, d2 = square
+    outer = compose_cells_horizontal(compose_cells_vertical(d2, d), compose_cells_vertical(c2, c))
+    assert outer.value == Fraction(1, 2)
+    with pytest.raises(InvalidCell):
+        check_interchange(c, c2, d, d2)
 
 
 def test_interchange_all_units():
