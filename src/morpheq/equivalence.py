@@ -60,7 +60,9 @@ class EquivData:
         self.sigma = sigma
         self.tau1 = tau1
         self.tau2 = tau2
-        self._rows = {}  # the witness search's cache, see _side_search
+        # the witness search's caches, see _side_search: a row per left and
+        # u2 hom-set, and the reach of each side whose scan found nothing
+        self._rows, self._reaches = {}, {}
         if validate:
             _raise_on(self.violations())
 
@@ -136,29 +138,45 @@ def _side_search(e: EquivData, m_from, m_to):
     u1 in order, the least u2 is read off the row of left =
     tau1(u1).sigma(m_from): each composite left.tau2(u2) mapped to the
     least u2 giving it, cached on e because every target reads the same
-    rows.  A composite qualifies when it is in ``d.linked_to(target)``, and
-    the cells returned are the least of ``d.cells_between`` each way.
+    rows.  A left already visited has the same row, so it is skipped.  A
+    composite qualifies when it is in ``d.linked_to(target)``, and the
+    cells returned are the least of ``d.cells_between`` each way.
+
+    A scan that finds nothing leaves on e the side's reach: every composite
+    over the two hom-sets, keyed by (sigma(m_from), cod m_from, cod m_to,
+    dom m_to, dom m_from).  A later search on that side returns None at
+    once when the reach misses ``d.linked_to(target)``; otherwise it has a
+    hit and scans as above, so the witness is still the least.
     """
     c, d = e.c, e.d
     a_from, a_to = c.arrow(m_from), c.arrow(m_to)
     target = e.sigma(m_to)
     sig = e.sigma(m_from)
+    linked = d.linked_to(target)
+    side = (sig, a_from.cod, a_to.cod, a_to.dom, a_from.dom)
+    reach = e._reaches.get(side)
+    if reach is not None and reach.isdisjoint(linked):
+        return None
     tau1, tau2 = e.tau1.morphism_map, e.tau2.morphism_map
     rows = d.skeleton.rows
-    linked = d.linked_to(target)
     back = c.hom(a_to.dom, a_from.dom)[::-1]  # the least u2 is set last, so it wins
+    seen = {}  # left -> its row, for the lefts visited so far
     for u1 in c.hom(a_from.cod, a_to.cod):
         left = rows[tau1[u1]][sig]
+        if left in seen:
+            continue
         key = (left, a_to.dom, a_from.dom)  # one row per left and u2 hom-set
         row = e._rows.get(key)
         if row is None:
             lrow = rows[left]
             row = e._rows[key] = dict(zip(map(lrow.__getitem__, map(tau2.__getitem__, back)), back))
+        seen[left] = row
         small, big = (linked, row) if len(linked) < len(row) else (row, linked)
         hits = [x for x in small if x in big]
         if hits:
             x = min(hits, key=row.__getitem__)
             return u1, row[x], d.cells_between(x, target)[0], d.cells_between(target, x)[0]
+    e._reaches[side] = frozenset().union(*seen.values())
     return None
 
 

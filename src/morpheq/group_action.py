@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .catkernel import Cell, Finite2Category, FiniteCategory, FunctorData, MorphismFunction, RowTable, Violation
+from .catkernel import Cell, Finite2Category, FiniteCategory, FunctorData, RowTable, Violation
 from .catkernel import _action_failures, _as_rows, _distinct, _in_order, _pairwise, _positions, _raise_on, _total
 from .equivalence import EquivData, are_equivalent
 from .errors import InvalidParameter, UnknownElement, UnknownId
@@ -332,7 +332,8 @@ class _SliceTwoCategory(Finite2Category):
 
 
 class DeloopedSlice:
-    """The bounded delooping plus its identity parameter bundle.
+    """The bounded delooping plus its identity parameter bundle, whose sigma,
+    tau1 and tau2 are one identity functor.
 
     Composition is built as rows, ``{g: {f: g . f}}``, by index arithmetic,
     and handed to the category as a ``RowTable`` without a copy; the
@@ -377,17 +378,16 @@ class DeloopedSlice:
 
         self.category = FiniteCategory([obj], one_cells, {obj: wid[()]}, RowTable(rows), validate=False)
         self.two_category = _SliceTwoCategory(action, wid, self.category)
-        omap = {obj: obj}
-        mmap = {m: m for m in ids}
-        sigma = MorphismFunction(self.category, self.two_category, omap, mmap, validate=False)
-        tau = FunctorData(self.category, self.two_category, omap, mmap, validate=False)  # tau1 and tau2
-        self.equiv = EquivData(self.category, self.two_category, sigma, tau, tau, validate=False)
+        ident = FunctorData(self.category, self.two_category, {obj: obj}, {m: m for m in ids}, validate=False)
+        self.equiv = EquivData(self.category, self.two_category, ident, ident, ident, validate=False)
+        self._letters = dict(zip(action.carrier, id_blocks[1]))  # x -> the 1-cell of (x,)
 
     def embed(self, x):
         """The 1-cell carrying the single-letter chain (x,)."""
-        if x not in self.action.carrier:
-            raise UnknownElement(f"{x!r} not in carrier")
-        return _word_id((x,))
+        try:
+            return self._letters[x]
+        except (KeyError, TypeError):  # TypeError: x is unhashable
+            raise UnknownElement(f"{x!r} not in carrier") from None
 
 
 def deloop_slice(a: GroupAction, max_chain_length: int) -> DeloopedSlice:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from morpheq import (
@@ -33,6 +35,7 @@ from instance_gen import (
     random_param_bundle,
     regular_action,
     swap_action,
+    three_pairs_c2,
     transformation_monoid,
 )
 from oracles import are_equivalent_scan, equivalence_classes_all_pairs, side_search_scan
@@ -273,6 +276,56 @@ def test_indexed_search_matches_the_scan_on_every_ordered_pair():
                 cross_boundary_hits += 1
     # the two sides of such a pair read rows over different hom-sets
     assert cross_boundary_hits > 0
+
+
+def test_search_answers_do_not_depend_on_the_order_of_questions():
+    bundles = [random_equiv_instance(seed) for seed in range(100)]
+    bundles += [random_param_bundle(seed) for seed in range(50)]  # tau1, tau2 not identities
+    for action in (swap_action(), regular_action(3)):
+        bundles += [deloop_slice(action, bound).equiv for bound in (0, 1, 2)]
+    missed_then_hit = 0
+    for e in bundles:
+        items = sorted(e.c.morphisms)
+        sides = {(m, mt): side_search_scan(e, m, mt) for m in items for mt in items}
+        missed, hit_after_miss = set(), set()  # keyed as the search keys its reaches
+        for seed in range(3):  # the bundle and its caches are shared by all three orders
+            asked = list(sides) * 2
+            random.Random(seed).shuffle(asked)
+            for m, mt in asked:
+                want = sides[(m, mt)]
+                assert equivalence._side_search(e, m, mt) == want, (m, mt)
+                assert are_equivalent(e, m, mt) == are_equivalent_scan(sides, m, mt), (m, mt)
+                a, b = e.c.arrow(m), e.c.arrow(mt)
+                side = (e.sigma(m), a.cod, b.cod, b.dom, a.dom)
+                if want is None:
+                    missed.add(side)
+                elif side in missed:
+                    hit_after_miss.add(side)
+        missed_then_hit += len(hit_after_miss)
+    # such a side has a reach stored and still has to find the least witness
+    assert missed_then_hit > 0
+
+
+def test_a_repeated_miss_reads_no_composition_row(monkeypatch):
+    s = deloop_slice(three_pairs_c2(), 2)
+    e = s.equiv
+    x, other_orbit, same_orbit = s.embed("a0"), s.embed("b0"), s.embed("a1")
+    want = side_search_scan(e, x, same_orbit)
+    assert want is not None
+    reads = []
+
+    class CountedRows(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            return dict.__getitem__(self, key)
+
+    monkeypatch.setattr(e.d.skeleton, "rows", CountedRows(e.d.skeleton.rows))
+    assert equivalence._side_search(e, x, other_orbit) is None
+    assert reads  # the first miss scans
+    reads.clear()
+    assert equivalence._side_search(e, x, s.embed("c1")) is None
+    assert reads == []
+    assert equivalence._side_search(e, x, same_orbit) == want
 
 
 def test_classes_make_no_pair_search(monkeypatch):

@@ -286,8 +286,9 @@ def test_embed_letter_round_trip():
     s = deloop_slice(swap_action(), 1)
     for x in "abc":
         assert s.embed(x) == f"[{x}]"
-    with pytest.raises(UnknownElement):
-        s.embed("d")
+    for bad in ("d", "[a]", "", None, ("a",), ["a"], {"a"}):  # the last two are unhashable
+        with pytest.raises(UnknownElement):
+            s.embed(bad)
 
 
 def test_reserved_characters_rejected():
