@@ -8,7 +8,8 @@ as rows keyed by the acting cell (``{g: {f: g . f}}``, ``{b: {a: b . a}}``,
 ``{k: {a: k |> a}}`` and ``{k: {a: a <| k}}``), the form every law and the
 witness search read.  The ``*_table`` attributes are read-only views of
 those rows in the keying the constructors take: ``(g, f)``, ``(b, a)``,
-``(k, a)`` and ``(a, k)``.
+``(k, a)`` and ``(a, k)``.  A table may be sparse: its rows then declare
+an absorbing id, the value of every pair in the table they do not store.
 
 Validation is eager: the constructors raise :class:`InvalidInstance`
 unless told otherwise, and ``validate()`` returns the full list of
@@ -25,7 +26,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, product, repeat
-from operator import eq, itemgetter, ne
+from operator import eq, itemgetter, le, ne
 
 from .errors import (
     InterchangeViolation,
@@ -97,8 +98,12 @@ def _index(items, key):
     return out
 
 
-def _gather(xs):
-    """A function reading a row at every key of the non-empty ``xs``, as one tuple."""
+def _gather(xs, absorbing=None):
+    """A function reading a row at every key of the non-empty ``xs``, as one
+    tuple; a key the row does not store reads ``absorbing``, if not None."""
+    if absorbing is not None:  # complete the row over xs, in C
+        full, at = dict.fromkeys(xs, absorbing), _gather(xs)
+        return lambda row: at(full | row)
     if len(xs) == 1:
         x = xs[0]
         return lambda row: (row[x],)
@@ -122,23 +127,31 @@ def _in_order(found):
 def _generators(rows, source, target, units):
     """The set of arrows picked, in the order of ``source``, unless a unit or
     already a composite of earlier picks, in the category stored as rows
-    ``rows[g][f] = g . f``.  The composites are closed under composing with
-    a pick on the left, so every arrow is a unit, a pick, or p . y for a
-    pick p and an arrow y that entered that closure before it.
+    ``rows[g][f] = g . f`` with no entry off its composable pairs.  The
+    composites are closed under composing with a pick on the left, so every
+    arrow is a unit, a pick, or p . y for a pick p and an arrow y that
+    entered that closure before it.  A pick's row is read in full: sparse,
+    it is completed with the absorbing id at every arrow ending where the
+    pick starts.
     """
-    units = set(units)
-    picks, made = {}, set()  # picks by source, and the composites so far
+    units, over = set(units), _absorbing(rows)
+    picks, picked, made = set(), {}, set()  # the picks, their rows by source, the composites so far
+    ending = {} if over is None else _index(target, target.__getitem__)
     for f in source:
         if f in units or f in made:
             continue
-        picks.setdefault(source[f], []).append(f)
-        todo = [f] + [v for x, v in rows[f].items() if x in made]
+        row = rows[f]
+        if over is not None:
+            row = dict.fromkeys(ending.get(source[f], ()), over) | row
+        picks.add(f)
+        picked.setdefault(source[f], []).append(row)
+        todo = [f] + [v for x, v in row.items() if x in made]
         while todo:
             y = todo.pop()
             if y not in made:
                 made.add(y)
-                todo += [rows[p][y] for p in picks.get(target[y], ())]
-    return set(chain.from_iterable(picks.values()))
+                todo += [prow[y] for prow in picked.get(target[y], ())]
+    return picks
 
 
 def _sift(xs, keep):
@@ -163,24 +176,49 @@ def _proven(stage, premises, *gens):
 def _action_failures(act, groups, outers_of, composite):
     """Triples (h, g, x) with ``act[composite(h, g)][x] != act[h][act[g][x]]``.
 
-    ``act`` maps each k to its row ``{x: k acting on x}``.  ``groups`` pairs
+    ``act`` maps each k to its row ``{x: k acting on x}``, read through its
+    absorbing id when it is sparse ``Rows``.  ``groups`` pairs
     a non-empty list of xs with the inner gs whose rows are read at them.
     For each such g and each outer h in ``outers_of(g)`` the law is one
     comparison of two gathered tuples, the row of h . g against the row of
     h read at the values of g's row.  Only a pair whose tuples differ is
-    walked to name its failing xs.
+    walked to name its failing xs.  Outers in a row with one composite,
+    as the long words of a delooped slice all give its overflow cell,
+    gather that composite's row once.
     """
-    out = []
+    out, over = [], _absorbing(act)
     for xs, inners in groups:
-        at_xs = _gather(xs)
+        at_xs = _gather(xs, over)
         for g in inners:
-            at_gx = _gather(at_xs(act[g]))
+            at_gx = _gather(at_xs(act[g]), over)
+            last = object()  # no composite gathered yet
             for h in outers_of(g):
-                lhs = at_xs(act[composite(h, g)])
+                hg = composite(h, g)
+                if hg is not last:
+                    last, lhs = hg, at_xs(act[hg])
                 rhs = at_gx(act[h])
                 if lhs != rhs:
                     out.extend((h, g, x) for x, l, r in zip(xs, lhs, rhs) if l != r)
     return out
+
+
+class Rows(dict):
+    """Sparse rows ``{r: {c: value}}`` of a table: every pair of the table that
+    its row does not store has the ``absorbing`` id as its value.  A table
+    whose rows store every entry keeps them in a plain dict.  Every reader
+    takes an entry of either kind as ``rows[r].get(c, _absorbing(rows))``,
+    a lookup in C."""
+
+    __slots__ = ("absorbing",)
+
+    def __init__(self, rows=(), *, absorbing):
+        super().__init__(rows)
+        self.absorbing = absorbing
+
+
+def _absorbing(rows):
+    """The absorbing id of sparse ``Rows``; None for rows that store every entry."""
+    return rows.absorbing if isinstance(rows, Rows) else None
 
 
 class RowTable(Mapping):
@@ -190,36 +228,58 @@ class RowTable(Mapping):
     Nothing is copied: a lookup reads one row.  Iteration walks the rows,
     or the keys in the order they were given when that order interleaves
     rows (``order``), so ``dict(view)`` gives back a table entry for entry
-    and order for order.
+    and order for order.  A view of sparse ``Rows`` needs ``columns``:
+    each row head mapped to the columns of its row, stored or not, in
+    order.  It then holds every such pair, and after them any entry a row
+    stores off its columns, so ``len``, iteration and ``dict(view)`` are
+    those of the dense table.
     """
 
-    __slots__ = ("rows", "flipped", "_order")
+    __slots__ = ("rows", "flipped", "_order", "columns")
 
-    def __init__(self, rows, order=None, flipped=False):
+    def __init__(self, rows, order=None, flipped=False, columns=None):
         self.rows = rows
         self.flipped = flipped
         self._order = order
+        self.columns = columns
+
+    @property
+    def absorbing(self):
+        return _absorbing(self.rows)
 
     def key(self, r, c):
         """The key of the entry ``rows[r][c]``; given a key, its ``(r, c)``."""
         return (c, r) if self.flipped else (r, c)
 
     def __getitem__(self, key):
-        x, y = key
+        r, c = key[::-1] if self.flipped else key
         try:
-            return self.rows[y][x] if self.flipped else self.rows[x][y]
+            return self.rows[r][c]
         except KeyError:
+            if self.columns is not None and c in self.columns.get(r, ()):
+                return self.absorbing
             raise KeyError(key) from None
+
+    def _pairs(self):
+        """Every ``(r, c)`` of the view, row by row."""
+        if self.columns is None:
+            return ((r, c) for r, row in self.rows.items() for c in row)
+        empty = {}
+        return ((r, c) for r, cs in self.columns.items()
+                for c in chain(cs, [c for c in self.rows.get(r, empty) if c not in cs]))
 
     def __iter__(self):
         if self._order is not None:
             return iter(self._order)
         if self.flipped:
-            return ((c, r) for r, row in self.rows.items() for c in row)
-        return ((r, c) for r, row in self.rows.items() for c in row)
+            return ((c, r) for r, c in self._pairs())
+        return self._pairs()
 
     def __len__(self):
-        return sum(map(len, self.rows.values()))
+        if self.columns is None:
+            return sum(map(len, self.rows.values()))
+        return sum(map(len, self.columns.values())) + sum(
+            c not in self.columns.get(r, ()) for r, row in self.rows.items() for c in row)
 
 
 def _as_rows(table, flipped=False):
@@ -263,30 +323,39 @@ def _gate(table, name, need, wanted, bounds, ends, column_rank=None):
     """The ``-missing``, ``-extra`` and ``-boundary`` faults of a table.
 
     Row r must hold exactly the columns ``wanted[need[r]]``, for every r of
-    ``need``.  ``bounds`` maps each value to its boundary pair, and
-    ``ends(rows)`` lists the pairs that the values of such rows must have,
+    ``need``; a sparse row (the table has an absorbing id) holds only such
+    columns, and each column it leaves out reads the absorbing id.
+    ``bounds`` maps each value to its boundary pair, and ``ends(rows)``
+    lists the pairs that the values at the columns of such rows must have,
     entry by entry.  Both are tested on whole rows; only a failing test
     walks the table to name its faults: the missing entries row by row, or
     column by column in ``column_rank`` order when given, then the extra
     and off-boundary entries in the order the table was given.
     """
-    rows = table.rows
+    rows, over = table.rows, table.absorbing
     allowed = {x: set(cs) for x, cs in wanted.items()}
     empty, none = {}, set()
-    exact = all(map(eq, map(dict.keys, map(rows.get, need, repeat(empty))),
+    exact = all(map(eq if over is None else le, map(dict.keys, map(rows.get, need, repeat(empty))),
                     map(allowed.get, need.values(), repeat(none))))
     fit = rows if exact else {  # the entries whose boundaries ends() can give
         r: {c: v for c, v in row.items() if c in allowed.get(need[r], none)} for r, row in rows.items()}
     want, got = ends(fit), [bounds[v] for row in fit.values() for v in row.values()]
+    # the columns each row leaves out: missing entries, or the absorbing id's
+    gaps = {} if exact and over is None else {
+        r: [c for c in wanted.get(x, ()) if c not in rows.get(r, empty)] for r, x in need.items()}
+    read = (fit,) if over is None else (fit, gaps)
+    if over is not None:
+        want += ends(gaps)
+        got += [bounds[over]] * (len(want) - len(got))
     if exact and want == got:
         return []
-    off = set(compress(((r, c) for r, row in fit.items() for c in row), map(ne, want, got)))
+    off = set(compress(((r, c) for part in read for r, row in part.items() for c in row), map(ne, want, got)))
     bad = []
-    if not exact:
-        gaps = [(r, c) for r, x in need.items() for c in wanted.get(x, ()) if c not in rows.get(r, empty)]
+    if over is None:
+        missing = [(r, c) for r, cs in gaps.items() for c in cs]
         if column_rank is not None:
-            gaps.sort(key=lambda rc: column_rank[rc[1]])
-        bad += [Violation(name + "-missing", "({}, {})".format(*table.key(r, c))) for r, c in gaps]
+            missing.sort(key=lambda rc: column_rank[rc[1]])
+        bad += [Violation(name + "-missing", "({}, {})".format(*table.key(r, c))) for r, c in missing]
     for key, v in table.items():
         r, c = table.key(*key)
         if c not in allowed.get(need[r], none):
@@ -305,11 +374,11 @@ def _category_laws(rows, unit, source, target, by_source, by_target, code, order
     rows[h] o rows[g] on the f into the source of g; its failures are
     sorted by ``order(h, g, f)`` read at the positions of the arrows.
     """
-    bad = []
+    bad, over = [], _absorbing(rows)
     for f in source:
-        if rows[unit[target[f]]][f] != f:
+        if rows[unit[target[f]]].get(f, over) != f:
             bad.append(Violation(code + "unit-left", f))
-        if rows[f][unit[source[f]]] != f:
+        if rows[f].get(unit[source[f]], over) != f:
             bad.append(Violation(code + "unit-right", f))
 
     def assoc(keep):
@@ -319,7 +388,7 @@ def _category_laws(rows, unit, source, target, by_source, by_target, code, order
         """
         return _action_failures(
             rows, ((by_target[x], _sift(gs, keep)) for x, gs in by_source.items()),
-            lambda g: by_source.get(target[g], ()), lambda h, g: rows[h][g],
+            lambda g: by_source.get(target[g], ()), lambda h, g: rows[h].get(g, over),
         )
 
     failed = _proven(assoc, not bad, gens)
@@ -340,8 +409,10 @@ class FiniteCategory:
 
     Composition is stored as rows, ``rows[g][f] = g . f``, built from the
     ``(g, f)``-keyed table given or, for a ``RowTable``, taken over without
-    a copy.  ``compose_table`` is the read-only view of the rows that
-    iterates in the given order.
+    a copy.  Sparse ``Rows`` declare an absorbing id: a composable pair a
+    row does not store composes to that id.  ``compose_table`` is the
+    read-only view of the rows that iterates in the given order, or, for
+    sparse rows, over every composable pair in morphism order.
     """
 
     def __init__(self, objects, morphisms, identity, compose, *, validate=True):
@@ -352,8 +423,19 @@ class FiniteCategory:
         self.compose_table = _as_rows(compose)
         self.rows = self.compose_table.rows
         self._check_refs()
+        if self.compose_table.absorbing is not None:
+            self._span_composable()
         if validate:
             _raise_on(self.validate())
+
+    def _span_composable(self):
+        """Give sparse rows a row for every morphism, and their view every
+        composable pair as its columns, in morphism order."""
+        ending = {x: dict.fromkeys(fs) for x, fs in _index(self.morphisms, lambda m: self.morphisms[m].cod).items()}
+        for g in self.morphisms:
+            self.rows.setdefault(g, {})
+        columns = {g: ending.get(a.dom, {}) for g, a in self.morphisms.items()}
+        self.compose_table = RowTable(self.rows, columns=columns)
 
     def _check_refs(self):
         objs = set(self.objects)
@@ -366,6 +448,9 @@ class FiniteCategory:
             if m not in self.morphisms:
                 raise UnknownId(f"identity of {x!r} is unknown morphism {m!r}")
         ids = set(self.morphisms)
+        over = self.compose_table.absorbing
+        if over is not None and over not in ids:
+            raise UnknownId(f"absorbing id {over!r} is not a morphism")
         unknown = "compose table mentions unknown morphism {!r}"
         _check_table_refs(self.compose_table, ids, ids, unknown, unknown)
 
@@ -408,6 +493,8 @@ class FiniteCategory:
         ga, fa = self.arrow(g), self.arrow(f)
         if fa.cod != ga.dom:
             raise NotComposable(f"cod({f!r}) = {fa.cod!r} != dom({g!r}) = {ga.dom!r}")
+        if self.compose_table.absorbing is not None:
+            return self.compose_table.absorbing
         raise InvalidInstance([Violation("compose-missing", f"({g}, {f})")])
 
     # -- validation ---------------------------------------------------
@@ -467,20 +554,35 @@ class _Side:
         self.name = _SIDES[right][0]
         self.table = d.wr_table if right else d.wl_table
         self.rows = self.table.rows
-        self._composites = d.skeleton.rows
+        self._composites, self._over = d.skeleton.rows, _absorbing(d.skeleton.rows)
         self._bounds = bounds
         self.dom, self.cod, self.by_dom, self.ending_at = dom, cod, by_dom, ending_at
 
     def of(self, k, f):
         """k after f on this side: ``k . f``, or ``f . k`` on the right."""
-        return self._composites[f][k] if self.right else self._composites[k][f]
+        if self.right:
+            return self._composites[f].get(k, self._over)
+        return self._composites[k].get(f, self._over)
 
     def ends(self, rows):
-        """The boundary pair of each 2-cell of ``rows`` whiskered by its row's 1-cell."""
-        comp, bounds = self._composites, self._bounds
+        """The boundary pair of each 2-cell of ``rows`` whiskered by its row's
+        1-cell.  Complete composition rows are read entry by entry; sparse
+        ones through the completed row, or on the right the completed
+        column, of each row's 1-cell, the columns gathered from the stored
+        entries once."""
+        comp, over, bounds = self._composites, self._over, self._bounds
+        if over is None:
+            if self.right:
+                return [(comp[f][k], comp[g][k]) for k, row in rows.items() for f, g in map(bounds.__getitem__, row)]
+            return [(ck[f], ck[g]) for k, row in rows.items() for ck in (comp[k],) for f, g in map(bounds.__getitem__, row)]
+        lines, full, empty = comp, dict.fromkeys(comp, over), {}
         if self.right:
-            return [(comp[f][k], comp[g][k]) for k, row in rows.items() for f, g in map(bounds.__getitem__, row)]
-        return [(ck[f], ck[g]) for k, row in rows.items() for ck in (comp[k],) for f, g in map(bounds.__getitem__, row)]
+            lines = {}
+            for f, frow in comp.items():
+                for k, v in frow.items():
+                    lines.setdefault(k, {})[f] = v
+        return [(ck[f], ck[g]) for k, row in rows.items() for ck in (full | lines.get(k, empty),)
+                for f, g in map(bounds.__getitem__, row)]
 
     def show(self, *terms):
         """The ids of an instance, in the order this side writes them."""
@@ -887,10 +989,11 @@ class FunctorData:
                 bad.append(Violation("functor-identity", x))
         by_cod = _index(src.morphisms.values(), lambda a: a.cod)
         mm, target_rows = self.morphism_map, self.target.skeleton.rows
+        over, target_over = _absorbing(src.rows), _absorbing(target_rows)
         for g in src.morphisms.values():
             for f in by_cod.get(g.dom, ()):
-                lhs = mm[src.rows[g.id][f.id]]
-                rhs = target_rows.get(mm[g.id], {}).get(mm[f.id])
+                lhs = mm[src.rows[g.id].get(f.id, over)]
+                rhs = target_rows.get(mm[g.id], {}).get(mm[f.id], target_over)
                 if lhs != rhs:
                     bad.append(Violation("functor-compose", f"({g.id}, {f.id})"))
         return bad

@@ -55,7 +55,6 @@ from .preord_mset import (
     CentralCell,
     MonotoneMap,
     PreordObject,
-    check_interchange,
     compose_cells_horizontal,
     compose_cells_vertical,
 )
@@ -247,6 +246,14 @@ def _run_orbit_check(doc, args):
     return (0 if all_agree else 1), report
 
 
+def _cell_or_none(compose, d, c):
+    """The composite ``compose(d, c)``, or None when it is not a cell."""
+    try:
+        return compose(d, c)
+    except InvalidCell:
+        return None
+
+
 def _run_preord_check(doc, args):
     for field in ("objects", "maps", "cells"):
         seen = set()
@@ -297,35 +304,34 @@ def _run_preord_check(doc, args):
 
     # composites of declared valid cells stay valid, and the two evaluation
     # orders of every square of composable cells agree; a square with a
-    # composite that is not a cell fails
+    # composite that is not a cell fails.  Each composite is built once:
+    # vertical[(a, b)] is b . a and horizontal[(a, b)] is b * a, or None
+    # where that composite is not a cell
     names = sorted(cells)
     composite_failures = []
-    vpairs = []
+    vertical, horizontal = {}, {}
     for a in names:
         for b in names:
             ca, cb = cells[a], cells[b]
             if ca.tgt.equals(cb.src):
-                try:
-                    compose_cells_vertical(cb, ca)
-                    vpairs.append((a, b))
-                except InvalidCell:
+                vertical[(a, b)] = _cell_or_none(compose_cells_vertical, cb, ca)
+                if vertical[(a, b)] is None:
                     composite_failures.append({"kind": "vertical", "cells": [a, b]})
             if ca.src.cod is cb.src.dom:
-                try:
-                    compose_cells_horizontal(cb, ca)
-                except InvalidCell:
+                horizontal[(a, b)] = _cell_or_none(compose_cells_horizontal, cb, ca)
+                if horizontal[(a, b)] is None:
                     composite_failures.append({"kind": "horizontal", "cells": [a, b]})
+    vpairs = [pair for pair, cell in vertical.items() if cell is not None]
     interchange_checked = 0
     interchange_failures = []
     for a, b in vpairs:
         for c, d in vpairs:
             if cells[a].src.cod is cells[c].src.dom:
                 interchange_checked += 1
-                try:
-                    agree = check_interchange(cells[a], cells[b], cells[c], cells[d])
-                except InvalidCell:
-                    agree = False
-                if not agree:
+                # as check_interchange: (d . c) * (b . a) is a cell, and so
+                # are d * b and c * a, both built above
+                if (horizontal[(b, d)] is None or horizontal[(a, c)] is None
+                        or _cell_or_none(compose_cells_horizontal, vertical[(c, d)], vertical[(a, b)]) is None):
                     interchange_failures.append([a, b, c, d])
     report["composite_failures"] = composite_failures
     report["interchange_checked"] = interchange_checked

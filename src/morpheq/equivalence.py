@@ -60,9 +60,10 @@ class EquivData:
         self.sigma = sigma
         self.tau1 = tau1
         self.tau2 = tau2
-        # the witness search's caches, see _side_search: a row per left and
-        # u2 hom-set, and the reach of each side whose scan found nothing
-        self._rows, self._reaches = {}, {}
+        # the witness search's caches, see _side_search and _least_u2: the
+        # tau2-image of each u2 hom-set, a row per left and u2 hom-set, and
+        # the reach of each side whose scan found nothing
+        self._images, self._rows, self._reaches = {}, {}, {}
         if validate:
             _raise_on(self.violations())
 
@@ -130,6 +131,41 @@ def verify_witness(e: EquivData, m, m_tilde, w: Witness) -> VerifyResult:
     return VerifyResult(True)
 
 
+def _least_u2(e: EquivData, left, at, a):
+    """Each composite left . tau2(u2) of d over u2: at -> a, mapped to the least
+    u2 giving it.
+
+    The tau2-image of the hom-set, each image mapped to the least u2 with
+    it, is kept on e.  The composites are read from the smaller side: the
+    image, each looked up in left's row, or the entries that row stores,
+    each kept when its column is in the image.  A sparse row gives its
+    absorbing id to the least u2 whose image it does not store; that u2 is
+    found among the first len(row) + 1 of the image.
+    """
+    image = e._images.get((at, a))
+    if image is None:
+        image = e._images[(at, a)] = {}
+        tau2 = e.tau2.morphism_map
+        for u2 in e.c.hom(at, a):
+            image.setdefault(tau2[u2], u2)
+    lrow, over = e.d.skeleton.rows[left], e.d.skeleton.compose_table.absorbing
+    out = {}
+    if len(image) <= len(lrow):
+        for y, u2 in image.items():
+            out.setdefault(lrow.get(y, over), u2)
+        return out
+    for y, x in lrow.items():
+        u2 = image.get(y)
+        if u2 is not None and (x not in out or u2 < out[x]):
+            out[x] = u2
+    for y, u2 in image.items():
+        if y not in lrow:
+            if over not in out or u2 < out[over]:
+                out[over] = u2
+            break
+    return out
+
+
 def _side_search(e: EquivData, m_from, m_to):
     """First (u1, u2, fwd, bwd) with cells both ways, in lexicographic order.
 
@@ -137,8 +173,10 @@ def _side_search(e: EquivData, m_from, m_to):
     and 2-cells  tau1(u1).sigma(m_from).tau2(u2) <=> sigma(m_to).  For each
     u1 in order, the least u2 is read off the row of left =
     tau1(u1).sigma(m_from): each composite left.tau2(u2) mapped to the
-    least u2 giving it, cached on e because every target reads the same
-    rows.  A left already visited has the same row, so it is skipped.  A
+    least u2 giving it (``_least_u2``, which reads the stored composites
+    or the hom-set's image, whichever is fewer), cached on e because every
+    target reads the same rows.  A left already visited has the same row,
+    so it is skipped.  A
     composite qualifies when it is in ``d.linked_to(target)``, and the
     cells returned are the least of ``d.cells_between`` each way.
 
@@ -157,19 +195,16 @@ def _side_search(e: EquivData, m_from, m_to):
     reach = e._reaches.get(side)
     if reach is not None and reach.isdisjoint(linked):
         return None
-    tau1, tau2 = e.tau1.morphism_map, e.tau2.morphism_map
-    rows = d.skeleton.rows
-    back = c.hom(a_to.dom, a_from.dom)[::-1]  # the least u2 is set last, so it wins
+    tau1, rows, over = e.tau1.morphism_map, d.skeleton.rows, d.skeleton.compose_table.absorbing
     seen = {}  # left -> its row, for the lefts visited so far
     for u1 in c.hom(a_from.cod, a_to.cod):
-        left = rows[tau1[u1]][sig]
+        left = rows[tau1[u1]].get(sig, over)
         if left in seen:
             continue
         key = (left, a_to.dom, a_from.dom)  # one row per left and u2 hom-set
         row = e._rows.get(key)
         if row is None:
-            lrow = rows[left]
-            row = e._rows[key] = dict(zip(map(lrow.__getitem__, map(tau2.__getitem__, back)), back))
+            row = e._rows[key] = _least_u2(e, *key)
         seen[left] = row
         small, big = (linked, row) if len(linked) < len(row) else (row, linked)
         hits = [x for x in small if x in big]
@@ -276,7 +311,8 @@ def equivalence_classes(e: EquivData):
 
     - ``mask(x)``: the mt whose sigma lies in ``d.linked_to(x)``;
     - ``row(left, At, dom m)``, keyed like the witness search's rows: the
-      union of ``mask(left . tau2(u2))`` over u2: At -> dom m;
+      union of ``mask(x)`` over the composites x = left . tau2(u2), u2:
+      At -> dom m, read by the search's own ``_least_u2``;
     - the reach: for each hom-set At -> Bt, its members within the union
       of the rows of the distinct lefts ``tau1(u1) . sigma(m)`` over
       u1: cod m -> Bt.
@@ -285,11 +321,11 @@ def equivalence_classes(e: EquivData):
     reaches, the two sides ``are_equivalent`` asks.  This is exact on a
     lawful bundle, where the relation is reflexive, symmetric and
     transitive (the derive_* witnesses).  Masks, rows and reaches last
-    for one call; nothing is kept on ``e``.
+    for one call; only the hom-sets' tau2-images are kept on ``e``.
     """
     c, d = e.c, e.d
-    sigma, tau1, tau2 = e.sigma.morphism_map, e.tau1.morphism_map, e.tau2.morphism_map
-    rows = d.skeleton.rows
+    sigma, tau1 = e.sigma.morphism_map, e.tau1.morphism_map
+    rows, over = d.skeleton.rows, d.skeleton.compose_table.absorbing
     items = sorted(c.morphisms)
     by_sigma, homs_into = {}, {}  # homs_into[Bt][At]: the morphisms At -> Bt
     for i, m in enumerate(items):
@@ -304,15 +340,14 @@ def equivalence_classes(e: EquivData):
 
     @functools.cache
     def row(left, at, a):
-        lrow = rows[left]
-        return _union(map(mask, {lrow[tau2[u2]] for u2 in c.hom(at, a)}))
+        return _union(map(mask, _least_u2(e, left, at, a)))
 
     reach = []
     for m in items:
         a = c.morphisms[m]
         got = 0
         for bt, into in homs_into.items():
-            lefts = {rows[tau1[u1]][sigma[m]] for u1 in c.hom(a.cod, bt)}
+            lefts = {rows[tau1[u1]].get(sigma[m], over) for u1 in c.hom(a.cod, bt)}
             for at, bits in into.items():
                 rowed = 0
                 for left in lefts:

@@ -24,12 +24,17 @@ lookups, the 2-cells between two chains and the chains linked both ways
 to one, answered from the letters' orbits.  So the identity 2-cells, the
 list of 2-cells and the vertical composition and whiskering rows are
 written the first time something reads them (``validate()``, ``cell``,
-``vcomp``, ``whisker_*``, ``hcomp``, symmetry and transitivity).  To
-keep every table total on boundary-compatible pairs, concatenations that
-would exceed the length bound are collapsed onto a single absorbing
-1-cell (id ``!overflow``) whose only 2-cell is its identity.  The
-absorbing cell can never bound a transporter 2-cell, so verdicts agree
-with the unbounded delooping for every bound.
+``vcomp``, ``whisker_*``, ``hcomp``, symmetry and transitivity).
+Concatenations that would exceed the length bound are collapsed onto a
+single absorbing 1-cell (id ``!overflow``) whose only 2-cell is its
+identity.  The composition rows store only the real concatenations:
+they are sparse ``Rows`` whose absorbing id is the overflow cell, the
+composite of every pair they leave out, so each row holds the words
+short enough to follow or precede its word.  The 2-cell tables are
+dense: each whiskering row still holds the overflow cell at every cell
+too long to take its 1-cell.  The absorbing cell can never bound a
+transporter 2-cell, so verdicts agree with the unbounded delooping for
+every bound.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .catkernel import Cell, Finite2Category, FiniteCategory, FunctorData, RowTable, Violation
+from .catkernel import Cell, Finite2Category, FiniteCategory, FunctorData, Rows, RowTable, Violation
 from .catkernel import _action_failures, _as_rows, _distinct, _in_order, _pairwise, _positions, _raise_on, _total
 from .equivalence import EquivData, are_equivalent
 from .errors import InvalidParameter, UnknownElement, UnknownId
@@ -335,10 +340,11 @@ class DeloopedSlice:
     """The bounded delooping plus its identity parameter bundle, whose sigma,
     tau1 and tau2 are one identity functor.
 
-    Composition is built as rows, ``{g: {f: g . f}}``, by index arithmetic,
-    and handed to the category as a ``RowTable`` without a copy; the
-    2-category builds its identities, 2-cells and other tables on first
-    read.
+    Composition is built as sparse rows, ``{g: {f: g . f}}`` for the real
+    concatenations only, by index arithmetic, and handed to the category
+    as a ``RowTable`` without a copy, with the overflow cell as the
+    absorbing id of every pair left out; the 2-category builds its
+    identities, 2-cells and other tables on first read.
     """
 
     def __init__(self, action: GroupAction, max_chain_length: int):
@@ -364,17 +370,16 @@ class DeloopedSlice:
         # g . f is the concatenation g + f (outer letters first), numbered
         # i * k^b + j for g = blocks[a][i], f = blocks[b][j] and k letters:
         # g's composites with the words of length b are one slice of the
-        # length a + b block; longer concatenations are the overflow cell
+        # length a + b block; longer concatenations, and every composite
+        # with the overflow cell, are left to the rows' absorbing id
         ids = [wid[w] for w in words] + [OVERFLOW]
         id_blocks = [[wid[w] for w in block] for block in blocks]
-        overflow_row = dict.fromkeys(ids, OVERFLOW)
-        rows = {}
+        rows = Rows(absorbing=OVERFLOW)
         for a, gs in enumerate(id_blocks):
             for i, g in enumerate(gs):
-                row = rows[g] = overflow_row.copy()
+                row = rows[g] = {}
                 for b, fs in enumerate(id_blocks[:bound + 1 - a]):
                     row.update(zip(fs, id_blocks[a + b][i * len(fs):(i + 1) * len(fs)]))
-        rows[OVERFLOW] = overflow_row
 
         self.category = FiniteCategory([obj], one_cells, {obj: wid[()]}, RowTable(rows), validate=False)
         self.two_category = _SliceTwoCategory(action, wid, self.category)

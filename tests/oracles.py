@@ -4,7 +4,10 @@ import itertools
 
 import numpy as np
 
-from morpheq import BesselFamily, Violation, Witness, apply_param, are_equivalent, probe_vectors
+from morpheq import (
+    BesselFamily, EquivData, FiniteCategory, FunctorData, Violation, Witness, apply_param, are_equivalent,
+    probe_vectors,
+)
 from morpheq.errors import DimensionMismatch
 from morpheq.frames import _as_matrix, _as_operator, _in_field
 
@@ -265,6 +268,39 @@ def are_equivalent_scan(sides, m, mt):
     u1, u2, phi, phi_t = u_side
     v1, v2, psi, psi_t = v_side
     return True, Witness(u1, u2, v1, v2, phi, phi_t, psi, psi_t)
+
+
+def slice_compose_pairwise(action, max_chain_length):
+    """The dense composition table of a delooped slice, from every pair of words.
+
+    Words are listed as ``slice_cells_pairwise`` lists them, with the
+    overflow cell last; each pair (g, f) of 1-cells, g-major in that order,
+    maps to the concatenation g + f, or to the overflow cell when it is
+    longer than max_chain_length + 1 or either word is the overflow cell.
+    """
+    words = [()]
+    for n in range(1, max_chain_length + 2):
+        words += itertools.product(action.carrier, repeat=n)
+    words.append(None)  # the overflow cell
+
+    def wid(w):
+        return "!overflow" if w is None else "[" + ",".join(w) + "]"
+
+    return {
+        (wid(g), wid(f)): wid(g + f if g is not None and f is not None and len(g + f) <= max_chain_length + 1 else None)
+        for g in words for f in words
+    }
+
+
+def dense_slice_bundle(s):
+    """The bundle of the delooped slice ``s`` with its skeleton rebuilt as a
+    dense FiniteCategory from ``dict(compose_table)``: the same 2-cells,
+    read by the same lookups, over composition rows that store every pair."""
+    c = s.category
+    dense = FiniteCategory(c.objects, c.morphisms.values(), c.identity, dict(c.compose_table), validate=False)
+    d = type(s.two_category)(s.action, s.two_category._ids, dense)
+    ident = FunctorData(dense, d, {x: x for x in dense.objects}, {m: m for m in dense.morphisms}, validate=False)
+    return EquivData(dense, d, ident, ident, ident, validate=False)
 
 
 def middle_four_violations(d):

@@ -32,6 +32,7 @@ from instance_gen import (
     random_equiv_instance,
     regular_action,
     swap_action,
+    three_pairs_c2,
     transformation_monoid,
     trivial_action,
 )
@@ -150,6 +151,65 @@ def test_validate_reports_broken_unit_and_assoc():
                             c.identity, table, validate=False)
     codes = {v.code for v in broken.validate()}
     assert codes & {"unit-left", "unit-right", "compose-boundary", "assoc"}
+
+
+def zero_on_b(edit=None, absorbing="z"):
+    """Two objects, f, o: A -> B and an idempotent z: B -> B with z . f = o,
+    stored sparse: the pairs that compose to z (z . z, z . idB, idB . z) are
+    left to the absorbing id.  ``edit`` may change the rows first."""
+    rows = {
+        "idA": {"idA": "idA"}, "idB": {"idB": "idB", "f": "f", "o": "o"},
+        "f": {"idA": "f"}, "o": {"idA": "o"}, "z": {"f": "o", "o": "o"},
+    }
+    if edit is not None:
+        edit(rows)
+    return FiniteCategory(
+        ["A", "B"], [("idA", "A", "A"), ("idB", "B", "B"), ("f", "A", "B"), ("o", "A", "B"), ("z", "B", "B")],
+        {"A": "idA", "B": "idB"}, catkernel.RowTable(catkernel.Rows(rows, absorbing=absorbing)), validate=False,
+    )
+
+
+def test_a_row_default_stands_for_every_composable_pair_left_out():
+    c = zero_on_b()
+    assert c.validate() == []
+    assert (c.compose("z", "z"), c.compose("idB", "z"), c.compose("z", "f")) == ("z", "z", "o")
+    # the view holds the dense table: every composable pair, in morphism order
+    dense = {(g, f): c.compose(g, f) for g, ga in c.morphisms.items() for f, fa in c.morphisms.items()
+             if fa.cod == ga.dom}
+    assert len(c.compose_table) == len(dense) == 11
+    assert list(c.compose_table.items()) == list(dense.items())
+    assert c.validate() == FiniteCategory(c.objects, c.morphisms.values(), c.identity, dense).validate()
+    with pytest.raises(NotComposable):
+        c.compose("f", "f")
+    with pytest.raises(NotComposable):
+        c.compose("z", "idA")
+    with pytest.raises(UnknownId):
+        c.compose("z", "nope")
+    with pytest.raises(UnknownId):
+        c.compose("nope", "z")
+    with pytest.raises(UnknownId):
+        zero_on_b(absorbing="w")
+
+
+def test_a_row_default_is_gated_like_stored_entries():
+    def report(edit):
+        return [(v.code, v.detail) for v in zero_on_b(edit).validate()]
+
+    # f . f does not compose: stored, it is extra, and the view lists it
+    assert report(lambda rows: rows["f"].update(f="f")) == [("compose-extra", "(f, f)")]
+    # left out, z . f reads z, which runs B -> B, not A -> B
+    assert report(lambda rows: rows["z"].pop("f")) == [("compose-boundary", "(z, f) -> z")]
+    # a sparse row is never missing an entry, even when the whole row is left out
+    assert report(lambda rows: rows.pop("o")) == [("compose-boundary", "(o, idA) -> z")]
+
+
+def test_the_largest_slice_stores_only_its_real_composites():
+    # c2-three-pairs at L = 3: 1,556 1-cells, and the words of length a + b
+    # <= 4 give sum (n + 1) 6^n = 7,465 concatenations; the other 2,413,671
+    # pairs read the overflow cell
+    c = deloop_slice(three_pairs_c2(), 3).category
+    assert sum(map(len, c.rows.values())) == 7465
+    assert len(c.compose_table) == 1556 ** 2
 
 
 def test_duplicate_morphism_id_rejected():

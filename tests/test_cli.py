@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from morpheq import FiniteCategory, cli
+from morpheq import FiniteCategory, cli, preord_mset
 from morpheq.errors import UnknownId
 
 from instance_gen import action_doc, three_pairs_c2
@@ -763,6 +763,19 @@ def test_a_square_with_one_horizontal_composite_that_is_not_a_cell_is_a_no(capsy
     assert ["alpha", "half_g", "one_p", "half_p"] in out["interchange_failures"]
     assert ["half_f", "alpha", "half_p", "one_p"] in out["interchange_failures"]
     assert ["half_f", "alpha", "one_p", "half_p"] not in out["interchange_failures"]
+
+
+def test_preord_check_builds_each_composite_once(capsys, tmp_path, monkeypatch):
+    # 6 declared cells, 7 vertical and 7 horizontal pairs, and one new
+    # composite (d . c) * (b . a) per square, 9 squares: 29 cell tests, where
+    # rebuilding the four other composites of each square made 65
+    scans = []
+    is_two_cell = preord_mset.is_two_cell
+    monkeypatch.setattr(preord_mset, "is_two_cell", lambda *args: scans.append(args) or is_two_cell(*args))
+    doc = json.loads((INSTANCES / "preord_demo.json").read_text())
+    code, out, _ = run_main(capsys, doc, "preord-check", tmp_path)
+    assert (code, out["interchange_checked"], out["all_ok"]) == (0, 9, True)
+    assert len(scans) == 29
 
 
 @pytest.mark.parametrize("field", ["objects", "maps", "cells"])

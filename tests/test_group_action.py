@@ -8,9 +8,11 @@ from morpheq import (
     FiniteGroup,
     GroupAction,
     Violation,
+    are_equivalent,
     deloop_slice,
     delooped_equivalent,
     derive_reflexivity,
+    equivalence,
     equivalence_classes,
     orbit_equivalent,
     orbit_partition,
@@ -28,7 +30,13 @@ from instance_gen import (
     three_pairs_c2,
     trivial_action,
 )
-from oracles import action_report_loops, group_report_loops, slice_cells_pairwise
+from oracles import (
+    action_report_loops,
+    dense_slice_bundle,
+    group_report_loops,
+    slice_cells_pairwise,
+    slice_compose_pairwise,
+)
 
 
 # ------------------------------------------------------------------ groups
@@ -428,6 +436,35 @@ def test_slice_decides_mutual_reachability_of_monoid_actions():
                         assert verify_witness(s.equiv, s.embed(x), s.embed(y), w), (seed, x, y, bound)
                     yes, no = yes + ok, no + (not ok)
     assert yes and no
+
+
+def test_sparse_slices_match_their_dense_skeletons():
+    # a slice stores only the real concatenations and reads the rest as the
+    # overflow cell; over the same 2-cells, a skeleton storing every pair
+    # gives the same searches, witnesses, classes and validate() reports
+    cases = [(act, bound) for _, act in fixed_actions() for bound in (0, 1, 2)]
+    cases += [(swap_action(), 3), (trivial_action(2, ["p", "q"]), 3)]
+    cases += [(random_action(100 + seed), 1) for seed in range(50)]
+    for seed in range(20):  # validate() of the 24-map monoid's L = 1 slice alone takes 12 s
+        act = _transformation_monoid_action(random.Random(seed))
+        cases.append((act, 1 if len(act.group.elements) * len(act.carrier) <= 12 else 0))
+    for i, (act, bound) in enumerate(cases):
+        s = deloop_slice(act, bound)
+        sparse, dense = s.equiv, dense_slice_bundle(s)
+        view = s.category.compose_table
+        want = slice_compose_pairwise(act, bound)
+        assert len(view) == len(want), i
+        assert list(view.items()) == list(want.items()), i
+        assert dict(view) == dense.c.compose_table == want, i
+        ones = list(sparse.c.morphisms)
+        probes = ones[:8] + ones[-4:]  # the shortest words, three of the longest and the overflow cell
+        for m in probes:
+            for mt in probes:
+                assert equivalence._side_search(sparse, m, mt) == equivalence._side_search(dense, m, mt), (i, m, mt)
+                assert are_equivalent(sparse, m, mt) == are_equivalent(dense, m, mt), (i, m, mt)
+        assert equivalence_classes(sparse) == equivalence_classes(dense), i
+        assert sparse.d.validate() == dense.d.validate(), i
+        assert sparse.violations() == dense.violations() == [], i  # the functor laws read both skeletons
 
 
 def test_monoid_with_a_one_way_letter_is_decided():
