@@ -46,6 +46,7 @@ from .preord_mset import (
     PreordObject,
     as_fraction,
     check_interchange,
+    check_suite,
     compose_cells_horizontal,
     compose_cells_vertical,
     compose_maps,
@@ -122,6 +123,7 @@ __all__ = [
     "bridge_equivalent",
     "cell_holds",
     "check_interchange",
+    "check_suite",
     "compose_cells_horizontal",
     "compose_cells_vertical",
     "compose_maps",

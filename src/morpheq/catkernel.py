@@ -26,7 +26,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, product, repeat
-from operator import eq, itemgetter, le, ne
+from operator import itemgetter, le, ne
 
 from .errors import (
     InterchangeViolation,
@@ -98,12 +98,9 @@ def _index(items, key):
     return out
 
 
-def _gather(xs, absorbing=None):
-    """A function reading a row at every key of the non-empty ``xs``, as one
-    tuple; a key the row does not store reads ``absorbing``, if not None."""
-    if absorbing is not None:  # complete the row over xs, in C
-        full, at = dict.fromkeys(xs, absorbing), _gather(xs)
-        return lambda row: at(full | row)
+def _gather(xs):
+    """A function reading a row, given in full, at every key of the non-empty
+    ``xs``, as one tuple."""
     if len(xs) == 1:
         x = xs[0]
         return lambda row: (row[x],)
@@ -127,30 +124,26 @@ def _in_order(found):
 def _generators(rows, source, target, units):
     """The set of arrows picked, in the order of ``source``, unless a unit or
     already a composite of earlier picks, in the category stored as rows
-    ``rows[g][f] = g . f`` with no entry off its composable pairs.  The
-    composites are closed under composing with a pick on the left, so every
-    arrow is a unit, a pick, or p . y for a pick p and an arrow y that
-    entered that closure before it.  A pick's row is read in full: sparse,
-    it is completed with the absorbing id at every arrow ending where the
-    pick starts.
+    ``rows[g][f] = g . f``, each entry read as ``rows[g].get(f, absorbing)``.
+    The composites are closed under composing with a pick on the left, so
+    every arrow is a unit, a pick, or p . y for a pick p and an arrow y that
+    entered that closure before it.
     """
     units, over = set(units), _absorbing(rows)
-    picks, picked, made = set(), {}, set()  # the picks, their rows by source, the composites so far
-    ending = {} if over is None else _index(target, target.__getitem__)
+    picks, picked, made, ending = set(), {}, set(), {}  # the picks, their rows by source, the composites, by target
     for f in source:
         if f in units or f in made:
             continue
         row = rows[f]
-        if over is not None:
-            row = dict.fromkeys(ending.get(source[f], ()), over) | row
         picks.add(f)
         picked.setdefault(source[f], []).append(row)
-        todo = [f] + [v for x, v in row.items() if x in made]
+        todo = [f] + [row.get(y, over) for y in ending.get(source[f], ())]
         while todo:
             y = todo.pop()
             if y not in made:
                 made.add(y)
-                todo += [prow[y] for prow in picked.get(target[y], ())]
+                ending.setdefault(target[y], []).append(y)
+                todo += [prow.get(y, over) for prow in picked.get(target[y], ())]
     return picks
 
 
@@ -176,9 +169,9 @@ def _proven(stage, premises, *gens):
 def _action_failures(act, groups, outers_of, composite):
     """Triples (h, g, x) with ``act[composite(h, g)][x] != act[h][act[g][x]]``.
 
-    ``act`` maps each k to its row ``{x: k acting on x}``, read through its
-    absorbing id when it is sparse ``Rows``.  ``groups`` pairs
-    a non-empty list of xs with the inner gs whose rows are read at them.
+    ``act`` maps each k to its row ``{x: k acting on x}`` read in full, as
+    a table's ``full`` rows do.  ``groups`` pairs a non-empty list of xs
+    with the inner gs whose rows are read at them.
     For each such g and each outer h in ``outers_of(g)`` the law is one
     comparison of two gathered tuples, the row of h . g against the row of
     h read at the values of g's row.  Only a pair whose tuples differ is
@@ -186,11 +179,11 @@ def _action_failures(act, groups, outers_of, composite):
     as the long words of a delooped slice all give its overflow cell,
     gather that composite's row once.
     """
-    out, over = [], _absorbing(act)
+    out = []
     for xs, inners in groups:
-        at_xs = _gather(xs, over)
+        at_xs = _gather(xs)
         for g in inners:
-            at_gx = _gather(at_xs(act[g]), over)
+            at_gx = _gather(at_xs(act[g]))
             last = object()  # no composite gathered yet
             for h in outers_of(g):
                 hg = composite(h, g)
@@ -205,9 +198,9 @@ def _action_failures(act, groups, outers_of, composite):
 class Rows(dict):
     """Sparse rows ``{r: {c: value}}`` of a table: every pair of the table that
     its row does not store has the ``absorbing`` id as its value.  A table
-    whose rows store every entry keeps them in a plain dict.  Every reader
-    takes an entry of either kind as ``rows[r].get(c, _absorbing(rows))``,
-    a lookup in C."""
+    whose rows store every entry keeps them in a plain dict.  Rows of either
+    kind are read one way: an entry as ``rows[r].get(c, _absorbing(rows))``,
+    a lookup in C, and a whole row through its table's ``full`` rows."""
 
     __slots__ = ("absorbing",)
 
@@ -221,6 +214,19 @@ def _absorbing(rows):
     return rows.absorbing if isinstance(rows, Rows) else None
 
 
+class _Completed:
+    """Sparse rows read in full: row r is ``blanks[r] | rows[r]``, its columns
+    mapped to the absorbing id and then to its entries, a merge nothing keeps."""
+
+    __slots__ = ("rows", "blanks")
+
+    def __init__(self, rows, blanks):
+        self.rows, self.blanks = rows, blanks
+
+    def __getitem__(self, r):
+        return self.blanks[r] | self.rows[r]
+
+
 class RowTable(Mapping):
     """A read-only view of rows ``{r: {c: value}}``, keyed ``(r, c)`` or, when
     ``flipped``, ``(c, r)``.
@@ -230,22 +236,22 @@ class RowTable(Mapping):
     rows (``order``), so ``dict(view)`` gives back a table entry for entry
     and order for order.  A view of sparse ``Rows`` needs ``columns``:
     each row head mapped to the columns of its row, stored or not, in
-    order.  It then holds every such pair, and after them any entry a row
-    stores off its columns, so ``len``, iteration and ``dict(view)`` are
-    those of the dense table.
+    order, each with the absorbing id as its value.  It then holds every
+    such pair, and after them any entry a row stores off its columns, so
+    ``len``, iteration and ``dict(view)`` are those of the dense table.
+    The row shape is settled here, once: ``full`` reads each row in full,
+    as stored when no columns are given and completed over them otherwise.
     """
 
-    __slots__ = ("rows", "flipped", "_order", "columns")
+    __slots__ = ("rows", "flipped", "_order", "columns", "absorbing", "full")
 
     def __init__(self, rows, order=None, flipped=False, columns=None):
         self.rows = rows
         self.flipped = flipped
         self._order = order
         self.columns = columns
-
-    @property
-    def absorbing(self):
-        return _absorbing(self.rows)
+        self.absorbing = _absorbing(rows)
+        self.full = rows if columns is None else _Completed(rows, columns)
 
     def key(self, r, c):
         """The key of the entry ``rows[r][c]``; given a key, its ``(r, c)``."""
@@ -322,40 +328,39 @@ def _check_table_refs(table, heads, ids, unknown_head, unknown):
 def _gate(table, name, need, wanted, bounds, ends, column_rank=None):
     """The ``-missing``, ``-extra`` and ``-boundary`` faults of a table.
 
-    Row r must hold exactly the columns ``wanted[need[r]]``, for every r of
-    ``need``; a sparse row (the table has an absorbing id) holds only such
-    columns, and each column it leaves out reads the absorbing id.
-    ``bounds`` maps each value to its boundary pair, and ``ends(rows)``
-    lists the pairs that the values at the columns of such rows must have,
-    entry by entry.  Both are tested on whole rows; only a failing test
-    walks the table to name its faults: the missing entries row by row, or
-    column by column in ``column_rank`` order when given, then the extra
-    and off-boundary entries in the order the table was given.
+    Row r may hold only the columns ``wanted[need[r]]``, for every r of
+    ``need``.  Each column it leaves out is a missing entry, or reads the
+    absorbing id when the table has one.  ``bounds`` maps each value to its
+    boundary pair, and ``ends(*parts)`` lists the pairs that the values at
+    the columns of the rows of each part must have, entry by entry.  Both
+    are tested on whole rows; only a failing test walks the table to name
+    its faults: the missing entries row by row, or column by column in
+    ``column_rank`` order when given, then the extra and off-boundary
+    entries in the order the table was given.
     """
     rows, over = table.rows, table.absorbing
     allowed = {x: set(cs) for x, cs in wanted.items()}
     empty, none = {}, set()
-    exact = all(map(eq if over is None else le, map(dict.keys, map(rows.get, need, repeat(empty))),
-                    map(allowed.get, need.values(), repeat(none))))
-    fit = rows if exact else {  # the entries whose boundaries ends() can give
+    held = list(map(dict.keys, map(rows.get, need, repeat(empty))))  # each row's columns, and those it may hold
+    cols = list(map(allowed.get, need.values(), repeat(none)))
+    exact = held == cols
+    fits = exact or all(map(le, held, cols))
+    fit = rows if fits else {  # the entries whose boundaries ends() can give
         r: {c: v for c, v in row.items() if c in allowed.get(need[r], none)} for r, row in rows.items()}
-    want, got = ends(fit), [bounds[v] for row in fit.values() for v in row.values()]
-    # the columns each row leaves out: missing entries, or the absorbing id's
-    gaps = {} if exact and over is None else {
+    # the columns each row leaves out
+    gaps = {} if exact else {
         r: [c for c in wanted.get(x, ()) if c not in rows.get(r, empty)] for r, x in need.items()}
-    read = (fit,) if over is None else (fit, gaps)
-    if over is not None:
-        want += ends(gaps)
-        got += [bounds[over]] * (len(want) - len(got))
-    if exact and want == got:
-        return []
-    off = set(compress(((r, c) for part in read for r, row in part.items() for c in row), map(ne, want, got)))
     bad = []
-    if over is None:
+    if over is None:  # no absorbing id: each gap is a missing entry
         missing = [(r, c) for r, cs in gaps.items() for c in cs]
         if column_rank is not None:
             missing.sort(key=lambda rc: column_rank[rc[1]])
-        bad += [Violation(name + "-missing", "({}, {})".format(*table.key(r, c))) for r, c in missing]
+        bad, gaps = [Violation(name + "-missing", "({}, {})".format(*table.key(r, c))) for r, c in missing], {}
+    want = ends(fit, gaps)
+    got = [bounds[v] for row in fit.values() for v in row.values()] + [bounds[over] for cs in gaps.values() for _ in cs]
+    if fits and not bad and want == got:
+        return []
+    off = set(compress(((r, c) for part in (fit, gaps) for r, row in part.items() for c in row), map(ne, want, got)))
     for key, v in table.items():
         r, c = table.key(*key)
         if c not in allowed.get(need[r], none):
@@ -365,8 +370,8 @@ def _gate(table, name, need, wanted, bounds, ends, column_rank=None):
     return bad
 
 
-def _category_laws(rows, unit, source, target, by_source, by_target, code, order, gens):
-    """The unit and associativity failures of a category stored as ``rows``.
+def _category_laws(table, unit, source, target, by_source, by_target, code, order, gens):
+    """The unit and associativity failures of a category stored as the rows of ``table``.
 
     Arrows run from ``source`` to ``target``, ``unit`` maps each object to
     its identity, ``by_source`` and ``by_target`` list the arrows by their
@@ -374,7 +379,7 @@ def _category_laws(rows, unit, source, target, by_source, by_target, code, order
     rows[h] o rows[g] on the f into the source of g; its failures are
     sorted by ``order(h, g, f)`` read at the positions of the arrows.
     """
-    bad, over = [], _absorbing(rows)
+    bad, rows, over = [], table.rows, table.absorbing
     for f in source:
         if rows[unit[target[f]]].get(f, over) != f:
             bad.append(Violation(code + "unit-left", f))
@@ -387,7 +392,7 @@ def _category_laws(rows, unit, source, target, by_source, by_target, code, order
         (h (g1 g2)) f = ((h g1) g2) f = (h g1)(g2 f) = h (g1 (g2 f)) = h ((g1 g2) f).
         """
         return _action_failures(
-            rows, ((by_target[x], _sift(gs, keep)) for x, gs in by_source.items()),
+            table.full, ((by_target[x], _sift(gs, keep)) for x, gs in by_source.items()),
             lambda g: by_source.get(target[g], ()), lambda h, g: rows[h].get(g, over),
         )
 
@@ -401,7 +406,8 @@ def _category_laws(rows, unit, source, target, by_source, by_target, code, order
 def _composing(source, target):
     """``ends`` for a composition table: ``r . c`` runs from the source of c to
     the target of r."""
-    return lambda rows: [(source[c], t) for r, row in rows.items() for t in (target[r],) for c in row]
+    return lambda *parts: [(source[c], t) for rows in parts for r, row in rows.items()
+                           for t in (target[r],) for c in row]
 
 
 class FiniteCategory:
@@ -431,7 +437,8 @@ class FiniteCategory:
     def _span_composable(self):
         """Give sparse rows a row for every morphism, and their view every
         composable pair as its columns, in morphism order."""
-        ending = {x: dict.fromkeys(fs) for x, fs in _index(self.morphisms, lambda m: self.morphisms[m].cod).items()}
+        over, arrows = self.compose_table.absorbing, self.morphisms
+        ending = {x: dict.fromkeys(fs, over) for x, fs in _index(arrows, lambda m: arrows[m].cod).items()}
         for g in self.morphisms:
             self.rows.setdefault(g, {})
         columns = {g: ending.get(a.dom, {}) for g, a in self.morphisms.items()}
@@ -474,6 +481,12 @@ class FiniteCategory:
         except KeyError:
             raise UnknownId(f"unknown object {x!r}") from None
 
+    def _arrows(self):
+        """Each morphism's dom and cod, and the morphisms listed by dom and by cod."""
+        dom = {m: a.dom for m, a in self.morphisms.items()}
+        cod = {m: a.cod for m, a in self.morphisms.items()}
+        return dom, cod, _index(self.morphisms, dom.__getitem__), _index(self.morphisms, cod.__getitem__)
+
     @cached_property
     def _hom(self):
         """(a, b) -> the morphisms a -> b, sorted by identifier."""
@@ -501,10 +514,14 @@ class FiniteCategory:
 
     def validate(self):
         """Return every violated category axiom instance (empty iff lawful)."""
+        return self._checked(self._arrows())[0]
+
+    def _checked(self, arrows):
+        """The violated axiom instances, and the generators the laws were
+        checked at, given the arrow index ``_arrows()``."""
         bad = []
         mor = self.morphisms
-        dom = {m: a.dom for m, a in mor.items()}
-        cod = {m: a.cod for m, a in mor.items()}
+        dom, cod, by_dom, by_cod = arrows
         for x in self.objects:
             m = self.identity.get(x)
             if m is None:
@@ -514,14 +531,13 @@ class FiniteCategory:
             if a.dom != x or a.cod != x:
                 bad.append(Violation("identity-boundary", f"id of {x} is {m}: {a.dom}->{a.cod}"))
         # row g holds the f ending at dom g, and g . f runs from dom f to cod g
-        by_dom = _index(mor, dom.__getitem__)
-        by_cod = _index(mor, cod.__getitem__)
         bounds = {m: (a.dom, a.cod) for m, a in mor.items()}
         bad += _gate(self.compose_table, "compose", dom, by_cod, bounds, _composing(dom, cod))
         if bad:
-            return bad  # unit/assoc checks assume a total, boundary-correct table
+            return bad, None  # unit/assoc checks assume a total, boundary-correct table
         gens = _generators(self.rows, dom, cod, self.identity.values())
-        return _category_laws(self.rows, self.identity, dom, cod, by_dom, by_cod, "", lambda h, g, f: (f, g, h), gens)
+        return _category_laws(
+            self.compose_table, self.identity, dom, cod, by_dom, by_cod, "", lambda h, g, f: (f, g, h), gens), gens
 
     @classmethod
     def from_dict(cls, data, *, validate=True):
@@ -544,17 +560,18 @@ class _Side:
     Whiskering on the right is whiskering on the left in the 2-category
     with its 1-cells reversed: ``dom`` and ``cod`` swap and k after f is
     f . k, so one code path checks both sides.  ``rows[k][a]`` is a
-    whiskered by k, ``by_dom`` lists the 1-cells by ``dom``, and
-    ``ending_at`` the 2-cells by the object where their 1-cells end, both
-    on this reading.
+    whiskered by k (``full`` reads such a row in full), ``by_dom`` lists
+    the 1-cells by ``dom``, and ``ending_at`` the 2-cells by the object
+    where their 1-cells end, both on this reading.
     """
 
     def __init__(self, d, right, dom, cod, by_dom, ending_at, bounds):
         self.right = right
         self.name = _SIDES[right][0]
         self.table = d.wr_table if right else d.wl_table
-        self.rows = self.table.rows
-        self._composites, self._over = d.skeleton.rows, _absorbing(d.skeleton.rows)
+        self.rows, self.full = self.table.rows, self.table.full
+        composites = d.skeleton.compose_table
+        self._composites, self._over, self._lines = composites.rows, composites.absorbing, composites.full
         self._bounds = bounds
         self.dom, self.cod, self.by_dom, self.ending_at = dom, cod, by_dom, ending_at
 
@@ -564,24 +581,19 @@ class _Side:
             return self._composites[f].get(k, self._over)
         return self._composites[k].get(f, self._over)
 
-    def ends(self, rows):
-        """The boundary pair of each 2-cell of ``rows`` whiskered by its row's
-        1-cell.  Complete composition rows are read entry by entry; sparse
-        ones through the completed row, or on the right the completed
-        column, of each row's 1-cell, the columns gathered from the stored
-        entries once."""
-        comp, over, bounds = self._composites, self._over, self._bounds
-        if over is None:
-            if self.right:
-                return [(comp[f][k], comp[g][k]) for k, row in rows.items() for f, g in map(bounds.__getitem__, row)]
-            return [(ck[f], ck[g]) for k, row in rows.items() for ck in (comp[k],) for f, g in map(bounds.__getitem__, row)]
-        lines, full, empty = comp, dict.fromkeys(comp, over), {}
+    def ends(self, *parts):
+        """The boundary pair of each 2-cell of the rows of ``parts`` whiskered
+        by its row's 1-cell, read in the composition row of that 1-cell in
+        full or, on the right, in its column, gathered from the stored
+        entries once and completed by the absorbing id."""
+        comp, bounds, line = self._composites, self._bounds, self._lines.__getitem__
         if self.right:
-            lines = {}
+            columns, blank, empty = {}, dict.fromkeys(comp, self._over), {}
             for f, frow in comp.items():
                 for k, v in frow.items():
-                    lines.setdefault(k, {})[f] = v
-        return [(ck[f], ck[g]) for k, row in rows.items() for ck in (full | lines.get(k, empty),)
+                    columns.setdefault(k, {})[f] = v
+            line = lambda k: blank | columns.get(k, empty)
+        return [(ck[f], ck[g]) for rows in parts for k, row in rows.items() for ck in (line(k),)
                 for f, g in map(bounds.__getitem__, row)]
 
     def show(self, *terms):
@@ -648,7 +660,7 @@ class Finite2Category:
         _check_table_refs(tables[0], twos, twos, unknown, unknown)
         for name, table in zip(("whisker-left", "whisker-right"), tables[1:]):
             _check_table_refs(table, ones, twos, name + " mentions unknown 1-cell {!r}",
-                              name + " mentions unknown 2-cell")
+                              name + " mentions unknown 2-cell {!r}")
         return tables
 
     @cached_property
@@ -755,7 +767,9 @@ class Finite2Category:
 
     def validate(self):
         """Return every violated 2-category axiom instance (empty iff lawful)."""
-        bad = [Violation("one:" + v.code, v.detail) for v in self.skeleton.validate()]
+        arrows = self.skeleton._arrows()
+        one, gens1 = self.skeleton._checked(arrows)
+        bad = [Violation("one:" + v.code, v.detail) for v in one]
         if bad:
             return bad  # the 2-cell layer assumes a lawful 1-skeleton
         ones, twos, id2 = self.skeleton.morphisms, self.two_cells, self.identity2
@@ -772,15 +786,13 @@ class Finite2Category:
         if bad:
             return bad
 
-        # every table is read as rows keyed by the acting cell: vrow[b] is
-        # a |-> b . a, and side.rows[k] is a |-> k |> a or a |-> a <| k
-        dom = {k: a.dom for k, a in ones.items()}
-        cod = {k: a.cod for k, a in ones.items()}
+        # the laws read rows keyed by the acting cell, in full: vrow[b] is
+        # a |-> b . a, and side.full[k] is a |-> k |> a or a |-> a <| k
+        dom, cod, by_dom, by_cod = arrows
         src = {c: x.src for c, x in twos.items()}
         tgt = {c: x.tgt for c, x in twos.items()}
         bounds = {c: (x.src, x.tgt) for c, x in twos.items()}
         at1, at2 = _positions(ones), _positions(twos)
-        by_dom, by_cod = _index(ones, dom.__getitem__), _index(ones, cod.__getitem__)
         cells_from, cells_to, by_hom, starting_at, ending_at = {}, {}, {}, {}, {}
         for c, (f, g) in bounds.items():
             cells_from.setdefault(f, []).append(c)
@@ -788,7 +800,7 @@ class Finite2Category:
             by_hom.setdefault((dom[f], cod[f]), []).append(c)
             starting_at.setdefault(dom[f], []).append(c)
             ending_at.setdefault(cod[f], []).append(c)
-        vrow = self.vcomp_table.rows
+        vrow = self.vcomp_table.full
         left = _Side(self, False, dom, cod, by_dom, ending_at, bounds)
         right = _Side(self, True, cod, dom, by_cod, starting_at, bounds)
         sides = (left, right)
@@ -803,9 +815,9 @@ class Finite2Category:
         # empty.  Each law is an equation between rows, checked at generators
         # first; a stage's failures are sorted by its key, a loop's order.
         identity = self.skeleton.identity
-        gens1 = _generators(self.skeleton.rows, dom, cod, identity.values())
-        gens2 = _generators(vrow, src, tgt, id2.values())
-        bad += _category_laws(vrow, id2, src, tgt, cells_from, cells_to, "vcomp-", lambda c, b, a: (b, a, c), gens2)
+        gens2 = _generators(self.vcomp_table.rows, src, tgt, id2.values())
+        bad += _category_laws(
+            self.vcomp_table, id2, src, tgt, cells_from, cells_to, "vcomp-", lambda c, b, a: (b, a, c), gens2)
 
         for a in twos:
             for side in sides:
@@ -829,7 +841,7 @@ class Finite2Category:
                 ((at2[a], side.right, at1[k2], at1[k1]), Violation(side.name + "-functorial", side.show(k1, k2, a)))
                 for side in sides
                 for k1, k2, a in _action_failures(
-                    side.rows, ((side.ending_at[y], _sift(ks, keep)) for y, ks in side.by_dom.items()),
+                    side.full, ((side.ending_at[y], _sift(ks, keep)) for y, ks in side.by_dom.items()),
                     lambda k2: side.by_dom.get(side.cod[k2], ()), side.of,
                 )
             ]
@@ -852,7 +864,7 @@ class Finite2Category:
             found = []
             for g, cells in cells_to.items():
                 at_cells = _gather(cells)
-                whiskers = [(side, k, side.rows[k], _gather(at_cells(side.rows[k])))
+                whiskers = [(side, k, side.full[k], _gather(at_cells(side.full[k])))
                             for side in sides for k in _sift(side.by_dom.get(side.cod[g], ()), keep1)]
                 for b in _sift(cells_from.get(g, ()), keep2):
                     at_bcells = _gather(at_cells(vrow[b]))
@@ -868,7 +880,7 @@ class Finite2Category:
             return found
 
         bad += _in_order(_proven(whisker_vcomp, True, gens1, gens2))
-        wlrow, wrrow = left.rows, right.rows
+        wlrow, wrrow = left.full, right.full
 
         def whisker_assoc(keep):
             """WR_j o WL_k = WL_k o WR_j on each hom-set of 2-cells, at the j and

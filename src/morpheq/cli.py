@@ -51,13 +51,7 @@ from .group_action import (
     orbit_equivalent,
     orbit_partition,
 )
-from .preord_mset import (
-    CentralCell,
-    MonotoneMap,
-    PreordObject,
-    compose_cells_horizontal,
-    compose_cells_vertical,
-)
+from .preord_mset import CentralCell, MonotoneMap, PreordObject, check_suite
 from .seminorm_bridge import (
     SeminormRep,
     ambient_norm,
@@ -246,14 +240,6 @@ def _run_orbit_check(doc, args):
     return (0 if all_agree else 1), report
 
 
-def _cell_or_none(compose, d, c):
-    """The composite ``compose(d, c)``, or None when it is not a cell."""
-    try:
-        return compose(d, c)
-    except InvalidCell:
-        return None
-
-
 def _run_preord_check(doc, args):
     for field in ("objects", "maps", "cells"):
         seen = set()
@@ -300,44 +286,13 @@ def _run_preord_check(doc, args):
             pass
         cell_reports[cd["name"]] = cd["name"] in cells
     report["cells"] = cell_reports
-    all_ok = all(cell_reports.values())
 
-    # composites of declared valid cells stay valid, and the two evaluation
-    # orders of every square of composable cells agree; a square with a
-    # composite that is not a cell fails.  Each composite is built once:
-    # vertical[(a, b)] is b . a and horizontal[(a, b)] is b * a, or None
-    # where that composite is not a cell
-    names = sorted(cells)
-    composite_failures = []
-    vertical, horizontal = {}, {}
-    for a in names:
-        for b in names:
-            ca, cb = cells[a], cells[b]
-            if ca.tgt.equals(cb.src):
-                vertical[(a, b)] = _cell_or_none(compose_cells_vertical, cb, ca)
-                if vertical[(a, b)] is None:
-                    composite_failures.append({"kind": "vertical", "cells": [a, b]})
-            if ca.src.cod is cb.src.dom:
-                horizontal[(a, b)] = _cell_or_none(compose_cells_horizontal, cb, ca)
-                if horizontal[(a, b)] is None:
-                    composite_failures.append({"kind": "horizontal", "cells": [a, b]})
-    vpairs = [pair for pair, cell in vertical.items() if cell is not None]
-    interchange_checked = 0
-    interchange_failures = []
-    for a, b in vpairs:
-        for c, d in vpairs:
-            if cells[a].src.cod is cells[c].src.dom:
-                interchange_checked += 1
-                # as check_interchange: (d . c) * (b . a) is a cell, and so
-                # are d * b and c * a, both built above
-                if (horizontal[(b, d)] is None or horizontal[(a, c)] is None
-                        or _cell_or_none(compose_cells_horizontal, vertical[(c, d)], vertical[(a, b)]) is None):
-                    interchange_failures.append([a, b, c, d])
-    report["composite_failures"] = composite_failures
-    report["interchange_checked"] = interchange_checked
-    report["interchange_failures"] = interchange_failures
-    all_ok = all_ok and not composite_failures and not interchange_failures
-    report["all_ok"] = all_ok
+    # composites of declared valid cells stay valid, and every square of
+    # composable cells interchanges
+    failures, checked, squares = check_suite(cells)
+    report["composite_failures"] = [{"kind": kind, "cells": [a, b]} for kind, a, b in failures]
+    report["interchange_checked"], report["interchange_failures"] = checked, squares
+    report["all_ok"] = all_ok = all(cell_reports.values()) and not failures and not squares
     return (0 if all_ok else 1), report
 
 

@@ -60,9 +60,9 @@ class EquivData:
         self.sigma = sigma
         self.tau1 = tau1
         self.tau2 = tau2
-        # the witness search's caches, see _side_search and _least_u2: the
-        # tau2-image of each u2 hom-set, a row per left and u2 hom-set, and
-        # the reach of each side whose scan found nothing
+        # the caches of the search and the classes sweep (_least_u2, _lefts,
+        # _side_search): the tau2-image of each u2 hom-set, a row per left
+        # and u2 hom-set, and the reach of each side a scan found nothing on
         self._images, self._rows, self._reaches = {}, {}, {}
         if validate:
             _raise_on(self.violations())
@@ -131,16 +131,17 @@ def verify_witness(e: EquivData, m, m_tilde, w: Witness) -> VerifyResult:
     return VerifyResult(True)
 
 
-def _least_u2(e: EquivData, left, at, a):
+def _least_u2(e: EquivData, lrow, over, at, a):
     """Each composite left . tau2(u2) of d over u2: at -> a, mapped to the least
-    u2 giving it.
+    u2 giving it, read from left's composition row ``lrow`` and its
+    absorbing id ``over``.
 
     The tau2-image of the hom-set, each image mapped to the least u2 with
     it, is kept on e.  The composites are read from the smaller side: the
-    image, each looked up in left's row, or the entries that row stores,
-    each kept when its column is in the image.  A sparse row gives its
-    absorbing id to the least u2 whose image it does not store; that u2 is
-    found among the first len(row) + 1 of the image.
+    image, each looked up in the row, or the entries the row stores, each
+    kept when its column is in the image.  The absorbing id goes to the
+    least u2 whose image the row does not store, among the first
+    len(row) + 1 of the image.
     """
     image = e._images.get((at, a))
     if image is None:
@@ -148,7 +149,6 @@ def _least_u2(e: EquivData, left, at, a):
         tau2 = e.tau2.morphism_map
         for u2 in e.c.hom(at, a):
             image.setdefault(tau2[u2], u2)
-    lrow, over = e.d.skeleton.rows[left], e.d.skeleton.compose_table.absorbing
     out = {}
     if len(image) <= len(lrow):
         for y, u2 in image.items():
@@ -166,52 +166,57 @@ def _least_u2(e: EquivData, left, at, a):
     return out
 
 
+def _lefts(e: EquivData, m, bt, at):
+    """The side of m over the hom-sets cod m -> bt and at -> dom m: each
+    distinct left tau1(u1) . sigma(m), u1: cod m -> bt, in u1 order, as
+    (u1, left, row), where the row is ``_least_u2``'s over at -> dom m.
+    Rows are kept on e by left and u2 hom-set, for the witness search and
+    the classes sweep alike."""
+    c, rows = e.c, e.d.skeleton.rows
+    a, sig, tau1, over = c.morphisms[m], e.sigma(m), e.tau1.morphism_map, e.d.skeleton.compose_table.absorbing
+    seen = set()
+    for u1 in c.hom(a.cod, bt):
+        left = rows[tau1[u1]].get(sig, over)
+        if left not in seen:
+            seen.add(left)
+            key = (left, at, a.dom)
+            row = e._rows.get(key)
+            if row is None:
+                row = e._rows[key] = _least_u2(e, rows[left], over, at, a.dom)
+            yield u1, left, row
+
+
 def _side_search(e: EquivData, m_from, m_to):
     """First (u1, u2, fwd, bwd) with cells both ways, in lexicographic order.
 
     Looks for u1: cod(m_from) -> cod(m_to), u2: dom(m_to) -> dom(m_from)
-    and 2-cells  tau1(u1).sigma(m_from).tau2(u2) <=> sigma(m_to).  For each
-    u1 in order, the least u2 is read off the row of left =
-    tau1(u1).sigma(m_from): each composite left.tau2(u2) mapped to the
-    least u2 giving it (``_least_u2``, which reads the stored composites
-    or the hom-set's image, whichever is fewer), cached on e because every
-    target reads the same rows.  A left already visited has the same row,
-    so it is skipped.  A
-    composite qualifies when it is in ``d.linked_to(target)``, and the
+    and 2-cells  tau1(u1).sigma(m_from).tau2(u2) <=> sigma(m_to), reading
+    the side's rows in u1 order (``_lefts``).  A composite qualifies when
+    it is in ``d.linked_to(target)``; its least u2 is its row's, and the
     cells returned are the least of ``d.cells_between`` each way.
 
-    A scan that finds nothing leaves on e the side's reach: every composite
-    over the two hom-sets, keyed by (sigma(m_from), cod m_from, cod m_to,
-    dom m_to, dom m_from).  A later search on that side returns None at
-    once when the reach misses ``d.linked_to(target)``; otherwise it has a
-    hit and scans as above, so the witness is still the least.
+    A scan that finds nothing leaves on e the side's reach, the union of
+    its rows, keyed by (sigma(m_from), cod m_from, cod m_to, dom m_to,
+    dom m_from).  A later search on that side returns None at once when
+    the reach misses ``d.linked_to(target)``, and scans as above otherwise.
     """
     c, d = e.c, e.d
     a_from, a_to = c.arrow(m_from), c.arrow(m_to)
     target = e.sigma(m_to)
-    sig = e.sigma(m_from)
     linked = d.linked_to(target)
-    side = (sig, a_from.cod, a_to.cod, a_to.dom, a_from.dom)
+    side = (e.sigma(m_from), a_from.cod, a_to.cod, a_to.dom, a_from.dom)
     reach = e._reaches.get(side)
     if reach is not None and reach.isdisjoint(linked):
         return None
-    tau1, rows, over = e.tau1.morphism_map, d.skeleton.rows, d.skeleton.compose_table.absorbing
-    seen = {}  # left -> its row, for the lefts visited so far
-    for u1 in c.hom(a_from.cod, a_to.cod):
-        left = rows[tau1[u1]].get(sig, over)
-        if left in seen:
-            continue
-        key = (left, a_to.dom, a_from.dom)  # one row per left and u2 hom-set
-        row = e._rows.get(key)
-        if row is None:
-            row = e._rows[key] = _least_u2(e, *key)
-        seen[left] = row
+    rows = []
+    for u1, _, row in _lefts(e, m_from, a_to.cod, a_to.dom):
         small, big = (linked, row) if len(linked) < len(row) else (row, linked)
         hits = [x for x in small if x in big]
         if hits:
             x = min(hits, key=row.__getitem__)
             return u1, row[x], d.cells_between(x, target)[0], d.cells_between(target, x)[0]
-    e._reaches[side] = frozenset().union(*seen.values())
+        rows.append(row)
+    e._reaches[side] = frozenset().union(*rows)
     return None
 
 
@@ -310,49 +315,38 @@ def equivalence_classes(e: EquivData):
     which ``_side_search(e, m, mt)`` finds a u-side, built in three layers:
 
     - ``mask(x)``: the mt whose sigma lies in ``d.linked_to(x)``;
-    - ``row(left, At, dom m)``, keyed like the witness search's rows: the
-      union of ``mask(x)`` over the composites x = left . tau2(u2), u2:
-      At -> dom m, read by the search's own ``_least_u2``;
-    - the reach: for each hom-set At -> Bt, its members within the union
-      of the rows of the distinct lefts ``tau1(u1) . sigma(m)`` over
-      u1: cod m -> Bt.
+    - a row's bits: the union of ``mask(x)`` over the composites x of a row
+      the witness search reads (``_lefts``);
+    - the reach: for each hom-set At -> Bt, its members within the bits of
+      the rows of m's side over cod m -> Bt and At -> dom m.
 
     A block is the morphisms that reach its least member and that it
     reaches, the two sides ``are_equivalent`` asks.  This is exact on a
     lawful bundle, where the relation is reflexive, symmetric and
-    transitive (the derive_* witnesses).  Masks, rows and reaches last
-    for one call; only the hom-sets' tau2-images are kept on ``e``.
+    transitive (the derive_* witnesses).  Masks, bits and reaches last for
+    one call; the rows are kept on ``e``, shared with the witness search.
     """
     c, d = e.c, e.d
-    sigma, tau1 = e.sigma.morphism_map, e.tau1.morphism_map
-    rows, over = d.skeleton.rows, d.skeleton.compose_table.absorbing
+    sigma = e.sigma.morphism_map
     items = sorted(c.morphisms)
-    by_sigma, homs_into = {}, {}  # homs_into[Bt][At]: the morphisms At -> Bt
+    by_sigma, homs = {}, {}  # homs[(At, Bt)]: the morphisms At -> Bt
     for i, m in enumerate(items):
         a = c.morphisms[m]
         by_sigma[sigma[m]] = by_sigma.get(sigma[m], 0) | 1 << i
-        into = homs_into.setdefault(a.cod, {})
-        into[a.dom] = into.get(a.dom, 0) | 1 << i
+        homs[(a.dom, a.cod)] = homs.get((a.dom, a.cod), 0) | 1 << i
 
     @functools.cache
     def mask(x):
         return _union(map(by_sigma.get, d.linked_to(x), itertools.repeat(0)))
 
-    @functools.cache
-    def row(left, at, a):
-        return _union(map(mask, _least_u2(e, left, at, a)))
-
-    reach = []
+    row_bits, reach = {}, []  # the bits of each row read, by its key on e
     for m in items:
-        a = c.morphisms[m]
-        got = 0
-        for bt, into in homs_into.items():
-            lefts = {rows[tau1[u1]].get(sigma[m], over) for u1 in c.hom(a.cod, bt)}
-            for at, bits in into.items():
-                rowed = 0
-                for left in lefts:
-                    rowed |= row(left, at, a.dom)
-                got |= bits & rowed
+        dom, got = c.morphisms[m].dom, 0
+        for (at, bt), bits in homs.items():
+            for _, left, row in _lefts(e, m, bt, at):
+                if (left, at, dom) not in row_bits:
+                    row_bits[(left, at, dom)] = _union(map(mask, row))
+                got |= bits & row_bits[(left, at, dom)]
         reach.append(got)
 
     blocks = []

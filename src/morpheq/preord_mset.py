@@ -282,17 +282,52 @@ def compose_cells_horizontal(d: CentralCell, c: CentralCell) -> CentralCell:
     return CentralCell(c.value * d.value, compose_maps(d.src, c.src), compose_maps(d.tgt, c.tgt))
 
 
-def check_interchange(c: CentralCell, c2: CentralCell, d: CentralCell, d2: CentralCell) -> bool:
-    """Middle-four exchange for c2.c (vertical) beside d2.d (vertical).
+def _cell_or_none(compose, d, c):
+    """The composite ``compose(d, c)``, or None when it is not a cell."""
+    try:
+        return compose(d, c)
+    except InvalidCell:
+        return None
 
-    Builds (d2.d) * (c2.c), then the two horizontal composites d2 * c2 and
-    d * c of the other order, and returns True; each raises InvalidCell
-    unless it is a cell.  The vertical composite of those two is not
-    built: its scalar is the same product of the four scalars (rational
-    multiplication is exact and commutative) and its maps compose the same
-    tables, so it is the first composite again.
-    """
-    compose_cells_horizontal(compose_cells_vertical(d2, d), compose_cells_vertical(c2, c))
-    compose_cells_horizontal(d2, c2)
-    compose_cells_horizontal(d, c)
+
+def _interchanges(ba, dc, db, ca):
+    """The interchange rule at b . a beside d . c, from its composites (None
+    where not a cell): (d . c) * (b . a), d * b and c * a are cells.  The
+    vertical composite of the last two is not built, as exact rational
+    multiplication commutes and it would be the first one again."""
+    return db is not None and ca is not None and _cell_or_none(compose_cells_horizontal, dc, ba) is not None
+
+
+def check_interchange(c: CentralCell, c2: CentralCell, d: CentralCell, d2: CentralCell) -> bool:
+    """Middle-four exchange for c2.c beside d2.d, ``check_suite``'s rule on one
+    square: True, or InvalidCell when a composite it builds is not a cell."""
+    vertical = compose_cells_vertical(c2, c), compose_cells_vertical(d2, d)
+    horizontal = _cell_or_none(compose_cells_horizontal, d2, c2), _cell_or_none(compose_cells_horizontal, d, c)
+    if not _interchanges(*vertical, *horizontal):
+        raise InvalidCell(f"a horizontal composite of {c.value}, {c2.value} beside {d.value}, {d2.value} is not a cell")
     return True
+
+
+def check_suite(cells):
+    """The composites of the named ``cells`` that are not cells, as (kind, a,
+    b), the number of squares, and the squares [a, b, c, d] that do not
+    interchange.  Each b . a and b * a, a and b in name order, is built
+    once; a square is two vertical composites b . a and d . c that are
+    cells, a's maps ending where c's start."""
+    names = sorted(cells)
+    failures, vertical, horizontal = [], {}, {}  # vertical[(a, b)] is b . a, horizontal[(a, b)] is b * a
+    for a in names:
+        for b in names:
+            ca, cb = cells[a], cells[b]
+            if ca.tgt.equals(cb.src):
+                vertical[(a, b)] = _cell_or_none(compose_cells_vertical, cb, ca)
+                if vertical[(a, b)] is None:
+                    failures.append(("vertical", a, b))
+            if ca.src.cod is cb.src.dom:
+                horizontal[(a, b)] = _cell_or_none(compose_cells_horizontal, cb, ca)
+                if horizontal[(a, b)] is None:
+                    failures.append(("horizontal", a, b))
+    pairs = [pair for pair, cell in vertical.items() if cell is not None]
+    squares = [(a, b, c, d) for a, b in pairs for c, d in pairs if cells[a].src.cod is cells[c].src.dom]
+    return failures, len(squares), [[a, b, c, d] for a, b, c, d in squares if not _interchanges(
+        vertical[(a, b)], vertical[(c, d)], horizontal[(b, d)], horizontal[(a, c)])]

@@ -6,9 +6,9 @@ import numpy as np
 
 from morpheq import (
     BesselFamily, EquivData, FiniteCategory, FunctorData, Violation, Witness, apply_param, are_equivalent,
-    probe_vectors,
+    compose_cells_horizontal, compose_cells_vertical, probe_vectors,
 )
-from morpheq.errors import DimensionMismatch
+from morpheq.errors import DimensionMismatch, InvalidCell
 from morpheq.frames import _as_matrix, _as_operator, _in_field
 
 
@@ -255,6 +255,51 @@ def side_search_scan(e, m_from, m_to):
                 continue
             return u1, u2, fwd[0], bwd[0]
     return None
+
+
+def check_suite_scan(cells):
+    """``check_suite``'s answer with every composite built from scratch.
+
+    Each pair's vertical and horizontal composite is built, and then each
+    square's again: b . a and d . c, (d . c) * (b . a), d * b, c * a and
+    the vertical composite (d * b) . (c * a) of the other order.  A square
+    fails unless all of them are cells.
+    """
+    def cell(compose, d, c):
+        try:
+            return compose(d, c)
+        except InvalidCell:
+            return None
+
+    names = sorted(cells)
+    failures, pairs = [], []
+    for a in names:
+        for b in names:
+            ca, cb = cells[a], cells[b]
+            if ca.tgt.equals(cb.src):
+                if cell(compose_cells_vertical, cb, ca) is None:
+                    failures.append(("vertical", a, b))
+                else:
+                    pairs.append((a, b))
+            if ca.src.cod is cb.src.dom and cell(compose_cells_horizontal, cb, ca) is None:
+                failures.append(("horizontal", a, b))
+    squares, bad = 0, []
+    for a, b in pairs:
+        for c, d in pairs:
+            if cells[a].src.cod is not cells[c].src.dom:
+                continue
+            squares += 1
+            ba = compose_cells_vertical(cells[b], cells[a])
+            dc = compose_cells_vertical(cells[d], cells[c])
+            outer = cell(compose_cells_horizontal, dc, ba)
+            db = cell(compose_cells_horizontal, cells[d], cells[b])
+            ca = cell(compose_cells_horizontal, cells[c], cells[a])
+            other = None if db is None or ca is None else cell(compose_cells_vertical, db, ca)
+            if outer is None or other is None:
+                bad.append([a, b, c, d])
+            else:
+                assert other.value == outer.value and other.src.table == outer.src.table
+    return failures, squares, bad
 
 
 def are_equivalent_scan(sides, m, mt):

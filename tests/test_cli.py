@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from morpheq import FiniteCategory, cli, preord_mset
+from morpheq import Finite2Category, FiniteCategory, cli, preord_mset
 from morpheq.errors import UnknownId
 
 from instance_gen import action_doc, three_pairs_c2
@@ -341,6 +341,23 @@ def test_reports_keep_the_order_of_a_table_that_interleaves_rows(capsys, tmp_pat
     code, out, _ = run_main(capsys, doc, "validate", tmp_path)
     assert code == 2
     assert out["error"]["message"] == "compose table mentions unknown morphism 'nope1'"
+
+
+@pytest.mark.parametrize("table, entry", [
+    ("vcomp", ["nope2", "i", "i"]),
+    ("whisker_left", ["1", "nope2", "i"]),
+    ("whisker_right", ["nope2", "1", "i"]),
+])
+def test_an_unknown_two_cell_in_a_table_is_named(capsys, tmp_path, table, entry):
+    doc = json.loads((INSTANCES / "terminal_two_category.json").read_text())
+    doc[table].append(entry)
+    message = f"{'vcomp table' if table == 'vcomp' else table.replace('_', '-')} mentions unknown 2-cell 'nope2'"
+    with pytest.raises(UnknownId) as exc:
+        Finite2Category.from_dict(doc, validate=False)
+    assert str(exc.value) == message
+    code, out, _ = run_main(capsys, doc, "validate", tmp_path)
+    assert code == 2
+    assert out["error"] == {"type": "UnknownId", "message": message}
 
 
 def test_orbit_check_at_chain_bound_three_matches_the_golden_report(tmp_path):

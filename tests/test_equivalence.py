@@ -343,6 +343,34 @@ def test_classes_make_no_pair_search(monkeypatch):
     assert calls == []
 
 
+def test_classes_and_search_share_rows_and_reaches_without_leaks():
+    # one bundle serves both callers, which share its rows and reaches: the
+    # sweep first and then every ordered pair, and the other way round, each
+    # on a fresh bundle, against answers taken on a third one
+    makers = [lambda seed=seed: random_equiv_instance(seed) for seed in range(40)]
+    makers += [lambda seed=seed: random_param_bundle(seed) for seed in range(20)]
+    makers += [lambda make=make, bound=bound: deloop_slice(make(), bound).equiv
+               for make in (swap_action, three_pairs_c2) for bound in (1, 2)]
+    for make in makers:
+        e = make()
+        items = sorted(e.c.morphisms)
+        want_classes = equivalence_classes_all_pairs(e)
+        if len(items) < 100:
+            sides = {(m, mt): side_search_scan(e, m, mt) for m in items for mt in items}
+        else:  # c2-three-pairs at L = 2: 67,600 pairs, so the scan checks every 100th hit
+            sides = {(m, mt): equivalence._side_search(e, m, mt) for m in items for mt in items}
+            hits = [(pair, got) for pair, got in sides.items() if got is not None]
+            for (m, mt), got in hits[::100]:
+                assert side_search_scan(e, m, mt) == got, (m, mt)
+        for classes_first in (True, False):
+            shared = make()
+            if classes_first:
+                assert equivalence_classes(shared) == want_classes
+            for m, mt in sides:
+                assert are_equivalent(shared, m, mt) == are_equivalent_scan(sides, m, mt), (m, mt)
+            assert equivalence_classes(shared) == want_classes
+
+
 def test_classes_are_a_partition():
     for seed in range(12):
         e = random_equiv_instance(seed)

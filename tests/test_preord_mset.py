@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from morpheq import (
     PreordObject,
     as_fraction,
     check_interchange,
+    check_suite,
     compose_cells_horizontal,
     compose_cells_vertical,
     compose_maps,
@@ -24,6 +26,8 @@ from morpheq.errors import (
     NotParallel,
     UnknownElement,
 )
+
+from oracles import check_suite_scan
 
 
 def window(name, values):
@@ -325,6 +329,52 @@ def test_interchange_all_units():
     f = identity_map(x)
     one = identity_cell(f)
     assert check_interchange(one, one, one, one)
+
+
+def random_suite(seed):
+    """Cells between random monotone maps X -> Y -> Z, named in draw order;
+    some of their horizontal composites are not cells."""
+    rng = random.Random(seed)
+    x, y, z = window("X", [1, 2]), window("Y", [1, 2, 3]), window("Z", [1, 2, 4, 8])
+    cells = {}
+    for dom, cod in ((x, y), (y, z)):
+        maps = [MonotoneMap(f"{dom.name}{cod.name}{i}", dom, cod,
+                            dict(zip(dom.carrier, sorted(rng.choice(cod.carrier) for _ in dom.carrier))))
+                for i in range(3)]
+        for f in maps:
+            for g in maps:
+                for q in ("1/2", 1, 2):
+                    if rng.random() < 0.4 and is_two_cell(q, f, g):
+                        cells[f"c{len(cells):02}"] = CentralCell(q, f, g)
+    return cells
+
+
+def test_the_suite_check_matches_the_scan_that_builds_every_composite():
+    suites = [random_suite(seed) for seed in range(12)]
+    suites += [dict(zip(("c", "c2", "d", "d2"), collapsing_square(2, "1/2", 1, "1/2"))),
+               dict(zip(("c", "c2", "d", "d2"), collapsing_square("1/2", 2, "1/2", 1, f_to_f=True)))]
+    failing = composite_failures = 0
+    for cells in suites:
+        got = check_suite(cells)
+        assert got == check_suite_scan(cells)
+        failures, squares, bad = got
+        composite_failures += len(failures)
+        failing += len(bad)
+        # check_interchange is the same rule on one square
+        pairs = [(a, b) for a in cells for b in cells
+                 if cells[a].tgt.equals(cells[b].src) and ("vertical", a, b) not in failures]
+        for a, b in pairs:
+            for c, d in pairs:
+                if cells[a].src.cod is not cells[c].src.dom:
+                    continue
+                squares -= 1
+                if [a, b, c, d] in bad:
+                    with pytest.raises(InvalidCell):
+                        check_interchange(cells[a], cells[b], cells[c], cells[d])
+                else:
+                    assert check_interchange(cells[a], cells[b], cells[c], cells[d])
+        assert squares == 0
+    assert composite_failures > 0 and failing > 0
 
 
 # -------------------------------------------------- randomized law checks
