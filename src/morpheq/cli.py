@@ -112,13 +112,14 @@ def _entry(v):
 
 
 def _matrix(rows, field="complex"):
+    """The entries as an array, real when every imaginary part is zero."""
     if len({len(row) for row in rows}) > 1:
         raise ParseError("matrix rows differ in length")
     a = np.array([[_entry(v) for v in row] for row in rows], dtype=complex)
-    if field == "real":
-        if np.any(a.imag != 0):
-            raise ParseError("real instance contains non-real entries")
+    if not np.any(a.imag):
         return a.real
+    if field == "real":
+        raise ParseError("real instance contains non-real entries")
     return a
 
 

@@ -11,8 +11,12 @@ Two positive-semidefinite forms are comparable exactly when their
 kernels agree; the optimal two-sided constants are then the extreme
 generalized eigenvalues of the pair restricted to the common range,
 computed by projecting onto that range and whitening by the reference
-form's positive square root.  The complex path is the general one;
-real inputs are promoted and produce real-valued answers.
+form's positive square root.
+
+One dtype rule holds for every matrix here: it is complex only when an
+input is complex.  A real family, form or witness stays ``float64``
+from the family through to the verdict, so real data runs in real
+BLAS and LAPACK; a family's field names the dtype of its vectors.
 
 A family and its frame form are read-only values: their arrays cannot
 be written.  ``frame_operator`` keeps the forms of the last two
@@ -41,8 +45,16 @@ TOL_PSD = 1e-9    # relative positive-semidefiniteness slack
 _HERM_TOL = 1e-12
 
 
-def _as_matrix(m, field="complex"):
-    a = np.asarray(m, dtype=complex if field == "complex" else float)
+def _as_array(a, field=None):
+    """``a`` as a float or complex array: of the named field, or else of the input's kind."""
+    a = np.asarray(a)
+    if field is None:
+        field = "complex" if np.iscomplexobj(a) else "real"
+    return np.asarray(a, dtype=complex if field == "complex" else float)
+
+
+def _as_matrix(m, field=None):
+    a = _as_array(m, field)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got shape {a.shape}")
     return a
@@ -128,7 +140,7 @@ class RhoForm:
 
     def __init__(self, matrix):
         p = _as_matrix(matrix)
-        if not np.all(np.isfinite(p.view(float))):
+        if not np.all(np.isfinite(p)):
             raise InvalidValue("matrix must be finite")
         scale = float(np.max(np.abs(p))) if p.size else 0.0
         if scale and float(np.max(np.abs(p - p.conj().T))) > _HERM_TOL * scale:
@@ -159,7 +171,7 @@ class RhoForm:
         return self.eigenvectors[:, self.eigenvalues <= self.kernel_threshold()]
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=complex)
+        x = np.asarray(x)
         q = float(np.real(x.conj() @ (self.matrix @ x)))
         return float(np.sqrt(max(q, 0.0)))
 
@@ -366,7 +378,7 @@ def phase_unitary_act(f: BesselFamily, u, phases) -> BesselFamily:
         raise DimensionMismatch(f"u must be {f.dim} x {f.dim}, got {u.shape}")
     if phases.shape != (f.count,):
         raise DimensionMismatch(f"need {f.count} phases, got {phases.shape}")
-    uc, pc = u.astype(complex), phases.astype(complex)
+    uc, pc = _as_array(u), _as_array(phases)
     if not np.all(np.isfinite(uc)) or np.linalg.norm(uc.conj().T @ uc - np.eye(f.dim), 2) > TOL_PSD:
         raise NotUnitary("u is not unitary")
     if not np.all(np.isfinite(pc)) or np.any(np.abs(np.abs(pc) - 1.0) > 1e-12):

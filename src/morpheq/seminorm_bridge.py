@@ -57,7 +57,7 @@ class SeminormRep:
         return self.op.matrix.shape[1]
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=complex)
+        x = np.asarray(x)
         if x.shape != (self.dim,):
             raise DimensionMismatch(f"expected a vector of length {self.dim}, got {x.shape}")
         return self.scale * float(np.linalg.norm(self.matrix @ x))

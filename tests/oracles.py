@@ -1,12 +1,14 @@
 """Independent slow-path oracles the fast implementations are tested against."""
 
 import itertools
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 from morpheq import (
     BesselFamily, EquivData, FiniteCategory, FunctorData, Violation, Witness, apply_param, are_equivalent,
-    compose_cells_horizontal, compose_cells_vertical, probe_vectors,
+    compose_cells_horizontal, compose_cells_vertical, deloop_slice, probe_vectors,
 )
 from morpheq.errors import DimensionMismatch, InvalidCell
 from morpheq.frames import _as_matrix, _as_operator, _in_field
@@ -255,6 +257,23 @@ def side_search_scan(e, m_from, m_to):
                 continue
             return u1, u2, fwd[0], bwd[0]
     return None
+
+
+def side_search_scans(e):
+    """``side_search_scan`` of every ordered pair of e's morphisms."""
+    items = sorted(e.c.morphisms)
+    return {(m, mt): side_search_scan(e, m, mt) for m in items for mt in items}
+
+
+@lru_cache(maxsize=None)
+def slice_side_scans(bound, make, *args):
+    """``side_search_scans`` of the slice of ``make(*args)`` at chain bound ``bound``.
+
+    Kept per (action, bound): a slice's scan takes seconds, and several
+    tests check the search on their own fresh slice against it.  The
+    answers are read-only, so no test can change what another reads.
+    """
+    return MappingProxyType(side_search_scans(deloop_slice(make(*args), bound).equiv))
 
 
 def check_suite_scan(cells):

@@ -179,6 +179,47 @@ def test_shipped_reports_match_the_golden_files(capsys, name, verb, fmt):
         assert _same_leaf(g, w), (key, g, w)
 
 
+def _paired(rows):
+    """The matrix with every entry written as a [re, 0.0] pair."""
+    return [[[float(v), 0.0] for v in row] for row in rows]
+
+
+def _report_bytes(capsys, tmp_path, doc, verb, fmt):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code = cli.main(["--input", str(p), "--verb", verb, "--format", fmt])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_witnesses_written_as_re_im_pairs_print_the_plain_real_bytes(capsys, tmp_path, fmt):
+    # a witness whose imaginary parts are all zero is read as real, so the
+    # pairs and the plain numbers run one path and print the same bytes
+    bridge = json.loads((INSTANCES / "bridge_demo.json").read_text())
+    paired = copy.deepcopy(bridge)
+    for k in ("u1", "u2", "v1", "v2"):
+        paired[k] = _paired(bridge[k])
+    paired["seminorm"]["op"] = _paired(bridge["seminorm"]["op"])
+    # mercedes against itself through an invertible u that is not a multiple of I
+    frame = json.loads((INSTANCES / "mercedes.json").read_text())
+    frame["compare"] = {"family": {k: frame[k] for k in ("field", "dim", "weights", "vectors")},
+                        "u": [[1.0, 0.5], [0.0, 2.0]], "u_tilde": [[1.0, -0.25], [0.0, 0.5]]}
+    frame_paired = copy.deepcopy(frame)
+    for k in ("u", "u_tilde"):
+        frame_paired["compare"][k] = _paired(frame["compare"][k])
+    for verb, plain_doc, paired_doc in (("bridge", bridge, paired), ("frame", frame, frame_paired)):
+        code, plain = _report_bytes(capsys, tmp_path, plain_doc, verb, fmt)
+        assert code == 0
+        assert _report_bytes(capsys, tmp_path, paired_doc, verb, fmt) == (code, plain)
+        # and the rest of the report is the golden one of the shipped instance
+        got = [(k, v) for k, v in _leaves(plain, fmt) if not k.startswith("compare.")]
+        want = _leaves((GOLDEN / f"{verb}.{fmt}").read_text(), fmt)
+        assert [k for k, _ in got] == [k for k, _ in want]
+        for (key, g), (_, w) in zip(got, want):
+            assert _same_leaf(g, w), (key, g, w)
+    assert dict(_leaves(plain, fmt))["compare.equivalent"] is True  # the frame's constants were printed
+
+
 def _plain(value):
     if type(value) is dict:
         return all(type(k) is str and _plain(v) for k, v in value.items())

@@ -38,7 +38,13 @@ from instance_gen import (
     three_pairs_c2,
     transformation_monoid,
 )
-from oracles import are_equivalent_scan, equivalence_classes_all_pairs, side_search_scan
+from oracles import (
+    are_equivalent_scan,
+    equivalence_classes_all_pairs,
+    side_search_scan,
+    side_search_scans,
+    slice_side_scans,
+)
 
 
 def walking_pair():
@@ -259,15 +265,26 @@ def test_classes_match_all_pairs_oracle():
         assert equivalence_classes(e) == equivalence_classes_all_pairs(e)
 
 
+def scanned_bundles():
+    """The search tests' bundles, each with the scan answers of its ordered pairs.
+
+    Every bundle is built fresh; a slice's answers come from the scan
+    kept per (action, bound), the others' from a scan of the bundle.
+    """
+    for seed in range(100):
+        e = random_equiv_instance(seed)
+        yield e, side_search_scans(e)
+    for seed in range(50):  # tau1, tau2 not identities
+        e = random_param_bundle(seed)
+        yield e, side_search_scans(e)
+    for make, args in ((swap_action, ()), (regular_action, (3,))):
+        for bound in (0, 1, 2):
+            yield deloop_slice(make(*args), bound).equiv, slice_side_scans(bound, make, *args)
+
+
 def test_indexed_search_matches_the_scan_on_every_ordered_pair():
-    bundles = [random_equiv_instance(seed) for seed in range(100)]
-    bundles += [random_param_bundle(seed) for seed in range(50)]  # tau1, tau2 not identities
-    for action in (swap_action(), regular_action(3)):
-        bundles += [deloop_slice(action, bound).equiv for bound in (0, 1, 2)]
     cross_boundary_hits = 0
-    for e in bundles:
-        items = sorted(e.c.morphisms)
-        sides = {(m, mt): side_search_scan(e, m, mt) for m in items for mt in items}
+    for e, sides in scanned_bundles():
         for (m, mt), want in sides.items():
             assert equivalence._side_search(e, m, mt) == want, (m, mt)
             assert are_equivalent(e, m, mt) == are_equivalent_scan(sides, m, mt), (m, mt)
@@ -279,14 +296,8 @@ def test_indexed_search_matches_the_scan_on_every_ordered_pair():
 
 
 def test_search_answers_do_not_depend_on_the_order_of_questions():
-    bundles = [random_equiv_instance(seed) for seed in range(100)]
-    bundles += [random_param_bundle(seed) for seed in range(50)]  # tau1, tau2 not identities
-    for action in (swap_action(), regular_action(3)):
-        bundles += [deloop_slice(action, bound).equiv for bound in (0, 1, 2)]
     missed_then_hit = 0
-    for e in bundles:
-        items = sorted(e.c.morphisms)
-        sides = {(m, mt): side_search_scan(e, m, mt) for m in items for mt in items}
+    for e, sides in scanned_bundles():
         missed, hit_after_miss = set(), set()  # keyed as the search keys its reaches
         for seed in range(3):  # the bundle and its caches are shared by all three orders
             asked = list(sides) * 2
@@ -347,16 +358,17 @@ def test_classes_and_search_share_rows_and_reaches_without_leaks():
     # one bundle serves both callers, which share its rows and reaches: the
     # sweep first and then every ordered pair, and the other way round, each
     # on a fresh bundle, against answers taken on a third one
-    makers = [lambda seed=seed: random_equiv_instance(seed) for seed in range(40)]
-    makers += [lambda seed=seed: random_param_bundle(seed) for seed in range(20)]
-    makers += [lambda make=make, bound=bound: deloop_slice(make(), bound).equiv
+    # (maker, key of the slice's kept scan or None)
+    makers = [(lambda seed=seed: random_equiv_instance(seed), None) for seed in range(40)]
+    makers += [(lambda seed=seed: random_param_bundle(seed), None) for seed in range(20)]
+    makers += [(lambda make=make, bound=bound: deloop_slice(make(), bound).equiv, (bound, make))
                for make in (swap_action, three_pairs_c2) for bound in (1, 2)]
-    for make in makers:
+    for make, scan_key in makers:
         e = make()
         items = sorted(e.c.morphisms)
         want_classes = equivalence_classes_all_pairs(e)
         if len(items) < 100:
-            sides = {(m, mt): side_search_scan(e, m, mt) for m in items for mt in items}
+            sides = slice_side_scans(*scan_key) if scan_key else side_search_scans(e)
         else:  # c2-three-pairs at L = 2: 67,600 pairs, so the scan checks every 100th hit
             sides = {(m, mt): equivalence._side_search(e, m, mt) for m in items for mt in items}
             hits = [(pair, got) for pair, got in sides.items() if got is not None]

@@ -140,6 +140,28 @@ def test_rho_form_rejects_non_finite_matrices(bad):
         RhoForm([[bad, 0.0], [0.0, 1.0]])
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_rho_form_reads_transposed_and_fortran_ordered_matrices(field):
+    rng = np.random.default_rng(43)
+    g = rng.standard_normal((4, 4))
+    if field == "complex":
+        g = g + 1j * rng.standard_normal((4, 4))
+    h = g @ g.conj().T
+    a = h + h.conj().T  # hermitian to the last bit
+    want = RhoForm(a)
+    for layout in (a.conj().T, np.asfortranarray(a)):
+        assert not layout.flags.c_contiguous
+        got = RhoForm(layout)
+        for attr in ("matrix", "eigenvalues", "eigenvectors"):
+            assert getattr(got, attr).dtype == getattr(want, attr).dtype
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+        bad = layout.copy(order="K")
+        bad[1, 2] = bad[2, 1] = np.nan
+        assert not bad.flags.c_contiguous
+        with pytest.raises(InvalidValue, match="finite"):
+            RhoForm(bad)
+
+
 # -------------------------------------------------------------- comparison
 
 
@@ -508,3 +530,134 @@ def test_family_and_form_arrays_are_read_only():
     for a in (f.vectors, f.weights, p.matrix, p.eigenvalues, p.eigenvectors):
         with pytest.raises(ValueError):
             a[0] = 0.0
+
+
+# ---------------------------------------------------- real data stays real
+
+
+AGREE_RTOL = float(np.sqrt(np.finfo(float).eps))  # constants of a real case and its complex cast
+
+
+def _invertible(rng, n, rank=None):
+    """Q1 diag(s) Q2 with singular values in [0.5, 2], those past ``rank`` zeroed."""
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = rng.uniform(0.5, 2.0, n)
+    s[n if rank is None else rank:] = 0.0
+    return (q1 * s) @ q2
+
+
+def real_case(rng, trial):
+    """An all-real question (weights, vectors of f and of g, u, u_tilde) at dim 1 to 16.
+
+    By ``trial``: both families frames and the witnesses invertible, or a
+    witness that loses a direction, or f of rank dim // 2 carried to g by
+    the witness or by another map (kernels cross), or zero families.
+    """
+    n = 1 + trial % 16
+    kind = trial % 6
+    m = 2 * n
+    w, wt = rng.uniform(0.5, 2.0, m), rng.uniform(0.5, 2.0, m)
+    v, vt = rng.standard_normal((n, m)), rng.standard_normal((n, m))
+    u = _invertible(rng, n)
+    u_tilde = np.linalg.inv(u)
+    if kind == 1:
+        u = _invertible(rng, n, rank=n - max(1, n // 4))
+    elif kind in (2, 3):
+        r = n // 2
+        v = rng.standard_normal((n, r)) @ rng.standard_normal((r, m))
+        vt = (u if kind == 2 else _invertible(rng, n)) @ v
+        wt = w
+    elif kind == 4:
+        v = vt = np.zeros((n, m))
+    elif kind == 5:
+        v = np.zeros((n, m))
+    return w, v, wt, vt, u, u_tilde
+
+
+def ask_all(field, w, v, wt, vt, u, u_tilde):
+    """Every numeric verdict about the question, and the forms built for it."""
+    f, g = BesselFamily(field, len(v), w, v), BesselFamily(field, len(vt), wt, vt)
+    try:
+        onb = onb_witness(f)
+    except NotAFrame:
+        onb = None
+    return {
+        "is_frame": is_frame(f),
+        "onb": onb,
+        "compare": asymp_compare(frame_operator(f), frame_operator(g)),
+        "def": def_equivalent_with_witness(f, g, u, u_tilde),
+        "bridge": bridge_equivalent(
+            f, g, u.conj().T, np.zeros((g.count, f.count)), u_tilde.conj().T, np.zeros((f.count, g.count))
+        ),
+    }
+
+
+def compare_verdicts(answers):
+    a = answers
+    return [a["compare"], a["def"].forward, a["def"].backward, a["bridge"].forward, a["bridge"].backward]
+
+
+def _close(x, y, scale):
+    return abs(x - y) <= AGREE_RTOL * max(abs(y), scale)
+
+
+def test_real_questions_agree_with_their_complex_cast_and_stay_real(monkeypatch):
+    built = []
+    init = RhoForm.__init__
+
+    def spy(self, matrix):
+        init(self, matrix)
+        built.append(self)
+
+    monkeypatch.setattr(RhoForm, "__init__", spy)
+    rng = np.random.default_rng(2028)
+    kinds_equivalent = set()
+    for trial in range(240):  # every dim 1 to 16 with each of the six kinds, 2.5 times
+        case = real_case(rng, trial)
+        built.clear()
+        real = ask_all("real", *case)
+        real_forms = list(built)
+        built.clear()
+        w, v, wt, vt, u, u_tilde = case
+        cplx = ask_all("complex", w, v.astype(complex), wt, vt.astype(complex),
+                       u.astype(complex), u_tilde.astype(complex))
+        assert real_forms and built
+        for p in real_forms:
+            assert (p.matrix.dtype, p.eigenvectors.dtype) == (np.float64, np.float64), trial
+        for p in built:
+            assert (p.matrix.dtype, p.eigenvectors.dtype) == (np.complex128, np.complex128), trial
+
+        fr, fc = real["is_frame"], cplx["is_frame"]
+        assert fr.is_frame == fc.is_frame, trial
+        assert _close(fr.upper, fc.upper, 0.0) and _close(fr.lower, fc.lower, fc.upper), trial
+        assert (real["onb"] is None) == (cplx["onb"] is None) == (not fr.is_frame), trial
+        if real["onb"] is not None:
+            for a, b in zip(real["onb"], cplx["onb"]):
+                assert a.matrix.dtype == np.float64 and a.klass == b.klass
+                assert np.linalg.norm(a.matrix - b.matrix, 2) <= AGREE_RTOL * np.linalg.norm(b.matrix, 2)
+        assert real["def"].equivalent == cplx["def"].equivalent, trial
+        assert real["bridge"].equivalent == cplx["bridge"].equivalent == real["def"].equivalent, trial
+        for vr, vc in zip(compare_verdicts(real), compare_verdicts(cplx)):
+            assert (vr.equivalent, vr.reason) == (vc.equivalent, vc.reason), trial
+            if vr.equivalent:
+                assert _close(vr.k1, vc.k1, 0.0) and _close(vr.k2, vc.k2, 0.0), trial
+                kinds_equivalent.add(trial % 6)
+            for x in (vr.x_min, vr.x_max):
+                assert x is None or x.dtype == np.float64, trial
+    # the rank-deficient and zero kinds reach an equivalent comparison too
+    assert kinds_equivalent >= {0, 2, 4}
+
+
+def test_a_complex_witness_gives_a_real_family_complex_forms():
+    rng = np.random.default_rng(12)
+    w, v, wt, vt, u, u_tilde = real_case(rng, 8)  # dim 9, f of rank 4 carried to g by u
+    f, g = BesselFamily("real", len(v), w, v), BesselFamily("real", len(vt), wt, vt)
+    assert frame_operator(f).matrix.dtype == np.float64
+    uc = u * np.exp(0.3j)  # the same witness up to a phase: the verdict cannot change
+    assert transport_form(uc, frame_operator(f)).matrix.dtype == np.complex128
+    dv = def_equivalent_with_witness(f, g, uc, u_tilde)
+    assert dv.equivalent
+    # only the forward comparison reads the complex witness
+    assert dv.forward.x_min.dtype == np.complex128 and dv.backward.x_min.dtype == np.float64
+    assert np.allclose(dv.constants, def_equivalent_with_witness(f, g, u, u_tilde).constants, rtol=AGREE_RTOL)
