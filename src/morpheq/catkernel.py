@@ -15,9 +15,10 @@ Validation is eager: the constructors raise :class:`InvalidInstance`
 unless told otherwise, and ``validate()`` returns the full list of
 violated axiom instances as data for reporting.  Each cubic law is first
 checked on a generating set (Light's test; Clifford and Preston, 1961,
-§1.2), and in full only when that check fails, to name every instance.
-The rules the package's other checks share (raising on a report,
-repeated ids, table totality) are defined here once.
+§1.2), and in full only when that check fails, to name every instance;
+the laws that read (h g) x = h (g x), a group's and an action's among
+them, share one such check.  The rules the package's other checks share
+(raising on a report, repeated ids, table totality) are defined here once.
 """
 
 from __future__ import annotations
@@ -166,12 +167,17 @@ def _proven(stage, premises, *gens):
     return stage(*(None,) * len(gens))
 
 
-def _action_failures(act, groups, outers_of, composite):
-    """Triples (h, g, x) with ``act[composite(h, g)][x] != act[h][act[g][x]]``.
+def _action_failures(act, groups, outers_of, composite, premises, gens):
+    """Triples (h, g, x) with ``act[composite(h, g)][x] != act[h][act[g][x]]``,
+    checked at the inner gs in ``gens`` first (``_proven``).  ``premises``
+    says the unit laws hold, and h (g1 g2) = (h g1) g2, which for a
+    category's associativity is the law at g1; then the gs where the law
+    holds contain the units, and g1 g2 with g1 and g2: (h (g1 g2)) x =
+    ((h g1) g2) x = (h g1)(g2 x) = h (g1 (g2 x)) = h ((g1 g2) x).
 
     ``act`` maps each k to its row ``{x: k acting on x}`` read in full, as
-    a table's ``full`` rows do.  ``groups`` pairs a non-empty list of xs
-    with the inner gs whose rows are read at them.
+    a table's ``full`` rows do.  ``groups`` lists pairs of a non-empty list
+    of xs with the inner gs whose rows are read at them.
     For each such g and each outer h in ``outers_of(g)`` the law is one
     comparison of two gathered tuples, the row of h . g against the row of
     h read at the values of g's row.  Only a pair whose tuples differ is
@@ -179,20 +185,23 @@ def _action_failures(act, groups, outers_of, composite):
     as the long words of a delooped slice all give its overflow cell,
     gather that composite's row once.
     """
-    out = []
-    for xs, inners in groups:
-        at_xs = _gather(xs)
-        for g in inners:
-            at_gx = _gather(at_xs(act[g]))
-            last = object()  # no composite gathered yet
-            for h in outers_of(g):
-                hg = composite(h, g)
-                if hg is not last:
-                    last, lhs = hg, at_xs(act[hg])
-                rhs = at_gx(act[h])
-                if lhs != rhs:
-                    out.extend((h, g, x) for x, l, r in zip(xs, lhs, rhs) if l != r)
-    return out
+    def failures(keep):
+        out = []
+        for xs, inners in groups:
+            at_xs = _gather(xs)
+            for g in _sift(inners, keep):
+                at_gx = _gather(at_xs(act[g]))
+                last = object()  # no composite gathered yet
+                for h in outers_of(g):
+                    hg = composite(h, g)
+                    if hg is not last:
+                        last, lhs = hg, at_xs(act[hg])
+                    rhs = at_gx(act[h])
+                    if lhs != rhs:
+                        out.extend((h, g, x) for x, l, r in zip(xs, lhs, rhs) if l != r)
+        return out
+
+    return _proven(failures, premises, gens)
 
 
 class Rows(dict):
@@ -376,8 +385,9 @@ def _category_laws(table, unit, source, target, by_source, by_target, code, orde
     Arrows run from ``source`` to ``target``, ``unit`` maps each object to
     its identity, ``by_source`` and ``by_target`` list the arrows by their
     ends, and ``gens`` generates them.  Associativity is rows[h . g] =
-    rows[h] o rows[g] on the f into the source of g; its failures are
-    sorted by ``order(h, g, f)`` read at the positions of the arrows.
+    rows[h] o rows[g] on the f into the source of g, the row law checked at
+    ``gens`` first once the unit laws hold; its failures are sorted by
+    ``order(h, g, f)`` read at the positions of the arrows.
     """
     bad, rows, over = [], table.rows, table.absorbing
     for f in source:
@@ -386,21 +396,12 @@ def _category_laws(table, unit, source, target, by_source, by_target, code, orde
         if rows[f].get(unit[source[f]], over) != f:
             bad.append(Violation(code + "unit-right", f))
 
-    def assoc(keep):
-        """Associativity at the middle arrows g kept.  Given the unit laws it
-        holds at units, and at g1 . g2 if at g1 and g2:
-        (h (g1 g2)) f = ((h g1) g2) f = (h g1)(g2 f) = h (g1 (g2 f)) = h ((g1 g2) f).
-        """
-        return _action_failures(
-            table.full, ((by_target[x], _sift(gs, keep)) for x, gs in by_source.items()),
-            lambda g: by_source.get(target[g], ()), lambda h, g: rows[h].get(g, over),
-        )
-
-    failed = _proven(assoc, not bad, gens)
+    failed = _action_failures(
+        table.full, [(by_target[x], gs) for x, gs in by_source.items()],
+        lambda g: by_source.get(target[g], ()), lambda h, g: rows[h].get(g, over), not bad, gens)
     at = _positions(source)
     return bad + _in_order(
-        (order(at[h], at[g], at[f]), Violation(code + "assoc", f"({h}, {g}, {f})")) for h, g, f in failed
-    )
+        (order(at[h], at[g], at[f]), Violation(code + "assoc", f"({h}, {g}, {f})")) for h, g, f in failed)
 
 
 def _composing(source, target):
@@ -831,22 +832,15 @@ class Finite2Category:
             for k in side.by_dom.get(side.cod[f], ()) if side.rows[k][a] != id2[side.of(k, f)]
         )
 
-        def functorial(keep):
-            """W(k1 . k2) = W(k1) o W(k2) at the inner k2 kept; key (a, side,
-            k2, k1).  Given the whisker-unit laws it holds at units, and at
-            g1 . g2 if at g1 and g2: W(k1 g1 g2) = W(k1 g1) W(g2) =
-            W(k1) W(g1) W(g2) = W(k1) W(g1 g2).
-            """
-            return [
-                ((at2[a], side.right, at1[k2], at1[k1]), Violation(side.name + "-functorial", side.show(k1, k2, a)))
-                for side in sides
-                for k1, k2, a in _action_failures(
-                    side.full, ((side.ending_at[y], _sift(ks, keep)) for y, ks in side.by_dom.items()),
-                    lambda k2: side.by_dom.get(side.cod[k2], ()), side.of,
-                )
-            ]
-
-        bad += _in_order(_proven(functorial, units_hold, gens1))
+        # functoriality W(k1 . k2) = W(k1) o W(k2) is each side's row law over
+        # the lawful 1-skeleton, given the whisker-unit laws; key (a, side, k2, k1)
+        bad += _in_order(
+            ((at2[a], side.right, at1[k2], at1[k1]), Violation(side.name + "-functorial", side.show(k1, k2, a)))
+            for side in sides
+            for k1, k2, a in _action_failures(
+                side.full, [(side.ending_at[y], ks) for y, ks in side.by_dom.items()],
+                lambda k2: side.by_dom.get(side.cod[k2], ()), side.of, units_hold, gens1)
+        )
         if bad:
             return bad
         # every law so far holds, which is all the premises the proofs below use

@@ -11,30 +11,27 @@ be empty.
 
 Groups and actions are stored as rows, ``rows[g][h] = g h`` and
 ``rows[g][x] = g . x``, as every table of :mod:`morpheq.catkernel` is,
-and their associativity and compatibility laws are both checked by the
-kernel's row equation (h g) x = h (g x).  A repeated element or carrier
-name is rejected at construction.  Each action indexes its orbits once;
-for a monoid the index holds mutual-reachability classes.
+and their associativity and compatibility laws are both the kernel's
+gated row law (h g) x = h (g x): checked at the group's generators first
+(Light's test), and in full only to name failures.  Associativity is
+gated once the unit law holds, compatibility once the action's and the
+group's unit laws and associativity hold: a group that validated lawful
+keeps its generators, and its actions reuse them without validating it
+again.  Over any other group compatibility runs in full, and an action
+over a group whose unit is not an element or whose table is not closed
+reports the group's violations.  A repeated element or carrier name is
+rejected at construction.  Each action indexes its orbits once; for a
+monoid the index holds mutual-reachability classes.
 
 The delooping itself is infinite; :func:`deloop_slice` builds the finite
 sub-2-category of chains of length <= max_chain_length + 1.  Its 1-cells
-and composition rows are built with the slice; its 2-cells are defined
-once, by its 2-category.  The witness search reads them only through two
-lookups, the 2-cells between two chains and the chains linked both ways
-to one, answered from the letters' orbits.  So the identity 2-cells, the
-list of 2-cells and the vertical composition and whiskering rows are
-written the first time something reads them (``validate()``, ``cell``,
-``vcomp``, ``whisker_*``, ``hcomp``, symmetry and transitivity).
-Concatenations that would exceed the length bound are collapsed onto a
-single absorbing 1-cell (id ``!overflow``) whose only 2-cell is its
-identity.  The composition rows store only the real concatenations:
-they are sparse ``Rows`` whose absorbing id is the overflow cell, the
-composite of every pair they leave out, so each row holds the words
-short enough to follow or precede its word.  The 2-cell tables are
-dense: each whiskering row still holds the overflow cell at every cell
-too long to take its 1-cell.  The absorbing cell can never bound a
-transporter 2-cell, so verdicts agree with the unbounded delooping for
-every bound.
+and sparse composition rows are built with the slice; its 2-cells are
+defined once, by its 2-category, and written only when something reads
+more than the witness search's two lookups.  Concatenations that would
+exceed the length bound collapse onto a single absorbing 1-cell (id
+``!overflow``) whose only 2-cell is its identity.  The absorbing cell
+can never bound a transporter 2-cell, so verdicts agree with the
+unbounded delooping for every bound.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ import functools
 import itertools
 
 from .catkernel import Cell, Finite2Category, FiniteCategory, FunctorData, Rows, RowTable, Violation
-from .catkernel import _action_failures, _as_rows, _distinct, _in_order, _pairwise, _positions, _raise_on, _total
+from .catkernel import _action_failures, _as_rows, _distinct, _generators, _in_order, _pairwise, _positions, _raise_on, _total
 from .equivalence import EquivData, are_equivalent
 from .errors import InvalidParameter, UnknownElement, UnknownId
 
@@ -60,14 +57,14 @@ def _extra(table, heads, xs, code):
     return [Violation(code, "({}, {})".format(*key)) for key in table if key[0] not in heads or key[1] not in xs]
 
 
-def _compatible(act, elements, xs, mul, code):
+def _compatible(act, elements, xs, mul, code, premises, gens):
     """A ``code`` violation for each (h, g, x) with (h g) x != h (g x), where
     ``act[g][x]`` is g acting on x and ``mul[h][g]`` the product h g, sorted
-    by the positions of h, g and x."""
+    by the positions of h, g and x: the kernel's row law, gated at ``gens``."""
     if not xs:
         return []
     at, ax = _positions(elements), _positions(xs)
-    failed = _action_failures(act, [(list(xs), elements)], lambda g: elements, lambda h, g: mul[h][g])
+    failed = _action_failures(act, [(list(xs), elements)], lambda g: elements, lambda h, g: mul[h][g], premises, gens)
     return _in_order(((at[h], at[g], ax[x]), Violation(code, f"({h}, {g}, {x})")) for h, g, x in failed)
 
 
@@ -80,6 +77,7 @@ class FiniteGroup:
         self.mul_table = _as_rows(mul)
         self.rows = self.mul_table.rows
         self.unit = unit
+        self._gens = None  # set by validate() once the unit and associativity laws hold
         if validate:
             _raise_on(self.validate())
 
@@ -90,12 +88,15 @@ class FiniteGroup:
             raise UnknownElement(f"({g!r}, {h!r}) not in multiplication table") from None
 
     def validate(self):
-        """Closure and extra entries, then the unit law and associativity,
-        then, for a lawful monoid, inverses.  In a finite monoid an element
-        with a right inverse is invertible (Howie, *Fundamentals of Semigroup
-        Theory*, 1995, ch. 1), so one side is searched."""
+        """Closure and extra entries, then the unit law and associativity, then,
+        for a lawful monoid, inverses.  Associativity is the row law, checked
+        at generators first once the unit law holds; when both laws hold the
+        generators are kept for the group's actions.  In a finite monoid an
+        element with a right inverse is invertible (Howie, *Fundamentals of
+        Semigroup Theory*, 1995, ch. 1), so one side is searched."""
         els, rows, unit = self.elements, self.rows, self.unit
         eset = set(els)
+        self._gens = None
         if unit not in eset:
             return [Violation("group-unit", f"unit {unit!r} not an element")]
         bad = _total(rows, els, els, eset, "group-closure") + _extra(self.mul_table, eset, eset, "group-extra")
@@ -104,10 +105,14 @@ class FiniteGroup:
         for g in els:
             if rows[unit][g] != g or rows[g][unit] != g:
                 bad.append(Violation("group-unit", g))
-        bad += _compatible(rows, els, els, rows, "group-assoc")
-        # with no extra entries, a row's values are its element columns
-        if not bad and not all(unit in rows[g].values() for g in els):
-            bad.append(Violation("group-inverse", "some element has no inverse"))
+        one = dict.fromkeys(els, unit)  # every element's ends, the one object
+        gens = _generators(rows, one, one, [unit])
+        bad += _compatible(rows, els, els, rows, "group-assoc", not bad, gens)
+        if not bad:
+            self._gens = gens
+            # with no extra entries, a row's values are its element columns
+            if not all(unit in rows[g].values() for g in els):
+                bad.append(Violation("group-inverse", "some element has no inverse"))
         return bad
 
     @classmethod
@@ -143,14 +148,14 @@ class GroupAction:
     def validate(self):
         group, xs, rows = self.group, self.carrier, self.rows
         els, eset, cset = group.elements, set(group.elements), set(xs)
-        if group.unit not in eset:
-            return group.validate()  # its group-unit fault: the unit law reads the unit's row
+        if group._gens is None and (group.unit not in eset or _total(group.rows, els, els, eset, "group-closure")):
+            return group.validate()  # the laws below read the unit's row and every product
         bad = _total(rows, els, xs, cset, "action-totality") + _extra(self.act_table, eset, cset, "action-extra")
         if bad:
             return bad
-        unit_row = rows[group.unit]
+        unit_row, gens = rows[group.unit], group._gens
         bad = [Violation("action-unit", x) for x in xs if unit_row[x] != x]
-        return bad + _compatible(rows, els, xs, group.rows, "action-compat")
+        return bad + _compatible(rows, els, xs, group.rows, "action-compat", not bad and gens is not None, gens)
 
     @functools.cached_property
     def _transporters(self):

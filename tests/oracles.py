@@ -201,30 +201,32 @@ def group_report_loops(group):
 
 def action_report_loops(action):
     """``GroupAction.validate()`` by hand loops over the pair-keyed tables:
-    the group's unit, totality, then extra entries in table order, then the
-    unit law, then compatibility triple by triple."""
+    the group's report when its unit is not an element or its table is not
+    closed, else totality, then extra entries in table order, then the unit
+    law, then compatibility triple by triple."""
     bad = []
     act = action.act_table
     cset = set(action.carrier)
-    unit = action.group.unit
-    if unit not in action.group.elements:
-        return [Violation("group-unit", f"unit {unit!r} not an element")]
-    for g in action.group.elements:
+    group = action.group
+    els, mul = group.elements, group.mul_table
+    if group.unit not in els or any(mul.get((g, h)) not in els for g in els for h in els):
+        return group_report_loops(group)
+    for g in els:
         for x in action.carrier:
             v = act.get((g, x))
             if v is None or v not in cset:
                 bad.append(Violation("action-totality", f"({g}, {x})"))
     for g, x in act:
-        if g not in action.group.elements or x not in cset:
+        if g not in els or x not in cset:
             bad.append(Violation("action-extra", f"({g}, {x})"))
     if bad:
         return bad
     for x in action.carrier:
-        if act[(action.group.unit, x)] != x:
+        if act[(group.unit, x)] != x:
             bad.append(Violation("action-unit", x))
-    for g in action.group.elements:
-        for h in action.group.elements:
-            gh = action.group.mul_table[(g, h)]
+    for g in els:
+        for h in els:
+            gh = mul[(g, h)]
             for x in action.carrier:
                 if act[(g, act[(h, x)])] != act[(gh, x)]:
                     bad.append(Violation("action-compat", f"({g}, {h}, {x})"))

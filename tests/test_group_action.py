@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -18,6 +19,7 @@ from morpheq import (
     orbit_partition,
     verify_witness,
 )
+from morpheq import catkernel
 from morpheq.catkernel import _generators
 from morpheq.errors import InvalidInstance, InvalidParameter, UnknownElement
 
@@ -149,36 +151,124 @@ def _tamper(rng, table, values, unit, fault):
             table[rng.choice(list(table))] = rng.choice(values)
 
 
+def _tampered(seed):
+    """A builder of one fresh unvalidated group (even seeds) or action (odd
+    seeds) from seeded lawful tables, six in seven of them tampered.  An
+    action is tampered over a lawful group, over a group whose closed table
+    breaks its laws, or over a group whose table is not closed; at every
+    other odd seed the group is validated first, so that a lawful one
+    lends the action its generators.  A tampered group can be a lawful
+    monoid."""
+    rng = random.Random(seed)
+    els, mul, unit, carrier, act = _lawful_tables(rng)
+    fault = rng.choice(["none", "missing", "extra", "outside", "unit", "unit-law", "law"])
+    if seed % 2 == 0:
+        if fault == "unit":
+            unit = "zz"
+        _tamper(rng, mul, els, unit, fault)
+        return lambda: FiniteGroup(els, mul, unit, validate=False)
+    if fault == "unit":  # a group of broken laws, or one not closed
+        _tamper(rng, mul, els, unit, rng.choice(["law", "law", "missing", "outside"]))
+    _tamper(rng, act, carrier, unit, fault)
+
+    def build():
+        group = FiniteGroup(els, mul, unit, validate=False)
+        if seed % 4 == 1:
+            group.validate()
+        return GroupAction(group, carrier, act, validate=False)
+
+    return build
+
+
+def _loop_report(built):
+    return (group_report_loops if isinstance(built, FiniteGroup) else action_report_loops)(built)
+
+
 def test_group_and_action_reports_match_the_loop_oracle():
     # codes, details and order all equal the hand loops' on 1,500 seeded
-    # tables, six in seven of them tampered; an action is tampered over a
-    # lawful group or over a group whose closed table breaks its laws.  A
-    # tampered group can be a lawful monoid, whose missing inverses the
-    # oracle finds by a two-sided search
-    seen = set()
+    # tables; the oracle finds a lawful monoid's missing inverses by a
+    # two-sided search
+    seen, action_codes = set(), set()
     for seed in range(1500):
-        rng = random.Random(seed)
-        els, mul, unit, carrier, act = _lawful_tables(rng)
-        fault = rng.choice(["none", "missing", "extra", "outside", "unit", "unit-law", "law"])
-        if seed % 2 == 0:
-            if fault == "unit":
-                unit = "zz"
-            _tamper(rng, mul, els, unit, fault)
-            g = FiniteGroup(els, mul, unit, validate=False)
-            got = g.validate()
-            assert got == group_report_loops(g), seed
-        else:
-            if fault == "unit":  # a group of broken laws, still closed
-                _tamper(rng, mul, els, unit, "law")
-            _tamper(rng, act, carrier, unit, fault)
-            a = GroupAction(FiniteGroup(els, mul, unit, validate=False), carrier, act, validate=False)
-            got = a.validate()
-            assert got == action_report_loops(a), seed
+        built = _tampered(seed)()
+        got = built.validate()
+        assert got == _loop_report(built), seed
         seen |= {v.code for v in got}
+        if seed % 2:
+            action_codes |= {v.code for v in got}
     assert seen == {
         "group-unit", "group-closure", "group-extra", "group-assoc", "group-inverse",
         "action-totality", "action-extra", "action-unit", "action-compat",
     }
+    assert {"group-closure", "action-compat"} <= action_codes
+
+
+def test_group_and_action_gates_report_what_the_full_laws_report():
+    # associativity and compatibility are checked at the group's generators
+    # first; with every law run in full, as validate() did before the gates,
+    # each tampered group and action must get the same report
+    for seed in range(0, 1500, 3):
+        build = _tampered(seed)
+        gated = build().validate()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(catkernel, "_proven", lambda stage, premises, *gens: stage(*(None,) * len(gens)))
+            assert build().validate() == gated, seed
+
+
+def _klein_four():
+    """V_4 = {e, a, b, c} multiplied by XOR of positions, generated by a and b."""
+    els = ["e", "a", "b", "c"]
+    return els, {(g, h): els[i ^ j] for i, g in enumerate(els) for j, h in enumerate(els)}, "e"
+
+
+def test_a_compatibility_fault_off_the_first_generator_is_reported():
+    # e and a act as the identity, b and c as one 3-cycle: the law holds at
+    # a but not at b, as b b = e acts trivially while b twice is the cycle squared
+    els, mul, unit = _klein_four()
+    cycle = {"p": "q", "q": "r", "r": "p"}
+    group = FiniteGroup(els, mul, unit)
+    assert group._gens == {"a", "b"}
+    action = GroupAction(group, list(cycle), {(g, x): cycle[x] if g in ("b", "c") else x for g in els for x in cycle},
+                         validate=False)
+    got = action.validate()
+    assert [v.code for v in got] == ["action-compat"] * 12
+    assert got == action_report_loops(action)
+
+
+def test_an_associativity_fault_off_the_first_generator_is_reported():
+    # b b = c c = b: still closed and unital, associative at a but not at b
+    els, mul, unit = _klein_four()
+    mul[("b", "b")] = mul[("c", "c")] = "b"
+    group = FiniteGroup(els, mul, unit, validate=False)
+    got = group.validate()
+    assert [v.code for v in got] == ["group-assoc"] * 10
+    assert got == group_report_loops(group)
+
+
+@pytest.mark.parametrize("value", [None, "zz"])
+def test_action_over_a_group_that_is_not_closed_reports_the_group(value):
+    # the compatibility law reads every product, so the group's closure
+    # faults are reported instead, as for a group whose unit is not an element
+    els, mul, unit = ["e", "a"], {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a"}, "e"
+    if value is not None:
+        mul[("a", "a")] = value
+    act = {("e", "p"): "p", ("e", "q"): "q", ("a", "p"): "q", ("a", "q"): "p"}
+    with pytest.raises(InvalidInstance) as exc:
+        GroupAction(FiniteGroup(els, mul, unit, validate=False), ["p", "q"], act)
+    assert exc.value.violations == [Violation("group-closure", "(a, a)")]
+    action = GroupAction(FiniteGroup(els, mul, unit, validate=False), ["p", "q"], act, validate=False)
+    assert action.validate() == action_report_loops(action) == action.group.validate()
+
+
+def test_symmetric_group_of_order_720_validates_with_its_action_within_budget():
+    # S_6: 518,400 products, its laws checked at 5 generators
+    els, mul, unit, carrier, act = _symmetric_group(6)
+    start = time.perf_counter()
+    action = GroupAction(FiniteGroup(els, mul, unit), carrier, act)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"{elapsed:.2f}s over the 2s budget"
+    assert len(action.group._gens) == 5
+    assert orbit_partition(action) == [carrier]
 
 
 # ------------------------------------------------------------------ orbits
