@@ -8,8 +8,8 @@ as rows keyed by the acting cell (``{g: {f: g . f}}``, ``{b: {a: b . a}}``,
 ``{k: {a: k |> a}}`` and ``{k: {a: a <| k}}``), the form every law and the
 witness search read.  The ``*_table`` attributes are read-only views of
 those rows in the keying the constructors take: ``(g, f)``, ``(b, a)``,
-``(k, a)`` and ``(a, k)``.  A table may be sparse: its rows then declare
-an absorbing id, the value of every pair in the table they do not store.
+``(k, a)`` and ``(a, k)``.  A table may be sparse: its view then declares
+an absorbing id, the value of every pair in the table its rows do not store.
 
 Validation is eager: the constructors raise :class:`InvalidInstance`
 unless told otherwise, and ``validate()`` returns the full list of
@@ -122,15 +122,15 @@ def _in_order(found):
     return [v for _, v in sorted(found, key=itemgetter(0))]
 
 
-def _generators(rows, source, target, units):
+def _generators(table, source, target, units):
     """The set of arrows picked, in the order of ``source``, unless a unit or
-    already a composite of earlier picks, in the category stored as rows
-    ``rows[g][f] = g . f``, each entry read as ``rows[g].get(f, absorbing)``.
+    already a composite of earlier picks, in the category stored as the rows
+    of ``table``, ``rows[g][f] = g . f``, each read as ``.get(f, absorbing)``.
     The composites are closed under composing with a pick on the left, so
     every arrow is a unit, a pick, or p . y for a pick p and an arrow y that
     entered that closure before it.
     """
-    units, over = set(units), _absorbing(rows)
+    rows, units, over = table.rows, set(units), table.absorbing
     picks, picked, made, ending = set(), {}, set(), {}  # the picks, their rows by source, the composites, by target
     for f in source:
         if f in units or f in made:
@@ -204,25 +204,6 @@ def _action_failures(act, groups, outers_of, composite, premises, gens):
     return _proven(failures, premises, gens)
 
 
-class Rows(dict):
-    """Sparse rows ``{r: {c: value}}`` of a table: every pair of the table that
-    its row does not store has the ``absorbing`` id as its value.  A table
-    whose rows store every entry keeps them in a plain dict.  Rows of either
-    kind are read one way: an entry as ``rows[r].get(c, _absorbing(rows))``,
-    a lookup in C, and a whole row through its table's ``full`` rows."""
-
-    __slots__ = ("absorbing",)
-
-    def __init__(self, rows=(), *, absorbing):
-        super().__init__(rows)
-        self.absorbing = absorbing
-
-
-def _absorbing(rows):
-    """The absorbing id of sparse ``Rows``; None for rows that store every entry."""
-    return rows.absorbing if isinstance(rows, Rows) else None
-
-
 class _Completed:
     """Sparse rows read in full: row r is ``blanks[r] | rows[r]``, its columns
     mapped to the absorbing id and then to its entries, a merge nothing keeps."""
@@ -243,23 +224,24 @@ class RowTable(Mapping):
     Nothing is copied: a lookup reads one row.  Iteration walks the rows,
     or the keys in the order they were given when that order interleaves
     rows (``order``), so ``dict(view)`` gives back a table entry for entry
-    and order for order.  A view of sparse ``Rows`` needs ``columns``:
-    each row head mapped to the columns of its row, stored or not, in
-    order, each with the absorbing id as its value.  It then holds every
-    such pair, and after them any entry a row stores off its columns, so
-    ``len``, iteration and ``dict(view)`` are those of the dense table.
-    The row shape is settled here, once: ``full`` reads each row in full,
-    as stored when no columns are given and completed over them otherwise.
+    and order for order.  A sparse view declares the ``absorbing`` id, the
+    value of every pair of the table a row does not store, read as
+    ``rows[r].get(c, absorbing)``, and needs ``columns``: each row head
+    mapped to the columns of its row, stored or not, in order, each with
+    the absorbing id as its value.  It then holds every such pair, and
+    after them any entry a row stores off its columns, so ``len``,
+    iteration and ``dict(view)`` are those of the dense table.  ``full``
+    reads each row in full, as stored or completed over its columns.
     """
 
     __slots__ = ("rows", "flipped", "_order", "columns", "absorbing", "full")
 
-    def __init__(self, rows, order=None, flipped=False, columns=None):
+    def __init__(self, rows, order=None, flipped=False, columns=None, absorbing=None):
         self.rows = rows
         self.flipped = flipped
         self._order = order
         self.columns = columns
-        self.absorbing = _absorbing(rows)
+        self.absorbing = absorbing
         self.full = rows if columns is None else _Completed(rows, columns)
 
     def key(self, r, c):
@@ -416,7 +398,7 @@ class FiniteCategory:
 
     Composition is stored as rows, ``rows[g][f] = g . f``, built from the
     ``(g, f)``-keyed table given or, for a ``RowTable``, taken over without
-    a copy.  Sparse ``Rows`` declare an absorbing id: a composable pair a
+    a copy.  A sparse view declares an absorbing id: a composable pair a
     row does not store composes to that id.  ``compose_table`` is the
     read-only view of the rows that iterates in the given order, or, for
     sparse rows, over every composable pair in morphism order.
@@ -443,7 +425,7 @@ class FiniteCategory:
         for g in self.morphisms:
             self.rows.setdefault(g, {})
         columns = {g: ending.get(a.dom, {}) for g, a in self.morphisms.items()}
-        self.compose_table = RowTable(self.rows, columns=columns)
+        self.compose_table = RowTable(self.rows, columns=columns, absorbing=over)
 
     def _check_refs(self):
         objs = set(self.objects)
@@ -536,7 +518,7 @@ class FiniteCategory:
         bad += _gate(self.compose_table, "compose", dom, by_cod, bounds, _composing(dom, cod))
         if bad:
             return bad, None  # unit/assoc checks assume a total, boundary-correct table
-        gens = _generators(self.rows, dom, cod, self.identity.values())
+        gens = _generators(self.compose_table, dom, cod, self.identity.values())
         return _category_laws(
             self.compose_table, self.identity, dom, cod, by_dom, by_cod, "", lambda h, g, f: (f, g, h), gens), gens
 
@@ -555,46 +537,48 @@ class FiniteCategory:
 _SIDES = {False: ("whisker-left", "dom", "cod"), True: ("whisker-right", "cod", "dom")}
 
 
+def _transposed(table, cod, by_dom):
+    """The columns of a composition ``table`` as the rows of a view: row k maps
+    each f from ``cod[k]`` to f . k, a sparse table's rows staying sparse
+    over its absorbing id and completed over those f."""
+    rows, over = {k: {} for k in cod}, table.absorbing
+    for f, frow in table.rows.items():
+        for k, v in frow.items():
+            rows[k][f] = v
+    blank = {x: dict.fromkeys(fs, over) for x, fs in by_dom.items()}
+    return RowTable(rows, columns=None if over is None else {k: blank[x] for k, x in cod.items()}, absorbing=over)
+
+
 class _Side:
     """Whiskering on one side of a ``Finite2Category``, read as the left side.
 
     Whiskering on the right is whiskering on the left in the 2-category
     with its 1-cells reversed: ``dom`` and ``cod`` swap and k after f is
     f . k, so one code path checks both sides.  ``rows[k][a]`` is a
-    whiskered by k (``full`` reads such a row in full), ``by_dom`` lists
-    the 1-cells by ``dom``, and ``ending_at`` the 2-cells by the object
-    where their 1-cells end, both on this reading.
+    whiskered by k (``full`` reads such a row in full), ``composites`` is a
+    view of rows ``{k: {f: k after f}}``, ``by_dom`` lists the 1-cells by
+    ``dom``, and ``ending_at`` the 2-cells by the object where their
+    1-cells end, all on this reading.
     """
 
-    def __init__(self, d, right, dom, cod, by_dom, ending_at, bounds):
+    def __init__(self, d, right, composites, dom, cod, by_dom, ending_at, bounds):
         self.right = right
         self.name = _SIDES[right][0]
         self.table = d.wr_table if right else d.wl_table
         self.rows, self.full = self.table.rows, self.table.full
-        composites = d.skeleton.compose_table
         self._composites, self._over, self._lines = composites.rows, composites.absorbing, composites.full
         self._bounds = bounds
         self.dom, self.cod, self.by_dom, self.ending_at = dom, cod, by_dom, ending_at
 
     def of(self, k, f):
         """k after f on this side: ``k . f``, or ``f . k`` on the right."""
-        if self.right:
-            return self._composites[f].get(k, self._over)
         return self._composites[k].get(f, self._over)
 
     def ends(self, *parts):
         """The boundary pair of each 2-cell of the rows of ``parts`` whiskered
-        by its row's 1-cell, read in the composition row of that 1-cell in
-        full or, on the right, in its column, gathered from the stored
-        entries once and completed by the absorbing id."""
-        comp, bounds, line = self._composites, self._bounds, self._lines.__getitem__
-        if self.right:
-            columns, blank, empty = {}, dict.fromkeys(comp, self._over), {}
-            for f, frow in comp.items():
-                for k, v in frow.items():
-                    columns.setdefault(k, {})[f] = v
-            line = lambda k: blank | columns.get(k, empty)
-        return [(ck[f], ck[g]) for rows in parts for k, row in rows.items() for ck in (line(k),)
+        by its row's 1-cell, read in that 1-cell's row of composites in full."""
+        bounds, line = self._bounds, self._lines
+        return [(ck[f], ck[g]) for rows in parts for k, row in rows.items() for ck in (line[k],)
                 for f, g in map(bounds.__getitem__, row)]
 
     def show(self, *terms):
@@ -802,8 +786,9 @@ class Finite2Category:
             starting_at.setdefault(dom[f], []).append(c)
             ending_at.setdefault(cod[f], []).append(c)
         vrow = self.vcomp_table.full
-        left = _Side(self, False, dom, cod, by_dom, ending_at, bounds)
-        right = _Side(self, True, cod, dom, by_cod, starting_at, bounds)
+        composites = self.skeleton.compose_table
+        left = _Side(self, False, composites, dom, cod, by_dom, ending_at, bounds)
+        right = _Side(self, True, _transposed(composites, cod, by_dom), cod, dom, by_cod, starting_at, bounds)
         sides = (left, right)
         bad += _gate(self.vcomp_table, "vcomp", src, cells_to, bounds, _composing(src, tgt))
         for side in sides:
@@ -816,7 +801,7 @@ class Finite2Category:
         # empty.  Each law is an equation between rows, checked at generators
         # first; a stage's failures are sorted by its key, a loop's order.
         identity = self.skeleton.identity
-        gens2 = _generators(self.vcomp_table.rows, src, tgt, id2.values())
+        gens2 = _generators(self.vcomp_table, src, tgt, id2.values())
         bad += _category_laws(
             self.vcomp_table, id2, src, tgt, cells_from, cells_to, "vcomp-", lambda c, b, a: (b, a, c), gens2)
 
@@ -995,7 +980,7 @@ class FunctorData:
                 bad.append(Violation("functor-identity", x))
         by_cod = _index(src.morphisms.values(), lambda a: a.cod)
         mm, target_rows = self.morphism_map, self.target.skeleton.rows
-        over, target_over = _absorbing(src.rows), _absorbing(target_rows)
+        over, target_over = src.compose_table.absorbing, self.target.skeleton.compose_table.absorbing
         for g in src.morphisms.values():
             for f in by_cod.get(g.dom, ()):
                 lhs = mm[src.rows[g.id].get(f.id, over)]

@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .catkernel import Cell, Finite2Category, FiniteCategory, FunctorData, Rows, RowTable, Violation
+from .catkernel import Cell, Finite2Category, FiniteCategory, FunctorData, RowTable, Violation
 from .catkernel import _action_failures, _as_rows, _distinct, _generators, _in_order, _pairwise, _positions, _raise_on, _total
 from .equivalence import EquivData, are_equivalent
 from .errors import InvalidParameter, UnknownElement, UnknownId
@@ -106,7 +106,7 @@ class FiniteGroup:
             if rows[unit][g] != g or rows[g][unit] != g:
                 bad.append(Violation("group-unit", g))
         one = dict.fromkeys(els, unit)  # every element's ends, the one object
-        gens = _generators(rows, one, one, [unit])
+        gens = _generators(self.mul_table, one, one, [unit])
         bad += _compatible(rows, els, els, rows, "group-assoc", not bad, gens)
         if not bad:
             self._gens = gens
@@ -147,14 +147,13 @@ class GroupAction:
 
     def validate(self):
         group, xs, rows = self.group, self.carrier, self.rows
-        els, eset, cset = group.elements, set(group.elements), set(xs)
-        if group._gens is None and (group.unit not in eset or _total(group.rows, els, els, eset, "group-closure")):
+        els, eset, cset, gens = group.elements, set(group.elements), set(xs), group._gens
+        if gens is None and (group.unit not in eset or _total(group.rows, els, els, eset, "group-closure")):
             return group.validate()  # the laws below read the unit's row and every product
         bad = _total(rows, els, xs, cset, "action-totality") + _extra(self.act_table, eset, cset, "action-extra")
         if bad:
             return bad
-        unit_row, gens = rows[group.unit], group._gens
-        bad = [Violation("action-unit", x) for x in xs if unit_row[x] != x]
+        bad = [Violation("action-unit", x) for x in xs if rows[group.unit][x] != x]  # per x: the empty carrier has no rows
         return bad + _compatible(rows, els, xs, group.rows, "action-compat", not bad and gens is not None, gens)
 
     @functools.cached_property
@@ -162,7 +161,7 @@ class GroupAction:
         """(x, y) -> the group elements sending x to y, in element order."""
         table = {}
         for g in self.group.elements:
-            row = self.rows[g]
+            row = self.rows.get(g, {})  # an action on the empty carrier stores no rows
             for x in self.carrier:
                 table.setdefault((x, row[x]), []).append(g)
         return {key: tuple(gs) for key, gs in table.items()}
@@ -376,17 +375,17 @@ class DeloopedSlice:
         # i * k^b + j for g = blocks[a][i], f = blocks[b][j] and k letters:
         # g's composites with the words of length b are one slice of the
         # length a + b block; longer concatenations, and every composite
-        # with the overflow cell, are left to the rows' absorbing id
+        # with the overflow cell, are left to the view's absorbing id
         ids = [wid[w] for w in words] + [OVERFLOW]
         id_blocks = [[wid[w] for w in block] for block in blocks]
-        rows = Rows(absorbing=OVERFLOW)
+        rows = {}
         for a, gs in enumerate(id_blocks):
             for i, g in enumerate(gs):
                 row = rows[g] = {}
                 for b, fs in enumerate(id_blocks[:bound + 1 - a]):
                     row.update(zip(fs, id_blocks[a + b][i * len(fs):(i + 1) * len(fs)]))
 
-        self.category = FiniteCategory([obj], one_cells, {obj: wid[()]}, RowTable(rows), validate=False)
+        self.category = FiniteCategory([obj], one_cells, {obj: wid[()]}, RowTable(rows, absorbing=OVERFLOW), validate=False)
         self.two_category = _SliceTwoCategory(action, wid, self.category)
         ident = FunctorData(self.category, self.two_category, {obj: obj}, {m: m for m in ids}, validate=False)
         self.equiv = EquivData(self.category, self.two_category, ident, ident, ident, validate=False)

@@ -165,7 +165,7 @@ def zero_on_b(edit=None, absorbing="z"):
         edit(rows)
     return FiniteCategory(
         ["A", "B"], [("idA", "A", "A"), ("idB", "B", "B"), ("f", "A", "B"), ("o", "A", "B"), ("z", "B", "B")],
-        {"A": "idA", "B": "idB"}, catkernel.RowTable(catkernel.Rows(rows, absorbing=absorbing)), validate=False,
+        {"A": "idA", "B": "idB"}, catkernel.RowTable(rows, absorbing=absorbing), validate=False,
     )
 
 
@@ -728,3 +728,31 @@ def test_functor_boundary_compatibility_enforced():
     bad = {"idA": "idA", "idB": "idB", "m": "idA", "mt": "mt"}
     with pytest.raises(InvalidInstance):
         MorphismFunction(c, d, {"A": "A", "B": "B"}, bad)
+
+
+def _two_cat_edited(edit):
+    """``walking_pair_two_cat()`` rebuilt unvalidated after ``edit`` changes its
+    positional parts up to the vcomp table."""
+    d = walking_pair_two_cat()
+    parts = list(_two_cat_parts(d))
+    edit(parts)
+    return Finite2Category(*parts, dict(d.vcomp_table), dict(d.wl_table), dict(d.wr_table), validate=False)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: chain3().id_of("D"), UnknownId, "unknown object 'D'"),
+    (lambda: walking_pair_two_cat().cell("zz"), UnknownId, "unknown 2-cell 'zz'"),
+    (lambda: walking_pair_two_cat().id_two("zz"), UnknownId, "unknown 1-cell 'zz'"),
+    (lambda: _two_cat_edited(lambda p: p[5].pop("m")).id_two("m"), InvalidInstance, "1 violation(s): id2-missing: m"),
+    (lambda: _two_cat_edited(lambda p: p[4].append(("x", "m", "zz"))), UnknownId, "2-cell 'x' has unknown boundary"),
+    (lambda: FunctorData(chain3(), walking_pair_two_cat(), {"A": "A", "B": "B"}, {}),
+     UnknownId, "object map misses 'C'"),
+    (lambda: FunctorData(chain3(), walking_pair_two_cat(), {"A": "A", "B": "B", "C": "Z"}, {}),
+     UnknownId, "object map sends 'C' to unknown 'Z'"),
+    (lambda: FunctorData(chain3(), walking_pair_two_cat(), dict.fromkeys("ABC", "A"), dict.fromkeys(
+        chain3().morphisms, "zz")), UnknownId, "morphism map sends 'idA' to unknown 'zz'"),
+])
+def test_lookups_and_references_name_what_is_unknown(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -73,6 +73,20 @@ def test_family_shape_checks():
     assert f.weights.dtype == float and f.weights[0] == 2.0
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: BesselFamily("real", 2, [[1.0, 1.0]], np.eye(2)), DimensionMismatch, "weights must be a vector"),
+    (lambda: RhoForm([[1.0, 1.0], [0.0, 1.0]]), InvalidValue, "matrix is not hermitian"),
+    (lambda: RhoForm([[1.0, 0.0], [0.0, -1.0]]), InvalidValue, "matrix is not positive semidefinite (min eig -1)"),
+    (lambda: asymp_compare(RhoForm(np.eye(2)), RhoForm(np.eye(3))), DimensionMismatch, "forms have dims 2 and 3"),
+    (lambda: def_equivalent_with_witness(standard_basis(2), standard_basis(3), np.ones((3, 2)), np.eye(3)),
+     DimensionMismatch, "u_tilde must be 2 x 3, got (3, 3)"),
+])
+def test_input_guards_name_the_fault(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_analysis_uses_second_argument_conjugation():
     # coefficient i of x is <x, f_i> = f_i* x
     f = BesselFamily("complex", 2, [1.0], np.array([[1j], [0.0]]))

@@ -21,7 +21,7 @@ from morpheq import (
 )
 from morpheq import catkernel
 from morpheq.catkernel import _generators
-from morpheq.errors import InvalidInstance, InvalidParameter, UnknownElement
+from morpheq.errors import InvalidInstance, InvalidParameter, UnknownElement, UnknownId
 
 from instance_gen import (
     fixed_actions,
@@ -344,7 +344,7 @@ def test_slice_one_cells_are_generated_by_the_letters():
     for bound in (0, 1, 2):
         c = deloop_slice(swap_action(), bound).category
         dom = {m: a.dom for m, a in c.morphisms.items()}
-        assert _generators(c.rows, dom, dom, c.identity.values()) == {"[a]", "[b]", "[c]"}
+        assert _generators(c.compose_table, dom, dom, c.identity.values()) == {"[a]", "[b]", "[c]"}
 
 
 def _slice_cases():
@@ -555,6 +555,43 @@ def test_sparse_slices_match_their_dense_skeletons():
         assert equivalence_classes(sparse) == equivalence_classes(dense), i
         assert sparse.d.validate() == dense.d.validate(), i
         assert sparse.violations() == dense.violations() == [], i  # the functor laws read both skeletons
+
+
+def test_failing_reports_over_sparse_composition_rows_match_dense_ones():
+    # one whiskering entry per side rerouted off its boundary and one left
+    # out: each side gates the boundaries it reads through the skeleton's
+    # absorbing id, the right side by column, as a dense skeleton does
+    rng = random.Random(11)
+    for name, act in fixed_actions():
+        for bound in (0, 1):
+            s = deloop_slice(act, bound)
+            d = s.two_category
+            boundary = {c.id: (c.src, c.tgt) for c in d.two_cells.values()}
+            wl, wr = dict(d.wl_table), dict(d.wr_table)
+            for table in (wl, wr):
+                moved, dropped = rng.sample(sorted(table), 2)
+                table[moved] = next(c for c, b in boundary.items() if b != boundary[table[moved]])
+                del table[dropped]
+            reports = [
+                Finite2Category(d.objects, d.one_cells.values(), d.skeleton.identity, compose, d.two_cells.values(),
+                                d.identity2, dict(d.vcomp_table), wl, wr, validate=False).validate()
+                for compose in (s.category.compose_table, dict(s.category.compose_table))
+            ]
+            assert reports[0] == reports[1], (name, bound)
+            assert {v.code for v in reports[0]} == {
+                "whisker-left-boundary", "whisker-left-missing", "whisker-right-boundary", "whisker-right-missing"}
+
+
+def test_an_action_on_the_empty_carrier_is_lawful():
+    a = GroupAction(FiniteGroup.cyclic(2), [], {})
+    assert a.validate() == []
+    assert orbit_partition(a) == []
+
+
+def test_slice_identity_cells_name_an_unknown_one_cell():
+    with pytest.raises(UnknownId) as exc:
+        deloop_slice(swap_action(), 1).two_category.id_two("zz")
+    assert str(exc.value) == "unknown 1-cell 'zz'"
 
 
 def test_monoid_with_a_one_way_letter_is_decided():

@@ -59,8 +59,14 @@ def test_numeric_window_builds_its_own_order():
 
 
 def test_opaque_carrier_needs_explicit_order():
-    with pytest.raises(ValueError):
-        PreordObject("W", ["lo", "hi"])
+    with pytest.raises(ValueError, match="^opaque carriers need an explicit order$"):
+        PreordObject("W", ["lo", "hi"], act={})
+
+
+def test_scalar_maps_need_numeric_carriers():
+    w = PreordObject("W", ["lo", "hi"], leq=[("lo", "lo"), ("lo", "hi"), ("hi", "hi")], act={})
+    with pytest.raises(ValueError, match="^scalar maps need numeric carriers$"):
+        scalar_map("twice", 2, w, w)
 
 
 def test_broken_orders_reported():

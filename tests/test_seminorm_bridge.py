@@ -89,6 +89,11 @@ def test_leq_zero_reference():
     assert not leq_seminorm(z, ambient_norm(2))
 
 
+def test_leq_needs_one_dimension():
+    with pytest.raises(DimensionMismatch, match=r"^seminorms live on dims 2 and 3$"):
+        leq_seminorm(ambient_norm(2), ambient_norm(3))
+
+
 def test_leq_agrees_with_pointwise_sampling():
     rng = np.random.default_rng(13)
     for trial in range(30):
