@@ -422,7 +422,9 @@ def main(argv=None) -> int:
         return 2
     base = {"schema_version": SCHEMA_VERSION, "verb": args.verb}
     try:
-        code, body = _dispatch(args)
+        # a finite input may overflow; the finiteness checks downstream report it
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, body = _dispatch(args)
     except MorpheqError as exc:
         code, body = 2, {"error": {"type": type(exc).__name__, "message": str(exc)}}
     except Exception as exc:  # a crash must not read as the answer "no"

@@ -21,7 +21,11 @@ BLAS and LAPACK; a family's field names the dtype of its vectors.
 A family and its frame form are read-only values: their arrays cannot
 be written.  ``frame_operator`` keeps the forms of the last two
 families asked, so a question about one family or a pair (f, f~)
-builds each family's form once.
+builds each family's form once.  ``def_equivalent_with_witness`` keeps
+its last answer, keyed by the families' identity, the witnesses'
+contents and ``tol_rank``, so a witnessed comparison asked twice in a
+row (directly and through the bridge) is computed once; a verdict's
+vectors are read-only too, since its callers share it.
 """
 
 from __future__ import annotations
@@ -236,7 +240,7 @@ def asymp_compare(a: RhoForm, b: RhoForm, *, tol_rank=TOL_RANK) -> CompareVerdic
     def back(yvec):
         x = q @ (inv_sqrt * yvec)
         nrm = np.linalg.norm(x)
-        return x / nrm if nrm else x
+        return _frozen(x / nrm if nrm else x)  # callers of a kept verdict share it
 
     return CompareVerdict(True, k1, k2, x_min=back(y[:, 0]), x_max=back(y[:, -1]))
 
@@ -301,6 +305,17 @@ class DefEquivVerdict:
         return (self.forward.k1, self.forward.k2, self.backward.k1, self.backward.k2)
 
 
+def _contents_key(m):
+    """Shape, dtype and a 128-bit digest of m's bytes in C order: m's value, not its identity."""
+    import hashlib  # on first use, so importing the package loads no hash module
+
+    digest = hashlib.blake2b(np.ascontiguousarray(m), digest_size=16).digest()
+    return m.shape, m.dtype.str, digest
+
+
+_last_question = None  # (key, verdict) of the last witnessed comparison, replaced whole
+
+
 def def_equivalent_with_witness(
     f: BesselFamily, f_tilde: BesselFamily, u, u_tilde, *, tol_rank=TOL_RANK
 ) -> DefEquivVerdict:
@@ -309,16 +324,28 @@ def def_equivalent_with_witness(
     ``u`` carries f's form to f_tilde's space and ``u_tilde`` the other
     way; the verdict asks that the transported form of f be comparable
     to the form of f_tilde and symmetrically.
+
+    The last question answered is kept: the same families (by identity),
+    witnesses of the same contents and the same ``tol_rank`` return the
+    same read-only verdict, so ``bridge_equivalent`` asked after this
+    test, or before it, compares nothing twice.
     """
+    global _last_question
     u, u_tilde = _as_operator(u), _as_operator(u_tilde)
     if u.shape != (f_tilde.dim, f.dim):
         raise DimensionMismatch(f"u must be {f_tilde.dim} x {f.dim}, got {u.shape}")
     if u_tilde.shape != (f.dim, f_tilde.dim):
         raise DimensionMismatch(f"u_tilde must be {f.dim} x {f_tilde.dim}, got {u_tilde.shape}")
+    key = (f, f_tilde, _contents_key(u.matrix), _contents_key(u_tilde.matrix), tol_rank)
+    last = _last_question
+    if last is not None and last[0] == key:
+        return last[1]
     pf, pt = frame_operator(f), frame_operator(f_tilde)
     fwd = asymp_compare(transport_form(u, pf), pt, tol_rank=tol_rank)
     bwd = asymp_compare(transport_form(u_tilde, pt), pf, tol_rank=tol_rank)
-    return DefEquivVerdict(fwd.equivalent and bwd.equivalent, fwd, bwd)
+    verdict = DefEquivVerdict(fwd.equivalent and bwd.equivalent, fwd, bwd)
+    _last_question = (key, verdict)
+    return verdict
 
 
 @dataclass(frozen=True)
@@ -357,7 +384,7 @@ def onb_witness(f: BesselFamily, *, tol_rank=TOL_RANK):
 def probe_vectors(dim, count, *, seed=0, field="complex"):
     """Deterministic probe set: the standard basis, then seeded gaussians."""
     rng = np.random.default_rng(seed)
-    pts = [np.eye(dim)[:, j] for j in range(dim)]
+    pts = list(np.eye(dim))  # its rows: the identity is symmetric
     for _ in range(count):
         z = rng.standard_normal(dim)
         if field == "complex":

@@ -18,7 +18,9 @@ weighted family f is the matrix diag(sqrt(mu)) V* and its pullback norm
 is exactly the family's quadratic seminorm.  ``bridge_equivalent``
 decides two-sided comparability of two families through transport
 operators and returns the four scalar cells certifying it; its verdict
-is the direct spectral test in ``frames``.
+is the direct spectral test in ``frames``, which keeps its last answer,
+so asking the bridge and the direct test about the same witnesses
+compares the forms once.
 """
 
 from __future__ import annotations

@@ -470,6 +470,31 @@ def test_non_finite_constant_exits_two(tmp_path, name, verb, tamper):
     assert out["error"]["type"] == "ParseError"
 
 
+def _overflow_vectors(doc):
+    doc["vectors"] = [[x * 1e160 for x in v] for v in doc["vectors"]]
+
+
+def _overflow_u1(doc):
+    doc["u1"] = [[1e300] * len(row) for row in doc["u1"]]
+
+
+@pytest.mark.parametrize("name, verb, tamper", [
+    ("mercedes.json", "frame", _overflow_vectors),
+    ("bridge_demo.json", "bridge", _overflow_u1),
+])
+def test_finite_input_that_overflows_exits_two(capsys, tmp_path, name, verb, tamper):
+    # every entry is finite but a product overflows; with warnings as errors
+    # the overflow warning must not turn the input error into a crash
+    doc = json.loads((INSTANCES / name).read_text())
+    tamper(doc)
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    code = cli.main(["--input", str(p), "--verb", verb, "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    assert json.loads(captured.out)["error"]["type"] == "InvalidValue"
+
+
 def test_schema_violation_exits_two(tmp_path):
     p = tmp_path / "extra.json"
     p.write_text(json.dumps({

@@ -478,7 +478,7 @@ def one_question(f, g, u, u_tilde):
     )
 
 
-def test_one_question_builds_each_frame_form_once(monkeypatch):
+def test_one_question_builds_each_form_once(monkeypatch):
     f, g, u, u_tilde = gaussian_pair(np.random.default_rng(21), 4, "complex")
     built = []
     init = RhoForm.__init__
@@ -491,8 +491,14 @@ def test_one_question_builds_each_frame_form_once(monkeypatch):
     frame_operator.cache_clear()
     one_question(f, g, u, u_tilde)
     assert built.count("frame_operator") == 2
-    # the other forms are the four transported ones of the two comparisons
-    assert built.count("transport_form") == 4 and len(built) == 6
+    # the bridge reads the direct test's answer: two transported forms, not four
+    assert built.count("transport_form") == 2 and len(built) == 4
+
+
+def uncached(m):
+    """Within this context no witnessed comparison is served from the last answer."""
+    m.setattr(frames, "frame_operator", frame_operator.__wrapped__)
+    m.setattr(frames, "_contents_key", lambda a: object())  # a key equal to no other
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -506,9 +512,11 @@ def test_cached_forms_and_verdicts_equal_the_uncached_computation(field, monkeyp
                 assert np.array_equal(getattr(cached, attr), getattr(fresh, attr))
         frame_operator.cache_clear()
         with_cache = one_question(f, g, u, u_tilde)
+        assert with_cache[3].forward is with_cache[2].forward  # the bridge was served
         with monkeypatch.context() as m:
-            m.setattr(frames, "frame_operator", frame_operator.__wrapped__)
+            uncached(m)
             without = one_question(f, g, u, u_tilde)
+        assert without[3].forward is not without[2].forward
         assert with_cache[0] == without[0]
         for a, b in zip(with_cache[1], without[1]):
             assert np.array_equal(a.matrix, b.matrix)
@@ -517,6 +525,77 @@ def test_cached_forms_and_verdicts_equal_the_uncached_computation(field, monkeyp
             for cv, cw in ((dv.forward, dw.forward), (dv.backward, dw.backward)):
                 assert (cv.equivalent, cv.k1, cv.k2, cv.reason) == (cw.equivalent, cw.k1, cw.k2, cw.reason)
                 assert np.array_equal(cv.x_min, cw.x_min) and np.array_equal(cv.x_max, cw.x_max)
+
+
+def test_a_witness_changed_in_place_is_compared_again(monkeypatch):
+    f, g, u, u_tilde = gaussian_pair(np.random.default_rng(8), 4, "real")
+    first = def_equivalent_with_witness(f, g, u, u_tilde)
+    assert def_equivalent_with_witness(f, g, u, u_tilde) is first
+    u[0, 0] += 1.0
+    again = def_equivalent_with_witness(f, g, u, u_tilde)
+    assert again is not first
+    # an equal copy is the same question
+    assert def_equivalent_with_witness(f, g, u.copy(), u_tilde.copy()) is again
+    with monkeypatch.context() as m:
+        uncached(m)
+        fresh = def_equivalent_with_witness(f, g, u, u_tilde)
+    assert again.constants == fresh.constants != first.constants
+    # the same values in another dtype are another question too
+    assert def_equivalent_with_witness(f, g, u.astype(complex), u_tilde) is not again
+
+
+def test_another_tol_rank_is_another_question():
+    f = standard_basis(2)
+    u = np.diag([1.0, 1e-6])  # carries f's form to diag(1, 1e-12)
+    strict = def_equivalent_with_witness(f, f, u, np.eye(2))
+    assert not strict.equivalent and strict.forward.reason == "kernel mismatch: ranks differ"
+    loose = def_equivalent_with_witness(f, f, u, np.eye(2), tol_rank=1e-14)
+    assert loose.equivalent
+    assert def_equivalent_with_witness(f, f, u, np.eye(2)) is not loose
+
+
+def test_a_new_question_frees_the_last_one_s_families():
+    rng = np.random.default_rng(4)
+    f, g, u, u_tilde = gaussian_pair(rng, 3, "real")
+    def_equivalent_with_witness(f, g, u, u_tilde)
+    gone = weakref.ref(f), weakref.ref(g)
+    del f, g
+    h, k, u, u_tilde = gaussian_pair(rng, 3, "real")
+    def_equivalent_with_witness(h, k, u, u_tilde)
+    gc.collect()
+    assert gone[0]() is None and gone[1]() is None
+
+
+def test_a_shared_verdict_s_vectors_are_read_only():
+    f, g, u, u_tilde = gaussian_pair(np.random.default_rng(6), 3, "complex")
+    dv = def_equivalent_with_witness(f, g, u, u_tilde)
+    assert dv.equivalent
+    for cv in (dv.forward, dv.backward):
+        for x in (cv.x_min, cv.x_max):
+            with pytest.raises(ValueError):
+                x[0] = 0.0
+
+
+@pytest.mark.parametrize("equivalent, eighs", [(True, 6), (False, 5)])
+def test_one_question_makes_each_eigendecomposition_once(monkeypatch, equivalent, eighs):
+    # two frame forms, two transported forms and one whitening per comparison
+    # that reaches it; a kernel mismatch stops the forward one before it
+    rng = np.random.default_rng(9)
+    f, g, u, u_tilde = gaussian_pair(rng, 5, "real")
+    if not equivalent:
+        u = _invertible(rng, 5, rank=4)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    frame_operator.cache_clear()
+    answers = one_question(f, g, u, u_tilde)
+    assert answers[2].equivalent == answers[3].equivalent == equivalent
+    assert len(calls) == eighs
 
 
 def test_cache_keeps_at_most_two_families_alive():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,50 @@ def test_bridge_matches_direct_route_exactly():
             assert v.backward.k2 == direct.backward.k2
 
 
+def _witness(rng, field, n, rank=None):
+    """Q1 diag(s) Q2 with singular values in [0.5, 2], those past ``rank`` zeroed."""
+    def gauss(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if field == "complex" else z
+
+    q1, _ = np.linalg.qr(gauss(n, n))
+    q2, _ = np.linalg.qr(gauss(n, n))
+    s = rng.uniform(0.5, 2.0, n)
+    s[n if rank is None else rank:] = 0.0
+    return (q1 * s) @ q2
+
+
+def _gaussian_family(rng, field, n):
+    vecs = rng.standard_normal((n, 2 * n))
+    if field == "complex":
+        vecs = vecs + 1j * rng.standard_normal((n, 2 * n))
+    return BesselFamily(field, n, rng.uniform(0.5, 2.0, 2 * n), vecs)
+
+
+def test_bridge_cells_hold_as_seminorm_cells_and_are_tight():
+    # the categorical reading of the verdict: K1 . a <= b <= K2 . a with a
+    # the seminorm of f pulled back along u1 and b that of f~, and the same
+    # backwards along v1; each cell fails once its scalar is raised by 1%
+    rng = np.random.default_rng(31)
+    for trial in range(48):
+        n, field = 2 + trial % 7, ("real", "complex")[trial % 2]
+        f, ft = _gaussian_family(rng, field, n), _gaussian_family(rng, field, n)
+        u1, v1 = _witness(rng, field, n), _witness(rng, field, n)
+        v = bridge_equivalent(f, ft, u1, np.eye(2 * n), v1, np.eye(2 * n))
+        assert v.equivalent, trial
+        c, c_t, d, d_t = v.cells
+        a, b = SeminormRep(1.0, f.weighted_analysis_matrix() @ u1), weighted_analysis_rep(ft)
+        a_, b_ = SeminormRep(1.0, ft.weighted_analysis_matrix() @ v1), weighted_analysis_rep(f)
+        for cell, src, tgt in ((c, b, a), (c_t, a, b), (d, b_, a_), (d_t, a_, b_)):
+            assert cell_holds(cell, src, tgt), trial
+            assert not cell_holds(1.01 * cell, src, tgt), trial
+    f, ft = _gaussian_family(rng, "real", 4), _gaussian_family(rng, "real", 4)
+    for u1, v1 in ((_witness(rng, "real", 4, rank=3), _witness(rng, "real", 4)),
+                   (_witness(rng, "real", 4), _witness(rng, "real", 4, rank=2))):
+        v = bridge_equivalent(f, ft, u1, np.eye(8), v1, np.eye(8))
+        assert not v.equivalent and v.cells is None
+
+
 def test_bridge_shape_guards():
     f, g = standard_basis(2), standard_basis(3)
     with pytest.raises(DimensionMismatch):
@@ -317,3 +363,24 @@ def test_probe_vectors_are_deterministic():
     assert np.array_equal(a[0], np.eye(3)[:, 0])
     c = probe_vectors(3, 5, seed=10)
     assert not np.array_equal(a[-1], c[-1])
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_probe_vectors_are_the_basis_then_the_seeded_gaussians(field):
+    dim, count, seed = 6, 4, 11
+    rng = np.random.default_rng(seed)
+    want = [np.eye(dim)[:, j] for j in range(dim)]
+    for _ in range(count):
+        z = rng.standard_normal(dim)
+        want.append(z + 1j * rng.standard_normal(dim) if field == "complex" else z)
+    got = probe_vectors(dim, count, seed=seed, field=field)
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_probe_vectors_build_a_large_basis_from_one_identity():
+    start = time.perf_counter()
+    pts = probe_vectors(1024, 2, seed=0)
+    assert time.perf_counter() - start < 0.5
+    assert len(pts) == 1026 and np.array_equal(pts[1023], np.eye(1024)[:, 1023])
