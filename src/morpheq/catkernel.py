@@ -449,7 +449,7 @@ class FiniteCategory:
     def arrow(self, m):
         try:
             return self.morphisms[m]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: m is unhashable
             raise UnknownId(f"unknown morphism {m!r}") from None
 
     def dom(self, m):
@@ -679,7 +679,7 @@ class Finite2Category:
     def cell(self, a):
         try:
             return self.two_cells[a]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: a is unhashable
             raise UnknownId(f"unknown 2-cell {a!r}") from None
 
     def compose(self, g, f):
@@ -695,7 +695,9 @@ class Finite2Category:
         except KeyError:
             if f in self.one_cells:
                 raise InvalidInstance([Violation("id2-missing", f)]) from None
-            raise UnknownId(f"unknown 1-cell {f!r}") from None
+        except TypeError:  # f is unhashable
+            pass
+        raise UnknownId(f"unknown 1-cell {f!r}")
 
     def cells_between(self, f, g):
         """2-cells f => g, sorted by identifier."""
@@ -709,7 +711,7 @@ class Finite2Category:
         """Vertical composite b . a (b after a)."""
         try:
             return self.vcomp_table.rows[b][a]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id, which cell() names
             pass
         ca, cb = self.cell(a), self.cell(b)
         if ca.tgt != cb.src:
@@ -728,7 +730,7 @@ class Finite2Category:
         table = self.wr_table if right else self.wl_table
         try:
             return table.rows[k][a]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id, which arrow() or cell() names
             pass
         name, near, far = _SIDES[right]
         if getattr(self.skeleton.arrow(k), near) != getattr(self.skeleton.arrow(self.cell(a).src), far):

@@ -166,12 +166,13 @@ def _least_u2(e: EquivData, lrow, over, at, a):
     return out
 
 
-def _lefts(e: EquivData, m, bt, at):
-    """The side of m over the hom-sets cod m -> bt and at -> dom m: each
-    distinct left tau1(u1) . sigma(m), u1: cod m -> bt, in u1 order, as
-    (u1, left, row), where the row is ``_least_u2``'s over at -> dom m.
-    Rows are kept on e by left and u2 hom-set, for the witness search and
-    the classes sweep alike."""
+def _lefts(e: EquivData, m, bt, ats):
+    """The side of m over the hom-sets cod m -> bt and at -> dom m, for each
+    at of ``ats``: each distinct left tau1(u1) . sigma(m), u1: cod m -> bt,
+    in u1 order, with ``_least_u2``'s row over each at -> dom m, as (u1,
+    left, at, row).  The u1 hom-set is walked once for all the at.  Rows
+    are kept on e by left and u2 hom-set, for the witness search and the
+    classes sweep alike."""
     c, rows = e.c, e.d.skeleton.rows
     a, sig, tau1, over = c.morphisms[m], e.sigma(m), e.tau1.morphism_map, e.d.skeleton.compose_table.absorbing
     seen = set()
@@ -179,11 +180,12 @@ def _lefts(e: EquivData, m, bt, at):
         left = rows[tau1[u1]].get(sig, over)
         if left not in seen:
             seen.add(left)
-            key = (left, at, a.dom)
-            row = e._rows.get(key)
-            if row is None:
-                row = e._rows[key] = _least_u2(e, rows[left], over, at, a.dom)
-            yield u1, left, row
+            for at in ats:
+                key = (left, at, a.dom)
+                row = e._rows.get(key)
+                if row is None:
+                    row = e._rows[key] = _least_u2(e, rows[left], over, at, a.dom)
+                yield u1, left, at, row
 
 
 def _side_search(e: EquivData, m_from, m_to):
@@ -209,7 +211,7 @@ def _side_search(e: EquivData, m_from, m_to):
     if reach is not None and reach.isdisjoint(linked):
         return None
     rows = []
-    for u1, _, row in _lefts(e, m_from, a_to.cod, a_to.dom):
+    for u1, _, _, row in _lefts(e, m_from, a_to.cod, (a_to.dom,)):
         small, big = (linked, row) if len(linked) < len(row) else (row, linked)
         hits = [x for x in small if x in big]
         if hits:
@@ -318,7 +320,8 @@ def equivalence_classes(e: EquivData):
     - a row's bits: the union of ``mask(x)`` over the composites x of a row
       the witness search reads (``_lefts``);
     - the reach: for each hom-set At -> Bt, its members within the bits of
-      the rows of m's side over cod m -> Bt and At -> dom m.
+      the rows of m's side over cod m -> Bt and At -> dom m.  The lefts of
+      cod m -> Bt are walked once per Bt, for all its At.
 
     A block is the morphisms that reach its least member and that it
     reaches, the two sides ``are_equivalent`` asks.  This is exact on a
@@ -329,11 +332,12 @@ def equivalence_classes(e: EquivData):
     c, d = e.c, e.d
     sigma = e.sigma.morphism_map
     items = sorted(c.morphisms)
-    by_sigma, homs = {}, {}  # homs[(At, Bt)]: the morphisms At -> Bt
+    by_sigma, homs = {}, {}  # homs[Bt][At]: the morphisms At -> Bt
     for i, m in enumerate(items):
         a = c.morphisms[m]
         by_sigma[sigma[m]] = by_sigma.get(sigma[m], 0) | 1 << i
-        homs[(a.dom, a.cod)] = homs.get((a.dom, a.cod), 0) | 1 << i
+        ats = homs.setdefault(a.cod, {})
+        ats[a.dom] = ats.get(a.dom, 0) | 1 << i
 
     @functools.cache
     def mask(x):
@@ -342,11 +346,11 @@ def equivalence_classes(e: EquivData):
     row_bits, reach = {}, []  # the bits of each row read, by its key on e
     for m in items:
         dom, got = c.morphisms[m].dom, 0
-        for (at, bt), bits in homs.items():
-            for _, left, row in _lefts(e, m, bt, at):
+        for bt, ats in homs.items():
+            for _, left, at, row in _lefts(e, m, bt, ats):
                 if (left, at, dom) not in row_bits:
                     row_bits[(left, at, dom)] = _union(map(mask, row))
-                got |= bits & row_bits[(left, at, dom)]
+                got |= ats[at] & row_bits[(left, at, dom)]
         reach.append(got)
 
     blocks = []

@@ -26,8 +26,9 @@ monoid the index holds mutual-reachability classes.
 The delooping itself is infinite; :func:`deloop_slice` builds the finite
 sub-2-category of chains of length <= max_chain_length + 1.  Its 1-cells
 and sparse composition rows are built with the slice; its 2-cells are
-defined once, by its 2-category, and written only when something reads
-more than the witness search's two lookups.  Concatenations that would
+defined once, by its 2-category, which answers each 2-cell question from
+the ids asked and lists the cells or writes the tables only when
+something iterates them or reads a table.  Concatenations that would
 exceed the length bound collapse onto a single absorbing 1-cell (id
 ``!overflow``) whose only 2-cell is its identity.  The absorbing cell
 can never bound a transporter 2-cell, so verdicts agree with the
@@ -38,11 +39,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Mapping
 
 from .catkernel import Cell, Finite2Category, FiniteCategory, FunctorData, RowTable, Violation
-from .catkernel import _action_failures, _as_rows, _distinct, _generators, _in_order, _pairwise, _positions, _raise_on, _total
+from .catkernel import _action_failures, _as_rows, _distinct, _generators, _in_order, _positions, _raise_on, _total
 from .equivalence import EquivData, are_equivalent
-from .errors import InvalidParameter, UnknownElement, UnknownId
+from .errors import InvalidParameter, NotComposable, UnknownElement, UnknownId
 
 OVERFLOW = "!overflow"
 _RESERVED = set("[],>#!")
@@ -220,26 +222,86 @@ def _cell_id(src_id, tgt_id, labels):
 _OVERFLOW_ID2 = _cell_id(OVERFLOW, OVERFLOW, ())
 
 
+def _vertical(mul, b, a):
+    """b . a for 2-cells a: f => g and b: g => h, each given as (src, tgt,
+    labels): f => h labelled by the products of b's and a's labels, read
+    as ``_pairwise`` reads them, inline since the bulk build calls this
+    once per vcomp entry."""
+    return a[0], b[1], tuple(map(dict.__getitem__, map(mul.__getitem__, b[2]), a[2]))
+
+
+def _whiskered(k, pad, a, right):
+    """k |> a, or a <| k when ``right``, for a 2-cell a given as (src word,
+    tgt word, labels): both words take the word k on that side, and the
+    labels ``pad``, k's letters labelled by the unit."""
+    src, tgt, labels = a
+    if right:
+        return src + k, tgt + k, labels + pad
+    return k + src, k + tgt, pad + labels
+
+
+class _SliceCells(Mapping):
+    """A slice's 2-cells by id, read-only.  A lookup reads the cell off its id
+    (``_SliceTwoCategory._read``); iterating the mapping or asking its size
+    lists every cell once (``_listed``), and later lookups read the list."""
+
+    __slots__ = ("_d",)
+
+    def __init__(self, d):
+        self._d = d
+
+    def __getitem__(self, a):
+        listed = vars(self._d).get("_listed")
+        try:
+            if listed is not None:
+                return listed[a]
+            f, g, _ = self._d._read(a)
+        except (UnknownId, TypeError):  # TypeError: a is unhashable
+            raise KeyError(a) from None
+        return Cell(a, f, g)
+
+    def __iter__(self):
+        return iter(self._d._listed)
+
+    def __len__(self):
+        return len(self._d._listed)
+
+    # the list's own views, which validate() walks at the speed of a dict
+    def values(self):
+        return self._d._listed.values()
+
+    def items(self):
+        return self._d._listed.items()
+
+
 class _SliceTwoCategory(Finite2Category):
     """A slice's 2-category, the one definition of its 2-cells: a word f
     relabelled onto a word g letter by letter by transporters, where g's
     letters lie in the orbits of f's.
 
     ``Finite2Category``'s constructor is not run; ``ids`` maps each word, by
-    length, to its 1-cell id.  The witness search reads the 2-cells only
-    through ``cells_between`` and ``linked_to``, answered from the orbits,
-    and reflexivity through ``id_two``; ``identity2``, the 2-cells and the
-    tables are built, through the kernel's reference checks, when first
-    read.  Both lookups are memoised because the pair search repeats them:
-    deciding every letter pair of fresh slices asks each ``linked_to`` key
-    about 6 times and each ``cells_between`` key about 4 times (1,184 calls
-    over 181 keys and 1,604 over 401 in one deloop-orbits pass, seed 1);
-    the classes sweep asks only ``linked_to``, once per 1-cell.
+    length, to its 1-cell id.  Every 2-cell question is answered from the
+    ids asked, in time linear in their words: ``cell`` and ``two_cells[a]``
+    read a's words and labels, ``vcomp`` multiplies the labels, the
+    whiskerings pad them with the unit (the overflow cell past the bound),
+    and so ``hcomp`` and the derive_* witnesses build nothing.  The
+    witness search reads ``cells_between`` and ``linked_to``, answered from
+    the orbits, and reflexivity ``id_two``.  Only iterating ``two_cells``
+    or asking its size (``validate()``, export) lists the 2-cells, and only
+    ``validate()`` and the table views write the tables, through the
+    kernel's reference checks; the lookups and the tables share one rule
+    for each operation (``_vertical``, ``_whiskered``).  The search's two
+    lookups are memoised because it repeats them: deciding every letter
+    pair of fresh slices asks each ``linked_to`` key about 6 times and
+    each ``cells_between`` key about 4 times (1,184 calls over 181 keys
+    and 1,604 over 401 in one deloop-orbits pass, seed 1); the classes
+    sweep asks only ``linked_to``, once per 1-cell.
     """
 
     def __init__(self, action, ids, skeleton):
         self.skeleton, self._action, self._ids = skeleton, action, ids
         self._words = {i: w for w, i in ids.items()}
+        self._bound = len(next(reversed(ids)))  # the last word is one of the longest
         self._between_memo, self._linked_memo = {}, {}
 
     @functools.cached_property
@@ -259,6 +321,10 @@ class _SliceTwoCategory(Finite2Category):
 
     @functools.cached_property
     def two_cells(self):
+        return _SliceCells(self)
+
+    @functools.cached_property
+    def _listed(self):
         wid = self._ids
         cells = [Cell(cid, wid[src], wid[tgt]) for (src, tgt, _), cid in self._labelled.items()]
         return self._checked_cells(cells + [Cell(_OVERFLOW_ID2, OVERFLOW, OVERFLOW)])
@@ -266,33 +332,28 @@ class _SliceTwoCategory(Finite2Category):
     @functools.cached_property
     def _tables(self):
         """The checked vcomp and whiskering tables, as rows keyed by the acting
-        cell: v[b][a] = b . a, and wl[k][a] = k |> a and wr[k][a] = a <| k
-        relabel the letters of k by the unit."""
+        cell: v[b][a] = b . a, and wl[k][a] = k |> a and wr[k][a] = a <| k."""
         cell_ids, over = self._labelled, _OVERFLOW_ID2
         mul, unit = self._action.group.rows, self._action.group.unit
         cells_to, by_length = {}, {}
-        for (src, tgt, labels), cid in cell_ids.items():
-            cells_to.setdefault(tgt, []).append((src, labels, cid))
-            by_length.setdefault(len(src), []).append((src, tgt, labels, cid))
-        v = {
-            bid: {aid: cell_ids[(src, tgt, tuple(_pairwise(mul, l2, l1)))] for src, l1, aid in cells_to[mid]}
-            for (mid, tgt, l2), bid in cell_ids.items()
-        }
+        for cell, cid in cell_ids.items():
+            cells_to.setdefault(cell[1], []).append((cell, cid))
+            by_length.setdefault(len(cell[0]), []).append((cell, cid))
+        v = {bid: {aid: cell_ids[_vertical(mul, b, a)] for a, aid in cells_to[b[0]]} for b, bid in cell_ids.items()}
         v[over] = {over: over}
 
         # cells too long to take k on go to the overflow cell; rows are
         # only read, so both sides share the overflow cell's own row
         over_row = dict.fromkeys(itertools.chain(cell_ids.values(), [over]), over)
-        bound = len(next(reversed(self._ids)))  # the last word is one of the longest
         wl, wr = {}, {}
         for k, kid in self._ids.items():
             pad = (unit,) * len(k)
             left = wl[kid] = over_row.copy()
             right = wr[kid] = over_row.copy()
-            for n in range(bound + 1 - len(k)):
-                for src, tgt, labels, cid in by_length[n]:
-                    left[cid] = cell_ids[(k + src, k + tgt, pad + labels)]
-                    right[cid] = cell_ids[(src + k, tgt + k, labels + pad)]
+            for n in range(self._bound + 1 - len(k)):
+                for a, cid in by_length[n]:
+                    left[cid] = cell_ids[_whiskered(k, pad, a, False)]
+                    right[cid] = cell_ids[_whiskered(k, pad, a, True)]
         wl[OVERFLOW] = wr[OVERFLOW] = over_row
         tables = self._checked_tables(RowTable(v), RowTable(wl), RowTable(wr, flipped=True))
         del self._labelled  # its other reader, the 2-cell list, is built by the check
@@ -302,9 +363,46 @@ class _SliceTwoCategory(Finite2Category):
     wl_table = functools.cached_property(lambda self: self._tables[1])
     wr_table = functools.cached_property(lambda self: self._tables[2])
 
+    def _read(self, a):
+        """The 2-cell a as (src id, tgt id, labels).  Raises ``UnknownId``
+        unless a is one of the listed cells: two words of one length, each
+        label a transporter of its letter onto a letter that reaches back."""
+        if isinstance(a, str):
+            if a == _OVERFLOW_ID2:
+                return OVERFLOW, OVERFLOW, ()
+            f, _, rest = a.partition(">")
+            g, sep, text = rest.partition("#")
+            src, tgt = self._words.get(f), self._words.get(g)
+            if sep and src is not None and tgt is not None:
+                labels = tuple(text.split(",")) if src or text else ()
+                reach = self._action._transporters
+                if len(src) == len(tgt) == len(labels) and all(
+                        h in reach.get((x, y), ()) and (y, x) in reach for x, y, h in zip(src, tgt, labels)):
+                    return f, g, labels
+        raise UnknownId(f"unknown 2-cell {a!r}")
+
+    def vcomp(self, b, a):
+        """Vertical composite b . a (b after a), labelled by the products."""
+        ra, rb = self._read(a), self._read(b)
+        if ra[1] != rb[0]:
+            raise NotComposable(f"tgt({a!r}) != src({b!r})")
+        return _cell_id(*_vertical(self._action.group.rows, rb, ra))
+
+    def _whisker(self, right, k, a):
+        """k |> a, or a <| k on the right; the overflow cell when the words
+        would pass the bound or either is the overflow cell."""
+        self.skeleton.arrow(k)  # UnknownId for an unknown 1-cell
+        k, (f, g, labels) = self._words.get(k), self._read(a)
+        src = self._words.get(f)
+        if k is None or src is None or len(k) + len(src) > self._bound:
+            return _OVERFLOW_ID2
+        pad = (self._action.group.unit,) * len(k)
+        src, tgt, labels = _whiskered(k, pad, (src, self._words[g], labels), right)
+        return _cell_id(self._ids[src], self._ids[tgt], labels)
+
     def id_two(self, f):
         """f relabelled by the unit letter by letter (no letters for the overflow cell)."""
-        word = self._words.get(f)
+        word = self._words.get(f) if isinstance(f, str) else None
         if word is None:
             if f != OVERFLOW:
                 raise UnknownId(f"unknown 1-cell {f!r}")
@@ -340,6 +438,14 @@ class _SliceTwoCategory(Finite2Category):
         return got
 
 
+def _check_bound(max_chain_length):
+    """Raise ``InvalidParameter`` unless the chain bound is an int >= 0 (a bool is not one)."""
+    if not isinstance(max_chain_length, int) or isinstance(max_chain_length, bool):
+        raise InvalidParameter(f"max_chain_length must be an int, not {max_chain_length!r}")
+    if max_chain_length < 0:
+        raise InvalidParameter("max_chain_length must be >= 0")
+
+
 class DeloopedSlice:
     """The bounded delooping plus its identity parameter bundle, whose sigma,
     tau1 and tau2 are one identity functor.
@@ -352,8 +458,7 @@ class DeloopedSlice:
     """
 
     def __init__(self, action: GroupAction, max_chain_length: int):
-        if max_chain_length < 0:
-            raise InvalidParameter("max_chain_length must be >= 0")
+        _check_bound(max_chain_length)
         for name in itertools.chain(action.carrier, action.group.elements):
             if _RESERVED & set(name):
                 raise InvalidParameter(f"name {name!r} uses a reserved character")
@@ -401,6 +506,7 @@ class DeloopedSlice:
 
 def deloop_slice(a: GroupAction, max_chain_length: int) -> DeloopedSlice:
     """Build (or fetch the cached) bounded delooping slice."""
+    _check_bound(max_chain_length)  # before the cache, which takes True for 1
     if max_chain_length not in a._slices:
         a._slices[max_chain_length] = DeloopedSlice(a, max_chain_length)
     return a._slices[max_chain_length]

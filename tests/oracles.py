@@ -7,7 +7,7 @@ from types import MappingProxyType
 import numpy as np
 
 from morpheq import (
-    BesselFamily, EquivData, FiniteCategory, FunctorData, Violation, Witness, apply_param, are_equivalent,
+    BesselFamily, EquivData, Finite2Category, FiniteCategory, FunctorData, Violation, Witness, apply_param, are_equivalent,
     compose_cells_horizontal, compose_cells_vertical, deloop_slice, probe_vectors,
 )
 from morpheq.errors import DimensionMismatch, InvalidCell
@@ -367,6 +367,17 @@ def dense_slice_bundle(s):
     d = type(s.two_category)(s.action, s.two_category._ids, dense)
     ident = FunctorData(dense, d, {x: x for x in dense.objects}, {m: m for m in dense.morphisms}, validate=False)
     return EquivData(dense, d, ident, ident, ident, validate=False)
+
+
+def tabled_slice_bundle(s):
+    """The bundle of the delooped slice ``s`` over a plain ``Finite2Category``
+    given the slice's listed 2-cells and built tables, so that every 2-cell
+    answer (``cell``, ``vcomp``, ``whisker_*``, ``hcomp``) is a table read."""
+    c, d = s.category, s.two_category
+    tabled = Finite2Category(c.objects, c.morphisms.values(), c.identity, c.compose_table, d.two_cells.values(),
+                             d.identity2, d.vcomp_table, d.wl_table, d.wr_table, validate=False)
+    ident = FunctorData(c, tabled, {x: x for x in c.objects}, {m: m for m in c.morphisms}, validate=False)
+    return EquivData(c, tabled, ident, ident, ident, validate=False)
 
 
 def middle_four_violations(d):

@@ -743,6 +743,15 @@ def _two_cat_edited(edit):
     (lambda: chain3().id_of("D"), UnknownId, "unknown object 'D'"),
     (lambda: walking_pair_two_cat().cell("zz"), UnknownId, "unknown 2-cell 'zz'"),
     (lambda: walking_pair_two_cat().id_two("zz"), UnknownId, "unknown 1-cell 'zz'"),
+    # an unhashable id is unknown too, not a bare TypeError
+    (lambda: walking_pair_two_cat().cell(["x"]), UnknownId, "unknown 2-cell ['x']"),
+    (lambda: walking_pair_two_cat().id_two(["x"]), UnknownId, "unknown 1-cell ['x']"),
+    (lambda: walking_pair_two_cat().vcomp("ab", ["x"]), UnknownId, "unknown 2-cell ['x']"),
+    (lambda: walking_pair_two_cat().vcomp(["x"], "ab"), UnknownId, "unknown 2-cell ['x']"),
+    (lambda: walking_pair_two_cat().whisker_left(["x"], "ab"), UnknownId, "unknown morphism ['x']"),
+    (lambda: walking_pair_two_cat().whisker_right("ab", ["x"]), UnknownId, "unknown morphism ['x']"),
+    (lambda: walking_pair_two_cat().whisker_left("idB", ["x"]), UnknownId, "unknown 2-cell ['x']"),
+    (lambda: walking_pair_two_cat().hcomp("ab", ["x"]), UnknownId, "unknown 2-cell ['x']"),
     (lambda: _two_cat_edited(lambda p: p[5].pop("m")).id_two("m"), InvalidInstance, "1 violation(s): id2-missing: m"),
     (lambda: _two_cat_edited(lambda p: p[4].append(("x", "m", "zz"))), UnknownId, "2-cell 'x' has unknown boundary"),
     (lambda: FunctorData(chain3(), walking_pair_two_cat(), {"A": "A", "B": "B"}, {}),

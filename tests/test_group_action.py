@@ -5,6 +5,7 @@ import time
 import pytest
 
 from morpheq import (
+    DeloopedSlice,
     Finite2Category,
     FiniteGroup,
     GroupAction,
@@ -13,6 +14,8 @@ from morpheq import (
     deloop_slice,
     delooped_equivalent,
     derive_reflexivity,
+    derive_symmetry,
+    derive_transitivity,
     equivalence,
     equivalence_classes,
     orbit_equivalent,
@@ -21,7 +24,7 @@ from morpheq import (
 )
 from morpheq import catkernel
 from morpheq.catkernel import _generators
-from morpheq.errors import InvalidInstance, InvalidParameter, UnknownElement, UnknownId
+from morpheq.errors import InvalidInstance, InvalidParameter, NotComposable, UnknownElement, UnknownId
 
 from instance_gen import (
     fixed_actions,
@@ -38,6 +41,7 @@ from oracles import (
     group_report_loops,
     slice_cells_pairwise,
     slice_compose_pairwise,
+    tabled_slice_bundle,
 )
 
 
@@ -475,18 +479,151 @@ def test_slice_classes_are_the_words_of_one_orbit_pattern(bound):
     assert equivalence_classes(deloop_slice(a, bound).equiv) == want
 
 
+def _monoid_cases():
+    """20 seeded monoid actions at L <= 1."""
+    return [(_transformation_monoid_action(random.Random(seed)), bound) for seed in range(20) for bound in (0, 1)]
+
+
 def test_slice_lookups_match_the_enumerated_index():
     # the witness search reads only these two lookups, which a slice answers
     # from orbits; Finite2Category's own answers read the enumerated 2-cells.
     # A monoid's transporters run one way between letters of two classes,
     # and link nothing
-    monoids = [(_transformation_monoid_action(random.Random(seed)), bound) for seed in range(20) for bound in (0, 1)]
-    for act, bound in _slice_cases() + monoids:
+    for act, bound in _slice_cases() + _monoid_cases():
         d = deloop_slice(act, bound).two_category
         for g in d.one_cells:
             assert d.linked_to(g) == Finite2Category.linked_to(d, g), (g, bound)
             for f in d.one_cells:
                 assert d.cells_between(f, g) == Finite2Category.cells_between(d, f, g), (f, g, bound)
+
+
+def _answer(call, *args):
+    """What a 2-cell lookup answers: ("ok", its value), or its error's type and message."""
+    try:
+        return "ok", call(*args)
+    except (UnknownId, NotComposable) as exc:
+        return type(exc), str(exc)
+
+
+def _cell_shaped_ids(act, cells):
+    """Ids shaped like 2-cells: "[x]>[y]#g" for all letters x, y and elements
+    g (labels that do not transport their letter, and a monoid's one-way
+    transporters among them), and each of ``cells`` with one label changed,
+    one label too many or too few, its labels or its parts reordered, or
+    padded."""
+    els = act.group.elements
+    out = [f"[{x}]>[{y}]#{g}" for x in act.carrier for y in act.carrier for g in els]
+    for cid in cells:
+        head, _, text = cid.partition("#")
+        src, _, tgt = head.partition(">")
+        labels = text.split(",") if text else []
+        out += [f"{head}#{','.join(labels[:i] + [g] + labels[i + 1:])}" for i in range(len(labels)) for g in els]
+        out += [f"{head}#{','.join(labels + [act.group.unit])}", f"{head}#{','.join(labels[:-1])}",
+                f"{head}#{','.join(labels[::-1])}", f"{tgt}>{src}#{text}", f"{src}#{text}>{tgt}",
+                f" {cid}", f"{cid} ", f"{cid},", f"{head}# {text}", f"{head}##{text}", f"{src}>>{tgt}#{text}"]
+    return out
+
+
+def test_slice_lookups_match_the_built_tables():
+    # a fresh slice answers every 2-cell lookup from the ids asked, errors
+    # included, as the kernel does reading another slice's listed cells and
+    # built tables, and lists and builds nothing doing so.  Every cell is
+    # whiskered by a letter, a longest word and the overflow cell, and some
+    # cells are composed with everything.
+    # The 24-map monoid's tables take 5 s to build at L = 1, so it is asked
+    # at L = 0 only (its L = 1 lookups meet the enumerated index above)
+    cases = _slice_cases() + [
+        (act, bound) for act, bound in _monoid_cases() if bound == 0 or len(act.group.elements) * len(act.carrier) <= 12]
+    rng = random.Random(7)
+    one_way = off_label = 0
+    for i, (act, bound) in enumerate(cases):
+        d = DeloopedSlice(act, bound).two_category
+        ref = tabled_slice_bundle(DeloopedSlice(act, bound)).d
+        cells, ones = list(ref.two_cells), list(ref.one_cells)
+        cell = {a: ref.cell(a) for a in cells}
+        some = cells[:4] + rng.sample(cells, min(8, len(cells)))  # the shortest cells and some others
+        ks = [ones[1]] + ones[-2:]  # a letter, a longest word and the overflow cell
+        calls = [("vcomp", b, a) for b in some for a in ref.vcomp_table.rows[b]]
+        calls += [("vcomp", b, a) for b in some for a in cells[:20] if cell[b].src != cell[a].tgt]
+        calls += [("whisker_left", k, a) for k in ks for a in cells] + [("whisker_left", k, a) for k in ones for a in some]
+        calls += [("whisker_right", a, k) for k in ks for a in cells] + [("whisker_right", a, k) for k in ones for a in some]
+        calls += [("hcomp", b, a) for b in some for a in some]
+        calls += [("vcomp", cells[0], "zz"), ("vcomp", "zz", cells[0]), ("whisker_left", "zz", cells[0]),
+                  ("whisker_right", cells[0], "zz"), ("whisker_left", "[]", "zz"), ("hcomp", "zz", cells[0])]
+        for name, *args in calls:
+            assert _answer(getattr(d, name), *args) == _answer(getattr(ref, name), *args), (i, name, args)
+        for cid in cells + _cell_shaped_ids(act, cells[:25] + cells[-10:]):
+            assert (cid in d.two_cells) is (cid in ref.two_cells), (i, cid)
+            assert _answer(d.cell, cid) == _answer(ref.cell, cid), (i, cid)
+        for x in act.carrier:
+            for g in act.group.elements:
+                y = act.act(g, x)
+                one_way += x not in act._orbits[y] and f"[{x}]>[{y}]#{g}" not in d.two_cells
+                off_label += sum(f"[{x}]>[{z}]#{g}" not in d.two_cells for z in act._orbits[x] if z != y)
+        assert not {"_labelled", "_listed", "_tables"} & set(vars(d)), i
+    assert one_way and off_label  # both kinds of cell-shaped non-cell were asked and rejected
+
+
+@pytest.mark.parametrize("make, bound", [(three_pairs_c2, 1), (three_pairs_c2, 2), (swap_action, 3)])
+def test_witness_calculus_lists_no_cell_and_builds_no_table(make, bound):
+    # deciding, verifying, reversing and composing witnesses reads each
+    # 2-cell from its id: the slice ends with no 2-cell listed and no table
+    # written, and every witness is the one found over the built tables of
+    # another slice
+    a = make()
+    s = DeloopedSlice(a, bound)
+    letters = [s.embed(x) for x in a.carrier]
+
+    def calculus(e):
+        got, yes = {}, {}
+        for x in letters:
+            for y in letters:
+                ok, w = got[(x, y)] = are_equivalent(e, x, y)
+                if ok:
+                    assert verify_witness(e, x, y, w), (x, y)
+                    yes[(x, y)] = w
+                    got[(y, x, "symmetry")] = derive_symmetry(e, x, y, w)
+        for (x, y), w1 in yes.items():
+            for (y2, z), w2 in yes.items():
+                if y2 == y:
+                    w = got[(x, y, z)] = derive_transitivity(e, x, y, z, w1, w2)
+                    assert verify_witness(e, x, z, w), (x, y, z)
+        return got
+
+    got = calculus(s.equiv)
+    assert not {"_labelled", "_listed", "_tables", "vcomp_table", "wl_table", "wr_table"} & set(vars(s.two_category))
+    assert got == calculus(tabled_slice_bundle(DeloopedSlice(make(), bound)))
+
+
+@pytest.mark.parametrize("listed", [False, True])
+def test_slice_lookups_name_an_unhashable_id_unknown(listed):
+    d = deloop_slice(swap_action(), 1).two_category
+    if listed:
+        assert len(d.two_cells) == 44  # lookups then read the list
+    for call, message in [
+        (lambda: d.cell(["x"]), "unknown 2-cell ['x']"),
+        (lambda: d.id_two(["x"]), "unknown 1-cell ['x']"),
+        (lambda: d.vcomp("[a]>[b]#g1", ["x"]), "unknown 2-cell ['x']"),
+        (lambda: d.vcomp(["x"], "[a]>[b]#g1"), "unknown 2-cell ['x']"),
+        (lambda: d.whisker_left(["x"], "[a]>[b]#g1"), "unknown morphism ['x']"),
+        (lambda: d.whisker_right("[a]>[b]#g1", ["x"]), "unknown morphism ['x']"),
+        (lambda: d.whisker_left("[a]", ["x"]), "unknown 2-cell ['x']"),
+        (lambda: d.hcomp(["x"], "[a]>[b]#g1"), "unknown 2-cell ['x']"),
+    ]:
+        with pytest.raises(UnknownId) as exc:
+            call()
+        assert str(exc.value) == message
+    assert ["x"] not in d.two_cells
+
+
+@pytest.mark.parametrize("bound", [1.5, 1.0, True, False, "1", None, [1]])
+def test_chain_bound_must_be_an_int(bound):
+    a = swap_action()
+    deloop_slice(a, 0), deloop_slice(a, 1)  # cached under the keys True and False equal
+    for build in (deloop_slice, DeloopedSlice, lambda a, bound: delooped_equivalent(a, "a", "b", bound)):
+        with pytest.raises(InvalidParameter) as exc:
+            build(a, bound)
+        assert str(exc.value) == f"max_chain_length must be an int, not {bound!r}"
 
 
 def _transformation_monoid_action(rng):
