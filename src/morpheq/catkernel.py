@@ -461,7 +461,7 @@ class FiniteCategory:
     def id_of(self, x):
         try:
             return self.identity[x]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: x is unhashable
             raise UnknownId(f"unknown object {x!r}") from None
 
     def _arrows(self):
@@ -478,13 +478,16 @@ class FiniteCategory:
 
     def hom(self, a, b):
         """Morphisms a -> b, sorted by identifier."""
-        return self._hom.get((a, b), ())
+        try:
+            return self._hom.get((a, b), ())
+        except TypeError:  # an unhashable object, which has no morphisms
+            return ()
 
     def compose(self, g, f):
         """The composite g . f (g after f)."""
         try:
             return self.rows[g][f]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id, which arrow() names
             pass
         ga, fa = self.arrow(g), self.arrow(f)
         if fa.cod != ga.dom:
@@ -701,11 +704,17 @@ class Finite2Category:
 
     def cells_between(self, f, g):
         """2-cells f => g, sorted by identifier."""
-        return self._by_boundary.get((f, g), ())
+        try:
+            return self._by_boundary.get((f, g), ())
+        except TypeError:  # an unhashable 1-cell, which has no 2-cells
+            return ()
 
     def linked_to(self, g):
         """The 1-cells f with a 2-cell f => g and a 2-cell g => f, as a frozenset."""
-        return self._linked.get(g, frozenset())
+        try:
+            return self._linked.get(g, frozenset())
+        except TypeError:  # an unhashable 1-cell, which is linked to nothing
+            return frozenset()
 
     def vcomp(self, b, a):
         """Vertical composite b . a (b after a)."""
@@ -971,7 +980,10 @@ class FunctorData:
                 raise UnknownId(f"morphism map sends {m!r} to unknown {n!r}")
 
     def __call__(self, m):
-        return self.morphism_map[m]
+        try:
+            return self.morphism_map[m]
+        except (KeyError, TypeError):  # TypeError: m is unhashable
+            raise UnknownId(f"unknown morphism {m!r}") from None
 
     def validate(self):
         """Boundary compatibility plus identity and composition preservation."""

@@ -60,10 +60,10 @@ class EquivData:
         self.sigma = sigma
         self.tau1 = tau1
         self.tau2 = tau2
-        # the caches of the search and the classes sweep (_least_u2, _lefts,
-        # _side_search): the tau2-image of each u2 hom-set, a row per left
-        # and u2 hom-set, and the reach of each side a scan found nothing on
-        self._images, self._rows, self._reaches = {}, {}, {}
+        # the caches of the search and the classes sweep (_least_u2, _sides):
+        # the tau2-image of each u2 hom-set, a row per left and u2 hom-set,
+        # and each side's composites with their least (u1, u2)
+        self._images, self._rows, self._sides = {}, {}, {}
         if validate:
             _raise_on(self.violations())
 
@@ -134,7 +134,7 @@ def verify_witness(e: EquivData, m, m_tilde, w: Witness) -> VerifyResult:
 def _least_u2(e: EquivData, lrow, over, at, a):
     """Each composite left . tau2(u2) of d over u2: at -> a, mapped to the least
     u2 giving it, read from left's composition row ``lrow`` and its
-    absorbing id ``over``.
+    absorbing id ``over``: the row ``_sides`` reads per left and at.
 
     The tau2-image of the hom-set, each image mapped to the least u2 with
     it, is kept on e.  The composites are read from the smaller side: the
@@ -166,60 +166,61 @@ def _least_u2(e: EquivData, lrow, over, at, a):
     return out
 
 
-def _lefts(e: EquivData, m, bt, ats):
-    """The side of m over the hom-sets cod m -> bt and at -> dom m, for each
-    at of ``ats``: each distinct left tau1(u1) . sigma(m), u1: cod m -> bt,
-    in u1 order, with ``_least_u2``'s row over each at -> dom m, as (u1,
-    left, at, row).  The u1 hom-set is walked once for all the at.  Rows
-    are kept on e by left and u2 hom-set, for the witness search and the
-    classes sweep alike."""
-    c, rows = e.c, e.d.skeleton.rows
-    a, sig, tau1, over = c.morphisms[m], e.sigma(m), e.tau1.morphism_map, e.d.skeleton.compose_table.absorbing
-    seen = set()
-    for u1 in c.hom(a.cod, bt):
-        left = rows[tau1[u1]].get(sig, over)
-        if left not in seen:
-            seen.add(left)
-            for at in ats:
+def _sides(e: EquivData, m, bt, ats):
+    """{at: the side of m over cod m -> bt and at -> dom m} for each at of
+    ``ats``: each composite tau1(u1).sigma(m).tau2(u2), mapped to the least
+    (u1, u2) giving it.  Sides are kept on e by (sigma(m), cod m, bt, at,
+    dom m).  The missing ones are filled in one walk over the distinct
+    lefts tau1(u1).sigma(m), u1 in (sorted, so string) order, reading each
+    left's ``_least_u2`` row over each at: a composite takes the first u1
+    whose row holds it, with that row's u2, which is the least pair.
+    """
+    c, skel = e.c, e.d.skeleton
+    a, sig = c.arrow(m), e.sigma(m)
+    keys = {at: (sig, a.cod, bt, at, a.dom) for at in ats}
+    new = {at: {} for at, key in keys.items() if key not in e._sides}
+    if new:
+        rows, tau1, over = skel.rows, e.tau1.morphism_map, skel.compose_table.absorbing
+        lefts = {}  # each distinct left, with its first u1
+        for u1 in c.hom(a.cod, bt):
+            left = rows[tau1[u1]].get(sig, over)
+            if left not in lefts:
+                lefts[left] = u1
+        for left, u1 in lefts.items():
+            for at, side in new.items():
                 key = (left, at, a.dom)
                 row = e._rows.get(key)
                 if row is None:
                     row = e._rows[key] = _least_u2(e, rows[left], over, at, a.dom)
-                yield u1, left, at, row
+                for x, u2 in row.items():
+                    if x not in side:
+                        side[x] = (u1, u2)
+        for at, side in new.items():
+            e._sides[keys[at]] = side
+    return {at: e._sides[key] for at, key in keys.items()}
 
 
 def _side_search(e: EquivData, m_from, m_to):
     """First (u1, u2, fwd, bwd) with cells both ways, in lexicographic order.
 
     Looks for u1: cod(m_from) -> cod(m_to), u2: dom(m_to) -> dom(m_from)
-    and 2-cells  tau1(u1).sigma(m_from).tau2(u2) <=> sigma(m_to), reading
-    the side's rows in u1 order (``_lefts``).  A composite qualifies when
-    it is in ``d.linked_to(target)``; its least u2 is its row's, and the
-    cells returned are the least of ``d.cells_between`` each way.
-
-    A scan that finds nothing leaves on e the side's reach, the union of
-    its rows, keyed by (sigma(m_from), cod m_from, cod m_to, dom m_to,
-    dom m_from).  A later search on that side returns None at once when
-    the reach misses ``d.linked_to(target)``, and scans as above otherwise.
+    and 2-cells  tau1(u1).sigma(m_from).tau2(u2) <=> sigma(m_to).  A
+    composite of the side's kept index (``_sides``) qualifies when it is
+    in ``d.linked_to(target)``; the least (u1, u2) of those is the answer
+    (two composites never share one), with the least of
+    ``d.cells_between`` each way.
     """
-    c, d = e.c, e.d
-    a_from, a_to = c.arrow(m_from), c.arrow(m_to)
+    d = e.d
+    a_to = e.c.arrow(m_to)
     target = e.sigma(m_to)
     linked = d.linked_to(target)
-    side = (e.sigma(m_from), a_from.cod, a_to.cod, a_to.dom, a_from.dom)
-    reach = e._reaches.get(side)
-    if reach is not None and reach.isdisjoint(linked):
+    side = _sides(e, m_from, a_to.cod, (a_to.dom,))[a_to.dom]
+    small, big = (linked, side) if len(linked) < len(side) else (side, linked)
+    hits = [(side[x], x) for x in small if x in big]
+    if not hits:
         return None
-    rows = []
-    for u1, _, _, row in _lefts(e, m_from, a_to.cod, (a_to.dom,)):
-        small, big = (linked, row) if len(linked) < len(row) else (row, linked)
-        hits = [x for x in small if x in big]
-        if hits:
-            x = min(hits, key=row.__getitem__)
-            return u1, row[x], d.cells_between(x, target)[0], d.cells_between(target, x)[0]
-        rows.append(row)
-    e._reaches[side] = frozenset().union(*rows)
-    return None
+    (u1, u2), x = min(hits)
+    return u1, u2, d.cells_between(x, target)[0], d.cells_between(target, x)[0]
 
 
 def are_equivalent(e: EquivData, m, m_tilde):
@@ -314,20 +315,17 @@ def equivalence_classes(e: EquivData):
 
     One sweep, with no pair search.  Morphism i of the sorted list is bit
     i of a Python int.  Each morphism m gets its reach, the set of mt for
-    which ``_side_search(e, m, mt)`` finds a u-side, built in three layers:
-
-    - ``mask(x)``: the mt whose sigma lies in ``d.linked_to(x)``;
-    - a row's bits: the union of ``mask(x)`` over the composites x of a row
-      the witness search reads (``_lefts``);
-    - the reach: for each hom-set At -> Bt, its members within the bits of
-      the rows of m's side over cod m -> Bt and At -> dom m.  The lefts of
-      cod m -> Bt are walked once per Bt, for all its At.
+    which ``_side_search(e, m, mt)`` finds a u-side: for each hom-set
+    At -> Bt, its members whose sigma is linked to a composite of m's side
+    over cod m -> Bt and At -> dom m.  ``mask(x)`` holds the mt whose sigma
+    lies in ``d.linked_to(x)``, and the reach ORs it over the sides' keys.
 
     A block is the morphisms that reach its least member and that it
     reaches, the two sides ``are_equivalent`` asks.  This is exact on a
     lawful bundle, where the relation is reflexive, symmetric and
-    transitive (the derive_* witnesses).  Masks, bits and reaches last for
-    one call; the rows are kept on ``e``, shared with the witness search.
+    transitive (the derive_* witnesses).  Masks and reaches last for one
+    call; the sides (``_sides``) are kept on ``e``, shared with the
+    witness search.
     """
     c, d = e.c, e.d
     sigma = e.sigma.morphism_map
@@ -343,14 +341,12 @@ def equivalence_classes(e: EquivData):
     def mask(x):
         return _union(map(by_sigma.get, d.linked_to(x), itertools.repeat(0)))
 
-    row_bits, reach = {}, []  # the bits of each row read, by its key on e
+    reach = []
     for m in items:
-        dom, got = c.morphisms[m].dom, 0
+        got = 0
         for bt, ats in homs.items():
-            for _, left, at, row in _lefts(e, m, bt, ats):
-                if (left, at, dom) not in row_bits:
-                    row_bits[(left, at, dom)] = _union(map(mask, row))
-                got |= ats[at] & row_bits[(left, at, dom)]
+            for at, side in _sides(e, m, bt, ats).items():
+                got |= ats[at] & _union(map(mask, side))
         reach.append(got)
 
     blocks = []

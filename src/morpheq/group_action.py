@@ -86,7 +86,7 @@ class FiniteGroup:
     def mul(self, g, h):
         try:
             return self.rows[g][h]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable element
             raise UnknownElement(f"({g!r}, {h!r}) not in multiplication table") from None
 
     def validate(self):
@@ -144,7 +144,7 @@ class GroupAction:
     def act(self, g, x):
         try:
             return self.rows[g][x]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable element
             raise UnknownElement(f"({g!r}, {x!r}) not in action table") from None
 
     def validate(self):
@@ -170,7 +170,10 @@ class GroupAction:
 
     def transporters(self, x, y):
         """Group elements sending x to y, in element order."""
-        return self._transporters.get((x, y), ())
+        try:
+            return self._transporters.get((x, y), ())
+        except TypeError:  # an unhashable element, which nothing sends anywhere
+            return ()
 
     @functools.cached_property
     def _orbits(self):
@@ -411,7 +414,10 @@ class _SliceTwoCategory(Finite2Category):
 
     def cells_between(self, f, g):
         """The transporter labellings of f onto g linked to f, as sorted 2-cell ids."""
-        got = self._between_memo.get((f, g))
+        try:
+            got = self._between_memo.get((f, g))
+        except TypeError:  # an unhashable 1-cell, which has no 2-cells
+            return ()
         if got is None:
             if g not in self.linked_to(f):
                 got = ()
@@ -426,7 +432,10 @@ class _SliceTwoCategory(Finite2Category):
     def linked_to(self, g):
         """The words of g's length whose letters lie in the orbits of g's;
         the overflow cell is linked only to itself."""
-        got = self._linked_memo.get(g)
+        try:
+            got = self._linked_memo.get(g)
+        except TypeError:  # an unhashable 1-cell, which is linked to nothing
+            return frozenset()
         if got is None:
             word = self._words.get(g)
             if word is None:

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +18,8 @@ from morpheq import (
     equivalence_classes,
     verify_witness,
 )
-from morpheq import equivalence
-from morpheq.errors import InvalidInstance, InvalidPremise, NotComposable
+from morpheq import cli, equivalence
+from morpheq.errors import InvalidInstance, InvalidPremise, MorpheqError, NotComposable, UnknownElement, UnknownId
 
 from instance_gen import (
     finite_sets,
@@ -298,7 +300,7 @@ def test_indexed_search_matches_the_scan_on_every_ordered_pair():
 def test_search_answers_do_not_depend_on_the_order_of_questions():
     missed_then_hit = 0
     for e, sides in scanned_bundles():
-        missed, hit_after_miss = set(), set()  # keyed as the search keys its reaches
+        missed, hit_after_miss = set(), set()  # keyed as the search keys its sides
         for seed in range(3):  # the bundle and its caches are shared by all three orders
             asked = list(sides) * 2
             random.Random(seed).shuffle(asked)
@@ -313,16 +315,21 @@ def test_search_answers_do_not_depend_on_the_order_of_questions():
                 elif side in missed:
                     hit_after_miss.add(side)
         missed_then_hit += len(hit_after_miss)
-    # such a side has a reach stored and still has to find the least witness
+    # a miss indexed such a side whole, and it still has to give the least witness
     assert missed_then_hit > 0
 
 
 def test_a_repeated_miss_reads_no_composition_row(monkeypatch):
+    # every side of a delooped slice has one object at each end, so all the
+    # questions from one 1-cell ask the same side
     s = deloop_slice(three_pairs_c2(), 2)
     e = s.equiv
     x, other_orbit, same_orbit = s.embed("a0"), s.embed("b0"), s.embed("a1")
+    y, y_hit, y_miss = s.embed("b1"), s.embed("b0"), s.embed("c0")
     want = side_search_scan(e, x, same_orbit)
     assert want is not None
+    wants = {q: side_search_scan(e, *q) for q in ((x, x), (y, y_hit), (y, y_miss), (y, y))}
+    assert wants[(y, y_hit)] is not None and wants[(y, y_miss)] is None
     reads = []
 
     class CountedRows(dict):
@@ -332,11 +339,80 @@ def test_a_repeated_miss_reads_no_composition_row(monkeypatch):
 
     monkeypatch.setattr(e.d.skeleton, "rows", CountedRows(e.d.skeleton.rows))
     assert equivalence._side_search(e, x, other_orbit) is None
-    assert reads  # the first miss scans
+    assert reads  # the first search on a side walks it
     reads.clear()
     assert equivalence._side_search(e, x, s.embed("c1")) is None
+    assert equivalence._side_search(e, x, same_orbit) == want  # a hit after a miss
+    assert equivalence._side_search(e, x, x) == wants[(x, x)]  # a second hit
     assert reads == []
-    assert equivalence._side_search(e, x, same_orbit) == want
+    assert equivalence._side_search(e, y, y_hit) == wants[(y, y_hit)]
+    assert reads
+    reads.clear()
+    assert equivalence._side_search(e, y, y_miss) is None  # a miss after a hit
+    assert equivalence._side_search(e, y, y) == wants[(y, y)]
+    assert reads == []
+
+    # once every ordered pair is searched, the classes sweep walks no side
+    for make in (lambda: deloop_slice(swap_action(), 1).equiv, lambda: random_param_bundle(3)):
+        e = make()
+        want_classes = equivalence_classes_all_pairs(make())
+        items = sorted(e.c.morphisms)
+        monkeypatch.setattr(e.d.skeleton, "rows", CountedRows(e.d.skeleton.rows))
+        for m in items:
+            for mt in items:
+                equivalence._side_search(e, m, mt)
+        reads.clear()
+        assert equivalence_classes(e) == want_classes
+        assert reads == []
+
+
+def _outcome(call):
+    try:
+        return "returns", call()
+    except MorpheqError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cli._build_equiv(json.loads((Path(__file__).parents[1] / "instances" / "arrow_equiv.json").read_text())),
+    lambda: deloop_slice(swap_action(), 1),
+], ids=["arrow_equiv", "swap-on-3 at L=1"])
+@pytest.mark.parametrize("k", [["x"], "zzz"], ids=["unhashable", "unknown"])
+def test_lookups_answer_an_unhashable_id_as_an_unknown_one(make, k):
+    made = make()
+    e = getattr(made, "equiv", made)
+    c, d = e.c, e.d
+    f = c.id_of(min(c.objects))
+    g, obj = e.sigma(f), c.dom(f)
+    morphism, obj_named = (UnknownId, f"unknown morphism {k!r}"), (UnknownId, f"unknown object {k!r}")
+    cases = [
+        (lambda: c.id_of(k), obj_named),
+        (lambda: d.id_one(k), obj_named),
+        (lambda: c.hom(k, obj), ("returns", ())),
+        (lambda: c.hom(obj, k), ("returns", ())),
+        (lambda: c.compose(k, f), morphism),
+        (lambda: c.compose(f, k), morphism),
+        (lambda: d.linked_to(k), ("returns", frozenset())),
+        (lambda: d.cells_between(k, g), ("returns", ())),
+        (lambda: d.cells_between(g, k), ("returns", ())),
+        (lambda: e.sigma(k), morphism),
+        (lambda: e.tau1(k), morphism),
+        (lambda: e.tau2(k), morphism),
+    ]
+    if made is not e:  # the slice's action and group
+        a = made.action
+        cases += [
+            (lambda: a.group.mul(k, "g0"), (UnknownElement, f"({k!r}, 'g0') not in multiplication table")),
+            (lambda: a.group.mul("g0", k), (UnknownElement, f"('g0', {k!r}) not in multiplication table")),
+            (lambda: a.act(k, "a"), (UnknownElement, f"({k!r}, 'a') not in action table")),
+            (lambda: a.act("g0", k), (UnknownElement, f"('g0', {k!r}) not in action table")),
+            (lambda: a.transporters(k, "a"), ("returns", ())),
+            (lambda: a.transporters("a", k), ("returns", ())),
+        ]
+    for i, (call, want) in enumerate(cases):
+        assert _outcome(call) == want, i
+    # asked twice, the memoised lookups answer alike
+    assert (d.linked_to(k), d.cells_between(g, k)) == (frozenset(), ())
 
 
 def test_classes_make_no_pair_search(monkeypatch):
@@ -354,8 +430,8 @@ def test_classes_make_no_pair_search(monkeypatch):
     assert calls == []
 
 
-def test_classes_and_search_share_rows_and_reaches_without_leaks():
-    # one bundle serves both callers, which share its rows and reaches: the
+def test_classes_and_search_share_rows_and_sides_without_leaks():
+    # one bundle serves both callers, which share its rows and sides: the
     # sweep first and then every ordered pair, and the other way round, each
     # on a fresh bundle, against answers taken on a third one
     # (maker, key of the slice's kept scan or None)
