@@ -51,7 +51,14 @@ class VerifyResult:
 
 
 class EquivData:
-    """The parameter bundle (c, d, sigma, tau1, tau2)."""
+    """The parameter bundle (c, d, sigma, tau1, tau2).
+
+    The witness search asks it, through ``_least_factors``, for the least
+    comparison pair giving each composite it tries.  A generic bundle
+    answers from the side index kept for the search and the classes sweep
+    (``_sides``); a bundle that knows its composites, as a delooped slice
+    does, answers from them.
+    """
 
     def __init__(self, c: FiniteCategory, d: Finite2Category, sigma: MorphismFunction,
                  tau1: FunctorData, tau2: FunctorData, *, validate=True):
@@ -98,6 +105,13 @@ class EquivData:
             raise NotComposable(f"cod({u2!r}) != dom({m!r})")
         inner = d.compose(self.sigma(m), self.tau2(u2))
         return d.compose(self.tau1(u1), inner)
+
+    def _least_factors(self, m, bt, at):
+        """A function mapping each 1-cell x of d to the least (u1, u2), with
+        u1: cod m -> bt and u2: at -> dom m, whose composite
+        tau1(u1) . sigma(m) . tau2(u2) is x, or to None when there is none;
+        read from m's side of the kept index (``_sides``)."""
+        return _sides(self, m, bt, (at,))[at].get
 
 
 def verify_witness(e: EquivData, m, m_tilde, w: Witness) -> VerifyResult:
@@ -204,19 +218,18 @@ def _side_search(e: EquivData, m_from, m_to):
     """First (u1, u2, fwd, bwd) with cells both ways, in lexicographic order.
 
     Looks for u1: cod(m_from) -> cod(m_to), u2: dom(m_to) -> dom(m_from)
-    and 2-cells  tau1(u1).sigma(m_from).tau2(u2) <=> sigma(m_to).  A
-    composite of the side's kept index (``_sides``) qualifies when it is
-    in ``d.linked_to(target)``; the least (u1, u2) of those is the answer
-    (two composites never share one), with the least of
-    ``d.cells_between`` each way.
+    and 2-cells  tau1(u1).sigma(m_from).tau2(u2) <=> sigma(m_to).  The
+    qualifying composites are those in ``d.linked_to(target)``: for each,
+    the bundle gives the least (u1, u2) composing to it
+    (``e._least_factors``), and the least of those is the answer (two
+    composites never share one), with the least of ``d.cells_between``
+    each way.
     """
     d = e.d
     a_to = e.c.arrow(m_to)
     target = e.sigma(m_to)
-    linked = d.linked_to(target)
-    side = _sides(e, m_from, a_to.cod, (a_to.dom,))[a_to.dom]
-    small, big = (linked, side) if len(linked) < len(side) else (side, linked)
-    hits = [(side[x], x) for x in small if x in big]
+    least = e._least_factors(m_from, a_to.cod, a_to.dom)
+    hits = [(pair, x) for x in d.linked_to(target) if (pair := least(x)) is not None]
     if not hits:
         return None
     (u1, u2), x = min(hits)

@@ -25,10 +25,13 @@ monoid the index holds mutual-reachability classes.
 
 The delooping itself is infinite; :func:`deloop_slice` builds the finite
 sub-2-category of chains of length <= max_chain_length + 1.  Its 1-cells
-and sparse composition rows are built with the slice; its 2-cells are
-defined once, by its 2-category, which answers each 2-cell question from
-the ids asked and lists the cells or writes the tables only when
-something iterates them or reads a table.  Concatenations that would
+are built with the slice and compose by concatenating their words; its
+sparse composition rows are built only when something reads them.  Its
+2-cells are defined once, by its 2-category, which answers each 2-cell
+question from the ids asked and lists the cells or writes the tables
+only when something iterates them or reads a table.  The witness search
+factors a chain through another by reading one word in the other, so
+deciding letters builds no table.  Concatenations that would
 exceed the length bound collapse onto a single absorbing 1-cell (id
 ``!overflow``) whose only 2-cell is its identity.  The absorbing cell
 can never bound a transporter 2-cell, so verdicts agree with the
@@ -41,7 +44,7 @@ import functools
 import itertools
 from collections.abc import Mapping
 
-from .catkernel import Cell, Finite2Category, FiniteCategory, FunctorData, RowTable, Violation
+from .catkernel import Arrow, Cell, Finite2Category, FiniteCategory, FunctorData, RowTable, Violation
 from .catkernel import _action_failures, _as_rows, _distinct, _generators, _in_order, _positions, _raise_on, _total
 from .equivalence import EquivData, are_equivalent
 from .errors import InvalidParameter, NotComposable, UnknownElement, UnknownId
@@ -243,6 +246,67 @@ def _whiskered(k, pad, a, right):
     return k + src, k + tgt, pad + labels
 
 
+class _SliceCategory(FiniteCategory):
+    """A slice's 1-skeleton: one object, the words over the letters up to the
+    bound and the overflow cell, composed by concatenation.
+
+    ``FiniteCategory``'s constructor is not run.  ``_ids`` maps each word to
+    its id, by length and each length in carrier-numeral order (first
+    letter most significant), ``_words`` maps back and ``_bound`` is the
+    longest length.  The sparse composition rows and their view (``rows``,
+    ``compose_table``) are built on first read: ``validate()``, export,
+    ``FunctorData.validate`` and the classes sweep read them, ``compose``
+    and the witness search do not.
+    """
+
+    def __init__(self, letters, bound):
+        blocks = [[()]]
+        for _ in range(bound):
+            blocks.append([w + (x,) for w in blocks[-1] for x in letters])
+        self._ids = {w: _word_id(w) for w in itertools.chain.from_iterable(blocks)}
+        self._words = {i: w for w, i in self._ids.items()}
+        self._bound = bound
+        self.objects = ("*",)
+        self.morphisms = {m: Arrow(m, "*", "*") for m in itertools.chain(self._words, [OVERFLOW])}
+        self.identity = {"*": self._ids[()]}
+
+    @functools.cached_property
+    def compose_table(self):
+        """The view of the rows ``{g: {f: g . f}}`` of the real concatenations,
+        with the overflow cell absorbing every pair left out, checked and
+        spanned as the kernel's constructor does.  g . f = g + f is numbered
+        i * k^b + j for g = blocks[a][i], f = blocks[b][j] and k letters, so
+        g's composites with the words of length b are one slice of the
+        length a + b block."""
+        blocks = [[] for _ in range(self._bound + 1)]
+        for w, m in self._ids.items():
+            blocks[len(w)].append(m)
+        rows = {}
+        for a, gs in enumerate(blocks):
+            for i, g in enumerate(gs):
+                row = rows[g] = {}
+                for b, fs in enumerate(blocks[:len(blocks) - a]):
+                    row.update(zip(fs, blocks[a + b][i * len(fs):(i + 1) * len(fs)]))
+        # the kernel's checks read and replace these two attributes
+        self.rows, self.compose_table = rows, RowTable(rows, absorbing=OVERFLOW)
+        self._check_refs()
+        self._span_composable()
+        return self.compose_table
+
+    rows = functools.cached_property(lambda self: self.compose_table.rows)
+
+    def compose(self, g, f):
+        """The composite g . f, the word g + f: the overflow cell past the
+        bound or when either is the overflow cell."""
+        words = self._words
+        try:
+            word = words[g] + words[f]
+        except (KeyError, TypeError):  # the overflow cell, or an id that arrow() names
+            self.arrow(g), self.arrow(f)
+            return OVERFLOW
+        return OVERFLOW if len(word) > self._bound else self._ids[word]
+
+
 class _SliceCells(Mapping):
     """A slice's 2-cells by id, read-only.  A lookup reads the cell off its id
     (``_SliceTwoCategory._read``); iterating the mapping or asking its size
@@ -282,8 +346,9 @@ class _SliceTwoCategory(Finite2Category):
     relabelled onto a word g letter by letter by transporters, where g's
     letters lie in the orbits of f's.
 
-    ``Finite2Category``'s constructor is not run; ``ids`` maps each word, by
-    length, to its 1-cell id.  Every 2-cell question is answered from the
+    ``Finite2Category``'s constructor is not run; the words, their ids and
+    the bound are read from ``chains``, the slice's ``_SliceCategory``
+    (also its ``skeleton``).  Every 2-cell question is answered from the
     ids asked, in time linear in their words: ``cell`` and ``two_cells[a]``
     read a's words and labels, ``vcomp`` multiplies the labels, the
     whiskerings pad them with the unit (the overflow cell past the bound),
@@ -301,17 +366,15 @@ class _SliceTwoCategory(Finite2Category):
     sweep asks only ``linked_to``, once per 1-cell.
     """
 
-    def __init__(self, action, ids, skeleton):
-        self.skeleton, self._action, self._ids = skeleton, action, ids
-        self._words = {i: w for w, i in ids.items()}
-        self._bound = len(next(reversed(ids)))  # the last word is one of the longest
+    def __init__(self, action, chains, skeleton):
+        self.skeleton, self._action, self._chains = skeleton, action, chains
         self._between_memo, self._linked_memo = {}, {}
 
     @functools.cached_property
     def _labelled(self):
         """(src word, tgt word, labels) -> id of every 2-cell but the overflow
         cell's; the 2-cells and the tables share these id strings."""
-        action, wid, orbit = self._action, self._ids, self._action._orbits
+        action, wid, orbit = self._action, self._chains._ids, self._action._orbits
         return {
             (src, tgt, labels): _cell_id(wid[src], wid[tgt], labels)
             for src in wid for tgt in itertools.product(*map(orbit.__getitem__, src))
@@ -328,7 +391,7 @@ class _SliceTwoCategory(Finite2Category):
 
     @functools.cached_property
     def _listed(self):
-        wid = self._ids
+        wid = self._chains._ids
         cells = [Cell(cid, wid[src], wid[tgt]) for (src, tgt, _), cid in self._labelled.items()]
         return self._checked_cells(cells + [Cell(_OVERFLOW_ID2, OVERFLOW, OVERFLOW)])
 
@@ -349,11 +412,12 @@ class _SliceTwoCategory(Finite2Category):
         # only read, so both sides share the overflow cell's own row
         over_row = dict.fromkeys(itertools.chain(cell_ids.values(), [over]), over)
         wl, wr = {}, {}
-        for k, kid in self._ids.items():
+        chains = self._chains
+        for k, kid in chains._ids.items():
             pad = (unit,) * len(k)
             left = wl[kid] = over_row.copy()
             right = wr[kid] = over_row.copy()
-            for n in range(self._bound + 1 - len(k)):
+            for n in range(chains._bound + 1 - len(k)):
                 for a, cid in by_length[n]:
                     left[cid] = cell_ids[_whiskered(k, pad, a, False)]
                     right[cid] = cell_ids[_whiskered(k, pad, a, True)]
@@ -375,7 +439,8 @@ class _SliceTwoCategory(Finite2Category):
                 return OVERFLOW, OVERFLOW, ()
             f, _, rest = a.partition(">")
             g, sep, text = rest.partition("#")
-            src, tgt = self._words.get(f), self._words.get(g)
+            words = self._chains._words
+            src, tgt = words.get(f), words.get(g)
             if sep and src is not None and tgt is not None:
                 labels = tuple(text.split(",")) if src or text else ()
                 reach = self._action._transporters
@@ -395,17 +460,18 @@ class _SliceTwoCategory(Finite2Category):
         """k |> a, or a <| k on the right; the overflow cell when the words
         would pass the bound or either is the overflow cell."""
         self.skeleton.arrow(k)  # UnknownId for an unknown 1-cell
-        k, (f, g, labels) = self._words.get(k), self._read(a)
-        src = self._words.get(f)
-        if k is None or src is None or len(k) + len(src) > self._bound:
+        chains = self._chains
+        k, (f, g, labels) = chains._words.get(k), self._read(a)
+        src = chains._words.get(f)
+        if k is None or src is None or len(k) + len(src) > chains._bound:
             return _OVERFLOW_ID2
         pad = (self._action.group.unit,) * len(k)
-        src, tgt, labels = _whiskered(k, pad, (src, self._words[g], labels), right)
-        return _cell_id(self._ids[src], self._ids[tgt], labels)
+        src, tgt, labels = _whiskered(k, pad, (src, chains._words[g], labels), right)
+        return _cell_id(chains._ids[src], chains._ids[tgt], labels)
 
     def id_two(self, f):
         """f relabelled by the unit letter by letter (no letters for the overflow cell)."""
-        word = self._words.get(f) if isinstance(f, str) else None
+        word = self._chains._words.get(f) if isinstance(f, str) else None
         if word is None:
             if f != OVERFLOW:
                 raise UnknownId(f"unknown 1-cell {f!r}")
@@ -424,7 +490,8 @@ class _SliceTwoCategory(Finite2Category):
             elif f == OVERFLOW:
                 got = (_OVERFLOW_ID2,)
             else:
-                labellings = _labellings(self._action, self._words[f], self._words[g])
+                words = self._chains._words
+                labellings = _labellings(self._action, words[f], words[g])
                 got = tuple(sorted(_cell_id(f, g, labels) for labels in labellings))
             self._between_memo[(f, g)] = got
         return got
@@ -437,12 +504,12 @@ class _SliceTwoCategory(Finite2Category):
         except TypeError:  # an unhashable 1-cell, which is linked to nothing
             return frozenset()
         if got is None:
-            word = self._words.get(g)
+            word = self._chains._words.get(g)
             if word is None:
                 got = frozenset([g] if g == OVERFLOW else [])
             else:
                 orbit = self._action._orbits
-                got = frozenset(map(self._ids.__getitem__, itertools.product(*map(orbit.__getitem__, word))))
+                got = frozenset(map(self._chains._ids.__getitem__, itertools.product(*map(orbit.__getitem__, word))))
             self._linked_memo[g] = got
         return got
 
@@ -455,15 +522,47 @@ def _check_bound(max_chain_length):
         raise InvalidParameter("max_chain_length must be >= 0")
 
 
+class _SliceBundle(EquivData):
+    """A slice's identity parameter bundle, which factors a 1-cell through m
+    by reading m's word in it."""
+
+    def _least_factors(self, m, bt, at):
+        """``EquivData._least_factors`` read from the words, with no row and no
+        kept side: u1 . m . u2 is the word u1 + m + u2, so the factorizations
+        of a word x are the occurrences of m's word in x.  The least pair
+        by id is not always the first occurrence: a longer prefix can sort
+        first ("[b,a]" < "[b]").  Only the overflow cell gives the overflow
+        cell, least as (overflow, overflow), since "!overflow" is the least
+        id (carrier names exclude "[],>#!"); an overflow m factors no word.
+        """
+        self.c.arrow(m)
+        words, wid = self.c._words, self.c._ids
+        f = words.get(m)
+        n, blank = len(f or ()), (wid[()], wid[()])
+
+        def least(x):
+            w = words.get(x)
+            if w is None:
+                return (OVERFLOW, OVERFLOW) if x == OVERFLOW else None
+            if f is None:
+                return None
+            if len(w) == n:  # a word of m's length, as a letter pair asks: x is m or no composite
+                return blank if w == f else None
+            return min(((wid[w[:i]], wid[w[i + n:]]) for i in range(len(w) - n + 1) if w[i:i + n] == f),
+                       default=None)
+
+        return least
+
+
 class DeloopedSlice:
     """The bounded delooping plus its identity parameter bundle, whose sigma,
     tau1 and tau2 are one identity functor.
 
-    Composition is built as sparse rows, ``{g: {f: g . f}}`` for the real
-    concatenations only, by index arithmetic, and handed to the category
-    as a ``RowTable`` without a copy, with the overflow cell as the
-    absorbing id of every pair left out; the 2-category builds its
-    identities, 2-cells and other tables on first read.
+    The 1-skeleton (``_SliceCategory``) composes by concatenating words and
+    builds its sparse composition rows on first read; the 2-category
+    (``_SliceTwoCategory``) answers each 2-cell question from the ids asked
+    and builds its identities, 2-cells and tables on first read.  The
+    bundle (``_SliceBundle``) answers the witness search from the words.
     """
 
     def __init__(self, action: GroupAction, max_chain_length: int):
@@ -473,37 +572,12 @@ class DeloopedSlice:
                 raise InvalidParameter(f"name {name!r} uses a reserved character")
         self.action = action
         self.max_chain_length = max_chain_length
-        bound = max_chain_length + 1
-        obj = "*"
-
-        # words by length, each length in carrier-numeral order (first letter
-        # most significant), so blocks[n][i] is the word of length n numbered i
-        blocks = [[()]]
-        for _ in range(bound):
-            blocks.append([w + (x,) for w in blocks[-1] for x in action.carrier])
-        words = list(itertools.chain.from_iterable(blocks))
-        wid = {w: _word_id(w) for w in words}
-        one_cells = [(wid[w], obj, obj) for w in words] + [(OVERFLOW, obj, obj)]
-
-        # g . f is the concatenation g + f (outer letters first), numbered
-        # i * k^b + j for g = blocks[a][i], f = blocks[b][j] and k letters:
-        # g's composites with the words of length b are one slice of the
-        # length a + b block; longer concatenations, and every composite
-        # with the overflow cell, are left to the view's absorbing id
-        ids = [wid[w] for w in words] + [OVERFLOW]
-        id_blocks = [[wid[w] for w in block] for block in blocks]
-        rows = {}
-        for a, gs in enumerate(id_blocks):
-            for i, g in enumerate(gs):
-                row = rows[g] = {}
-                for b, fs in enumerate(id_blocks[:bound + 1 - a]):
-                    row.update(zip(fs, id_blocks[a + b][i * len(fs):(i + 1) * len(fs)]))
-
-        self.category = FiniteCategory([obj], one_cells, {obj: wid[()]}, RowTable(rows, absorbing=OVERFLOW), validate=False)
-        self.two_category = _SliceTwoCategory(action, wid, self.category)
-        ident = FunctorData(self.category, self.two_category, {obj: obj}, {m: m for m in ids}, validate=False)
-        self.equiv = EquivData(self.category, self.two_category, ident, ident, ident, validate=False)
-        self._letters = dict(zip(action.carrier, id_blocks[1]))  # x -> the 1-cell of (x,)
+        self.category = _SliceCategory(action.carrier, max_chain_length + 1)
+        self.two_category = _SliceTwoCategory(action, self.category, self.category)
+        ones, obj = self.category.morphisms, self.category.objects[0]
+        ident = FunctorData(self.category, self.two_category, {obj: obj}, zip(ones, ones), validate=False)
+        self.equiv = _SliceBundle(self.category, self.two_category, ident, ident, ident, validate=False)
+        self._letters = {x: self.category._ids[(x,)] for x in action.carrier}  # x -> the 1-cell of (x,)
 
     def embed(self, x):
         """The 1-cell carrying the single-letter chain (x,)."""

@@ -364,7 +364,7 @@ def dense_slice_bundle(s):
     read by the same lookups, over composition rows that store every pair."""
     c = s.category
     dense = FiniteCategory(c.objects, c.morphisms.values(), c.identity, dict(c.compose_table), validate=False)
-    d = type(s.two_category)(s.action, s.two_category._ids, dense)
+    d = type(s.two_category)(s.action, s.category, dense)
     ident = FunctorData(dense, d, {x: x for x in dense.objects}, {m: m for m in dense.morphisms}, validate=False)
     return EquivData(dense, d, ident, ident, ident, validate=False)
 

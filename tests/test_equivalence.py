@@ -16,6 +16,7 @@ from morpheq import (
     derive_symmetry,
     derive_transitivity,
     equivalence_classes,
+    orbit_equivalent,
     verify_witness,
 )
 from morpheq import cli, equivalence
@@ -285,11 +286,18 @@ def scanned_bundles():
 
 
 def test_indexed_search_matches_the_scan_on_every_ordered_pair():
+    # a slice answers from its words; a generic bundle over the same slice
+    # answers from the kept side index, and both must give the scan's answer
     cross_boundary_hits = 0
     for e, sides in scanned_bundles():
+        generic = None
+        if type(e) is not EquivData:
+            generic = EquivData(e.c, e.d, e.sigma, e.tau1, e.tau2, validate=False)
         for (m, mt), want in sides.items():
             assert equivalence._side_search(e, m, mt) == want, (m, mt)
             assert are_equivalent(e, m, mt) == are_equivalent_scan(sides, m, mt), (m, mt)
+            if generic is not None:
+                assert equivalence._side_search(generic, m, mt) == want, (m, mt)
             a, b = e.c.arrow(m), e.c.arrow(mt)
             if want is not None and (a.dom, a.cod) != (b.dom, b.cod):
                 cross_boundary_hits += 1
@@ -320,13 +328,19 @@ def test_search_answers_do_not_depend_on_the_order_of_questions():
 
 
 def test_a_repeated_miss_reads_no_composition_row(monkeypatch):
-    # every side of a delooped slice has one object at each end, so all the
-    # questions from one 1-cell ask the same side
-    s = deloop_slice(three_pairs_c2(), 2)
-    e = s.equiv
-    x, other_orbit, same_orbit = s.embed("a0"), s.embed("b0"), s.embed("a1")
-    y, y_hit, y_miss = s.embed("b1"), s.embed("b0"), s.embed("c0")
-    want = side_search_scan(e, x, same_orbit)
+    # a generic bundle answers the search from its kept side index, which
+    # the first search on a side fills.  T3 has one object, so all the
+    # questions from one map ask the same side; with identity parameters
+    # and 2-cells the relation is Green's J-relation, and u1 . m . u2 never
+    # has a larger image than m
+    cat = transformation_monoid(3)
+    e = locally_discrete_bundle(cat)
+    by_rank = {}
+    for m in sorted(cat.morphisms):
+        by_rank.setdefault(map_rank(m), []).append(m)
+    x, same_rank, other_rank = by_rank[1][0], by_rank[1][1], by_rank[3][0]
+    y, y_hit, y_miss = by_rank[2][0], by_rank[2][1], by_rank[3][1]
+    want = side_search_scan(e, x, same_rank)
     assert want is not None
     wants = {q: side_search_scan(e, *q) for q in ((x, x), (y, y_hit), (y, y_miss), (y, y))}
     assert wants[(y, y_hit)] is not None and wants[(y, y_miss)] is None
@@ -338,11 +352,11 @@ def test_a_repeated_miss_reads_no_composition_row(monkeypatch):
             return dict.__getitem__(self, key)
 
     monkeypatch.setattr(e.d.skeleton, "rows", CountedRows(e.d.skeleton.rows))
-    assert equivalence._side_search(e, x, other_orbit) is None
+    assert equivalence._side_search(e, x, other_rank) is None
     assert reads  # the first search on a side walks it
     reads.clear()
-    assert equivalence._side_search(e, x, s.embed("c1")) is None
-    assert equivalence._side_search(e, x, same_orbit) == want  # a hit after a miss
+    assert equivalence._side_search(e, x, by_rank[3][1]) is None  # a repeated miss
+    assert equivalence._side_search(e, x, same_rank) == want  # a hit after a miss
     assert equivalence._side_search(e, x, x) == wants[(x, x)]  # a second hit
     assert reads == []
     assert equivalence._side_search(e, y, y_hit) == wants[(y, y_hit)]
@@ -353,7 +367,7 @@ def test_a_repeated_miss_reads_no_composition_row(monkeypatch):
     assert reads == []
 
     # once every ordered pair is searched, the classes sweep walks no side
-    for make in (lambda: deloop_slice(swap_action(), 1).equiv, lambda: random_param_bundle(3)):
+    for make in (lambda: locally_discrete_bundle(transformation_monoid(2)), lambda: random_param_bundle(3)):
         e = make()
         want_classes = equivalence_classes_all_pairs(make())
         items = sorted(e.c.morphisms)
@@ -364,6 +378,16 @@ def test_a_repeated_miss_reads_no_composition_row(monkeypatch):
         reads.clear()
         assert equivalence_classes(e) == want_classes
         assert reads == []
+
+    # a delooped slice answers from its words: deciding every letter pair
+    # reads no composition row, so none is built
+    a = three_pairs_c2()
+    s = deloop_slice(a, 2)
+    for p in a.carrier:
+        for q in a.carrier:
+            ok, w = are_equivalent(s.equiv, s.embed(p), s.embed(q))
+            assert ok is orbit_equivalent(a, p, q)[0], (p, q)
+    assert not {"rows", "compose_table"} & set(vars(s.category))
 
 
 def _outcome(call):

@@ -447,21 +447,49 @@ def test_delooped_verdicts_are_bound_independent_and_deterministic():
 def test_search_leaves_the_two_cell_tables_unbuilt():
     a = swap_action()
     s = deloop_slice(a, 1)
-    d = s.two_category
+    d, e = s.two_category, s.equiv
+    yes = {}
     for x in a.carrier:
         for y in a.carrier:
-            delooped_equivalent(a, x, y, 1)
-    equivalence_classes(s.equiv)  # every pair of 1-cells
-    derive_reflexivity(s.equiv, s.embed(a.carrier[0]))
+            ok, w = delooped_equivalent(a, x, y, 1)
+            if ok:
+                assert verify_witness(e, s.embed(x), s.embed(y), w)
+                yes[(s.embed(x), s.embed(y))] = w
+    for (x, y), w in yes.items():
+        assert verify_witness(e, y, x, derive_symmetry(e, x, y, w))
+        for (y2, z), w2 in yes.items():
+            if y2 == y:
+                assert verify_witness(e, x, z, derive_transitivity(e, x, y, z, w, w2))
+    derive_reflexivity(e, s.embed(a.carrier[0]))
+    # the 1-skeleton composes by concatenation: its rows are still unbuilt
+    assert not {"rows", "compose_table"} & set(vars(s.category))
+    equivalence_classes(e)  # every pair of 1-cells
     built = {"identity2", "two_cells", "vcomp_table", "wl_table", "wr_table"}
     index = {"_by_boundary", "_linked"}
-    assert not (built | index) & set(vars(d))
+    # the witnesses read each 2-cell off its id, through the unlisted view two_cells
+    assert not (built - {"two_cells"} | {"_listed"} | index) & set(vars(d))
     assert d.validate() == []
     assert built <= set(vars(d))  # built once, then plain attributes
     held = {name: vars(d)[name] for name in built}
     assert d.validate() == []
     assert all(vars(d)[name] is table for name, table in held.items())  # not rebuilt
     assert not index & set(vars(d))
+    # read at last, the rows are the dense table's, entry for entry and in order
+    assert list(s.category.compose_table.items()) == list(slice_compose_pairwise(a, 1).items())
+    assert s.category.validate() == []
+    # compose concatenates words without reading a row; once the rows are
+    # built it answers every pair as they do, and unknown and unhashable
+    # ids with the kernel's own errors and messages
+    for act, bound in _slice_cases()[::5]:
+        c = DeloopedSlice(act, bound).category
+        ones = list(c.morphisms)
+        got = {(g, f): c.compose(g, f) for g in ones for f in ones}
+        assert not {"rows", "compose_table"} & set(vars(c))
+        assert got == dict(c.compose_table), bound
+        probes = ones[:3] + ones[-2:] + ["zz", ["x"]]
+        for g in probes:
+            for f in probes:
+                assert _answer(c.compose, g, f) == _answer(catkernel.FiniteCategory.compose, c, g, f), (g, f)
 
 
 @pytest.mark.parametrize("bound", [2, 3])
